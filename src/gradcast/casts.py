@@ -14,6 +14,12 @@ value itself, so no code path can smuggle a value out of a failed cast.
 Library code never catches :class:`CastFault`; catching it is the business of
 the outermost boundary (for instance the CLI).
 
+An ``Attested`` keeps its predicate and renders ``prop_text`` only when the
+text is read, so a successful cast never runs ``Pred.render``.  A
+``Pred.render`` must therefore be pure: reading the text once, many times or
+never must not change anything.  A ``FailedCast`` renders at the cast, since
+it may not keep the value to render later.
+
 Refined values are immutable and safe to hand between threads; ``cast`` is
 pure apart from fault raising.
 """
@@ -51,13 +57,38 @@ class CastFault(Exception):
         self.prop_text = prop_text
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Attested(Generic[A]):
-    """A value paired with evidence that the property holds of it."""
+    """A value paired with evidence that the property holds of it.
+
+    ``prop_text`` is rendered from ``pred`` each time it is read; ``repr``,
+    ``==`` and ``hash`` include it as if it were a stored field.
+    """
 
     value: A
-    prop_text: str
+    pred: Pred[A]
     evidence: Evidence
+
+    @property
+    def prop_text(self) -> str:
+        return self.pred.render(self.value)
+
+    def _fields(self) -> tuple:
+        return (self.value, self.prop_text, self.evidence)
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(value={self.value!r}, "
+            f"prop_text={self.prop_text!r}, evidence={self.evidence!r})"
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
 
 @dataclass(frozen=True)
@@ -80,7 +111,7 @@ def cast(p: Pred[A], a: A, mode: FailureMode = FailureMode.LAZY) -> Refined:
     """
     verdict = p.decide(a)
     if isinstance(verdict, Holds):
-        return Attested(value=a, prop_text=p.render(a), evidence=verdict.evidence)
+        return Attested(a, p, verdict.evidence)
     if mode is FailureMode.EAGER:
         raise CastFault(show_value(a), p.render(a))
     return FailedCast(value_text=show_value(a), prop_text=p.render(a))
@@ -93,10 +124,10 @@ def try_cast(p: Pred[A], a: A) -> Attested[A] | CastFault:
     :class:`CastFault` record on failure, for callers who prefer to branch
     locally instead of living with poisoned values.
     """
-    verdict = p.decide(a)
-    if isinstance(verdict, Holds):
-        return Attested(value=a, prop_text=p.render(a), evidence=verdict.evidence)
-    return CastFault(show_value(a), p.render(a))
+    r = cast(p, a)
+    if isinstance(r, Attested):
+        return r
+    return CastFault(r.value_text, r.prop_text)
 
 
 def proj1(r: Refined) -> A:

@@ -9,8 +9,9 @@ Three subcommands:
 * ``demo-regimes`` shows the lazy/eager difference on a function that ignores
   its (invalid) argument.
 
-Exit codes: 0 success, 1 cast failure, 2 usage or parse error.  Cast faults
-are caught here and nowhere else; output is line-oriented ASCII.
+Exit codes: 0 success, 1 cast failure, 2 usage or parse error, including a
+numeral longer than Python's integer digit limit.  Cast faults are caught
+here and nowhere else; output is line-oriented ASCII.
 """
 
 from __future__ import annotations
@@ -76,7 +77,11 @@ def cmd_rat(
     if not (top.isascii() and top.isdigit() and bottom.isascii() and bottom.isdigit()):
         config.emit("USAGE_ERROR top and bottom must be decimal naturals")
         return 2
-    top_n, bottom_n = int(top), int(bottom)
+    try:
+        top_n, bottom_n = int(top), int(bottom)
+    except ValueError:
+        config.emit("USAGE_ERROR top or bottom exceeds the integer digit limit")
+        return 2
     try:
         refined = cast_rat(
             sign == "+", top_n, bottom_n, strategy=config.strategy, mode=config.mode
@@ -100,6 +105,9 @@ def cmd_rat(
 def cmd_demo_regimes(config: CliConfig, probe_value: int = 0) -> int:
     """Run a function that ignores its argument through a domain cast at an
     argument violating the precondition, once per failure regime."""
+    if probe_value < 0:
+        config.emit(f"USAGE_ERROR --value must be a natural number, got {probe_value}")
+        return 2
 
     def ignore_argument(_refined: object) -> int:
         return 1

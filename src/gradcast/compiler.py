@@ -13,6 +13,9 @@ of that one expression, to run to the same result the interpreter gives.
 Subtraction on naturals truncates at zero (1 - 2 = 0); that is what makes the
 buggy compiler observably wrong on subtraction while agreeing on sums and
 products.
+
+Parsing, compiling, evaluating and running each walk their input once with
+an explicit stack, so they take linear time and accept any nesting depth.
 """
 
 from __future__ import annotations
@@ -84,57 +87,93 @@ def eval_binop(b: Binop, x: Nat, y: Nat) -> Nat:
     return x * y
 
 
+# Marks, on an explicit traversal stack, that the operands of the BinOp
+# pushed just beneath it have been visited.
+_OPERANDS_DONE = object()
+
+
 def eval_exp(e: Exp) -> Nat:
-    match e:
-        case Const(value=n):
-            return check_nat(n)
-        case BinOp(op=b, left=left, right=right):
-            return eval_binop(b, eval_exp(left), eval_exp(right))
-    raise TypeError(f"not an expression: {e!r}")
+    """The interpreter: evaluates left operand, right operand, then the node,
+    with an explicit stack, so any nesting depth is fine."""
+    values: Stack = []
+    todo: list = [e]
+    pop = todo.pop
+    while todo:
+        node = pop()
+        if isinstance(node, Const):
+            values.append(check_nat(node.value))
+        elif node is _OPERANDS_DONE:
+            right = values.pop()
+            values[-1] = eval_binop(pop().op, values[-1], right)
+        elif isinstance(node, BinOp):
+            todo += (node, _OPERANDS_DONE, node.right, node.left)
+        else:
+            raise TypeError(f"not an expression: {node!r}")
+    return values[0]
 
 
 def run_instr(i: Instr, s: Stack) -> Optional[Stack]:
-    """Execute one instruction. The stack top is the first element; a binary
-    operation pops arg1 then arg2 and pushes arg1 OP arg2. ``None`` signals
-    stack underflow."""
-    match i:
-        case IConst(value=n):
-            return [n, *s]
-        case IBinop(op=b):
-            if len(s) < 2:
-                return None
-            arg1, arg2, *rest = s
-            return [eval_binop(b, arg1, arg2), *rest]
-    raise TypeError(f"not an instruction: {i!r}")
+    """Execute one instruction; see :func:`run_prog`."""
+    return run_prog([i], s)
 
 
 def run_prog(p: Prog, s: Stack) -> Optional[Stack]:
-    current: Optional[Stack] = list(s)
+    """Run ``p`` on ``s``. The stack top is the first element; a binary
+    operation pops arg1 then arg2 and pushes arg1 OP arg2. ``None`` signals
+    stack underflow. ``s`` is not modified."""
+    # Work on one list whose top is its last element, so a push or pop never
+    # copies the stack.
+    stack = list(s)
+    stack.reverse()
+    push, pop = stack.append, stack.pop
     for instr in p:
-        current = run_instr(instr, current)
-        if current is None:
-            return None
-    return current
+        if isinstance(instr, IConst):
+            push(instr.value)
+        elif isinstance(instr, IBinop):
+            if len(stack) < 2:
+                return None
+            arg1 = pop()
+            stack[-1] = eval_binop(instr.op, arg1, stack[-1])
+        else:
+            raise TypeError(f"not an instruction: {instr!r}")
+    stack.reverse()
+    return stack
+
+
+# Instructions are immutable, so one IBinop per operation serves every program.
+_IBINOP = {b: IBinop(b) for b in Binop}
+
+
+def _compile(e: Exp, left_first: bool) -> Prog:
+    """Post-order code for ``e``: both operands' code, then the operation."""
+    prog: Prog = []
+    emit = prog.append
+    todo: list = [e]
+    pop = todo.pop
+    while todo:
+        node = pop()
+        if isinstance(node, Const):
+            emit(IConst(node.value))
+        elif node is _OPERANDS_DONE:
+            emit(_IBINOP[pop().op])
+        elif isinstance(node, BinOp):
+            if left_first:
+                todo += (node, _OPERANDS_DONE, node.right, node.left)
+            else:
+                todo += (node, _OPERANDS_DONE, node.left, node.right)
+        else:
+            raise TypeError(f"not an expression: {node!r}")
+    return prog
 
 
 def compile_buggy(e: Exp) -> Prog:
     """Compile left subexpression first. Looks plausible, reverses operands."""
-    match e:
-        case Const(value=n):
-            return [IConst(n)]
-        case BinOp(op=b, left=left, right=right):
-            return compile_buggy(left) + compile_buggy(right) + [IBinop(b)]
-    raise TypeError(f"not an expression: {e!r}")
+    return _compile(e, left_first=True)
 
 
 def compile_fixed(e: Exp) -> Prog:
     """Compile right subexpression first so the stack top is the first operand."""
-    match e:
-        case Const(value=n):
-            return [IConst(n)]
-        case BinOp(op=b, left=left, right=right):
-            return compile_fixed(right) + compile_fixed(left) + [IBinop(b)]
-    raise TypeError(f"not an expression: {e!r}")
+    return _compile(e, left_first=False)
 
 
 _RESULT_EQ = eq_option(eq_list(eq_nat()))
@@ -188,90 +227,106 @@ class ParseError(Exception):
 
 
 _WHITESPACE = " \t\r\n\f\v"
-_ADDITIVE = {"+": Binop.PLUS, "-": Binop.MINUS}
+_DIGITS = "0123456789"
+_OPERATORS = {"+": Binop.PLUS, "-": Binop.MINUS, "*": Binop.TIMES}
+_PRECEDENCE = {Binop.PLUS: 1, Binop.MINUS: 1, Binop.TIMES: 2}
+_SYMBOL = {b: symbol for symbol, b in _OPERATORS.items()}
+# Precedence on the parser's operator stack, where None is an open parenthesis.
+_BINDING = {None: 0, **_PRECEDENCE}
 
 
 def parse_exp(src: str) -> Exp:
     """Parse ``expr := term (('+'|'-') term)*; term := factor ('*' factor)*;
     factor := NAT | '(' expr ')'``; operators are left-associative and ``*``
-    binds tighter."""
+    binds tighter.
+
+    An operator-precedence loop with explicit stacks, so any nesting depth
+    is fine.  A numeral too long for ``int`` is a :class:`ParseError`."""
+    end = len(src)
+    # A NUL sentinel ends the text; reading it at ``end`` means end of input.
+    text = src + "\0"
     pos = 0
+    operands: list[Exp] = []
+    # Operators waiting for their right operand, and open parentheses (None).
+    pending: list[Optional[Binop]] = []
+    open_parens = 0
 
-    def skip_whitespace() -> None:
-        nonlocal pos
-        while pos < len(src) and src[pos] in _WHITESPACE:
+    def reduce(min_prec: int) -> None:
+        while pending and _BINDING[pending[-1]] >= min_prec:
+            right = operands.pop()
+            operands[-1] = BinOp(pending.pop(), operands[-1], right)
+
+    while True:
+        # Expect an operand: open parentheses, then a numeral.
+        ch = text[pos]
+        while ch in _WHITESPACE or ch == "(":
+            if ch == "(":
+                pending.append(None)
+                open_parens += 1
             pos += 1
-
-    def peek() -> str:
-        return src[pos] if pos < len(src) else ""
-
-    def parse_expr() -> Exp:
-        nonlocal pos
-        node = parse_term()
-        while True:
-            skip_whitespace()
-            ch = peek()
-            if ch in _ADDITIVE:
-                pos += 1
-                node = BinOp(_ADDITIVE[ch], node, parse_term())
-            else:
-                return node
-
-    def parse_term() -> Exp:
-        nonlocal pos
-        node = parse_factor()
-        while True:
-            skip_whitespace()
-            if peek() == "*":
-                pos += 1
-                node = BinOp(Binop.TIMES, node, parse_factor())
-            else:
-                return node
-
-    def parse_factor() -> Exp:
-        nonlocal pos
-        skip_whitespace()
-        ch = peek()
-        if ch == "(":
+            ch = text[pos]
+        if ch not in _DIGITS:
+            if pos == end:
+                raise ParseError("expected a number or '('", pos + 1)
+            raise ParseError(f"unexpected character {ch!r}", pos + 1)
+        start = pos
+        pos += 1
+        while text[pos] in _DIGITS:
             pos += 1
-            node = parse_expr()
-            skip_whitespace()
-            if peek() != ")":
+        try:
+            operands.append(Const(int(text[start:pos])))
+        except ValueError:
+            raise ParseError(
+                f"numeral of {pos - start} digits is too long", start + 1
+            ) from None
+        # After an operand: close parentheses, then an operator or the end.
+        while True:
+            ch = text[pos]
+            while ch in _WHITESPACE:
+                pos += 1
+                ch = text[pos]
+            op = _OPERATORS.get(ch)
+            if op is not None:
+                break
+            if not open_parens:
+                if pos == end:
+                    reduce(1)
+                    return operands[0]
+                raise ParseError(f"unexpected character {ch!r}", pos + 1)
+            if ch != ")":
                 raise ParseError("expected ')'", pos + 1)
+            reduce(1)
+            pending.pop()
+            open_parens -= 1
             pos += 1
-            return node
-        if ch.isascii() and ch.isdigit():
-            start = pos
-            while peek().isascii() and peek().isdigit():
-                pos += 1
-            return Const(int(src[start:pos]))
-        if ch == "":
-            raise ParseError("expected a number or '('", pos + 1)
-        raise ParseError(f"unexpected character {ch!r}", pos + 1)
-
-    node = parse_expr()
-    skip_whitespace()
-    if pos != len(src):
-        raise ParseError(f"unexpected character {src[pos]!r}", pos + 1)
-    return node
-
-
-_PRECEDENCE = {Binop.PLUS: 1, Binop.MINUS: 1, Binop.TIMES: 2}
-_SYMBOL = {Binop.PLUS: "+", Binop.MINUS: "-", Binop.TIMES: "*"}
+        reduce(_PRECEDENCE[op])
+        pending.append(op)
+        pos += 1
 
 
 def format_exp(e: Exp) -> str:
     """Render an expression in the grammar :func:`parse_exp` accepts;
-    round-trips through the parser."""
-
-    def go(node: Exp, min_prec: int) -> str:
-        match node:
-            case Const(value=n):
-                return str(n)
-            case BinOp(op=b, left=left, right=right):
-                prec = _PRECEDENCE[b]
-                text = f"{go(left, prec)} {_SYMBOL[b]} {go(right, prec + 1)}"
-                return f"({text})" if prec < min_prec else text
-        raise TypeError(f"not an expression: {node!r}")
-
-    return go(e, 0)
+    round-trips through the parser.  Iterative, so any depth is fine."""
+    parts: list[str] = []
+    # Text still to emit, last item first: literal strings and
+    # (subexpression, least precedence that needs no parentheses) pairs.
+    todo: list = [(e, 0)]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            parts.append(item)
+            continue
+        node, min_prec = item
+        if isinstance(node, Const):
+            parts.append(str(node.value))
+        elif isinstance(node, BinOp):
+            prec = _PRECEDENCE[node.op]
+            parens = prec < min_prec
+            if parens:
+                todo.append(")")
+            todo += ((node.right, prec + 1), f" {_SYMBOL[node.op]} ", (node.left, prec))
+            if parens:
+                todo.append("(")
+        else:
+            raise TypeError(f"not an expression: {node!r}")
+    return "".join(parts)

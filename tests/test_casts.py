@@ -14,7 +14,7 @@ from gradcast.casts import (
     try_cast,
 )
 from gradcast.instances import eq_nat, pred_equals, pred_gt_const, pred_lt_const
-from gradcast.predicates import Holds, p_false, p_proven, p_true
+from gradcast.predicates import Holds, Pred, p_false, p_proven, p_true
 
 LT10 = pred_lt_const(10)
 
@@ -140,3 +140,29 @@ def test_casts_from_trivially_holding_predicates_are_always_attested():
     for value in [0, 5, "x", [1, 2]]:
         assert isinstance(cast(p_true(), value), Attested)
         assert isinstance(cast(p_proven("assumed elsewhere"), value), Attested)
+
+
+def test_attested_prints_and_compares_like_a_stored_prop_text():
+    refined = cast(pred_lt_const(10), 5)
+    assert repr(refined) == (
+        "Attested(value=5, prop_text='6 <= 10', "
+        "evidence=Evidence('6 <= 10 by arithmetic'))"
+    )
+    assert refined.prop_text == "6 <= 10"
+    assert refined == cast(pred_lt_const(10), 5)
+    assert hash(refined) == hash(cast(pred_lt_const(10), 5))
+    assert refined != cast(pred_lt_const(11), 5)
+    assert refined != cast(LT10, 4)
+
+
+def test_attested_renders_prop_text_only_when_read():
+    renders = []
+
+    def render(n):
+        renders.append(n)
+        return f"{n} is small"
+
+    refined = cast(Pred(decide=LT10.decide, render=render), 5)
+    assert renders == []
+    assert refined.prop_text == "5 is small"
+    assert renders == [5]

@@ -126,3 +126,34 @@ def test_cli_rejects_unknown_strategy():
     with pytest.raises(SystemExit) as excinfo:
         main(["rat", "+", "1", "2", "--strategy", "magic"])
     assert excinfo.value.code == 2
+
+
+def test_check_numeral_over_int_digit_limit_is_a_parse_error(capsys):
+    status, lines = run_cli(capsys, "check", "9" * 5000)
+    assert status == 2
+    assert lines == ["PARSE_ERROR offset=1 numeral of 5000 digits is too long"]
+
+
+def test_rat_numeral_over_int_digit_limit_is_a_usage_error(capsys):
+    status, lines = run_cli(capsys, "rat", "+", "9" * 5000, "1")
+    assert status == 2
+    assert lines == ["USAGE_ERROR top or bottom exceeds the integer digit limit"]
+
+
+def test_demo_regimes_negative_value_is_a_usage_error(capsys):
+    status, lines = run_cli(capsys, "demo-regimes", "--value", "-1")
+    assert status == 2
+    assert lines == ["USAGE_ERROR --value must be a natural number, got -1"]
+
+
+def test_check_accepts_deeply_nested_parentheses(capsys):
+    status, lines = run_cli(capsys, "check", "(" * 3000 + "2" + ")" * 3000)
+    assert status == 0
+    assert lines == ["RESULT 2"]
+
+
+def test_check_fixed_accepts_a_long_left_nested_sum(capsys):
+    expr = "+".join(["1"] * 5000)
+    status, lines = run_cli(capsys, "check", expr, "--compiler", "fixed")
+    assert status == 0
+    assert lines == ["RESULT 5000"]

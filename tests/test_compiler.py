@@ -23,7 +23,7 @@ from gradcast.compiler import (
     run_prog,
     runc,
 )
-from gradcast.predicates import Holds
+from gradcast.predicates import Holds, Pred
 from gradcast.render import show_value
 
 MINUS_2_1 = BinOp(Binop.MINUS, Const(2), Const(1))
@@ -191,3 +191,85 @@ def test_parse_format_roundtrip():
     for _ in range(500):
         e = random_exp(rng, max_depth=6)
         assert parse_exp(format_exp(e)) == e
+
+
+def test_parse_exp_numeral_over_int_digit_limit_is_a_parse_error():
+    numeral = "9" * 5000
+    with pytest.raises(ParseError) as excinfo:
+        parse_exp(f"1 + {numeral}")
+    assert excinfo.value.offset == 5
+    assert excinfo.value.reason == "numeral of 5000 digits is too long"
+
+
+def test_format_parse_roundtrip_at_depth_ten_thousand():
+    # Canonical text: every subtraction nests to the right, so each level
+    # needs parentheses.  Compare text, since dataclass == recurses.
+    depth = 10_000
+    text = "1 - (" * depth + "1 - 2" + ")" * depth
+    assert format_exp(parse_exp(text)) == text
+    left_nested = " - ".join(["1"] * depth)
+    assert format_exp(parse_exp(left_nested)) == left_nested
+
+
+def test_deep_expressions_compile_evaluate_and_run():
+    depth = 5000
+    e = parse_exp("+".join(["1"] * depth))
+    assert eval_exp(e) == depth
+    assert run_prog(compile_fixed(e), []) == [depth]
+    assert run_prog(compile_buggy(e), []) == [depth]
+    assert parse_exp("(" * 3000 + "2" + ")" * 3000) == Const(2)
+
+
+def test_eval_compile_run_and_format_reject_invalid_input():
+    with pytest.raises(ValueError):
+        eval_exp(BinOp(Binop.PLUS, Const(1), Const(-1)))
+    with pytest.raises(ValueError):
+        run_prog([IConst(-1), IConst(1), IBinop(Binop.PLUS)], [])
+    with pytest.raises(TypeError):
+        eval_exp(BinOp(Binop.PLUS, Const(1), "2"))
+    with pytest.raises(TypeError):
+        compile_fixed(BinOp(Binop.PLUS, 1, Const(2)))
+    with pytest.raises(TypeError):
+        run_prog([IConst(1), "iBinop Plus"], [])
+    with pytest.raises(TypeError):
+        format_exp(BinOp(Binop.PLUS, Const(1), None))
+    assert run_prog([IConst(1), IBinop(Binop.PLUS)], []) is None
+    assert run_prog([IBinop(Binop.MINUS)], [3, 5]) == [0]
+    stack = [1, 2]
+    assert run_prog([IConst(3)], stack) == [3, 1, 2]
+    assert stack == [1, 2]
+
+
+def test_attested_compile_runs_the_program_twice_and_renders_nothing(monkeypatch):
+    import gradcast.compiler as compiler
+
+    calls = {"run_prog": 0, "render": 0}
+    original_run_prog, original_correct_prog = compiler.run_prog, compiler.correct_prog
+
+    def counting_run_prog(p, s):
+        calls["run_prog"] += 1
+        return original_run_prog(p, s)
+
+    def counting_correct_prog(e):
+        pred = original_correct_prog(e)
+
+        def render(p):
+            calls["render"] += 1
+            return pred.render(p)
+
+        return Pred(decide=pred.decide, render=render)
+
+    monkeypatch.setattr(compiler, "run_prog", counting_run_prog)
+    monkeypatch.setattr(compiler, "correct_prog", counting_correct_prog)
+    e = parse_exp("(3 - 1) * 4 + 2")
+    assert runc(checked_compile("fixed"), e) == [10]
+    assert calls == {"run_prog": 2, "render": 0}
+
+    refined = checked_compile("fixed")(e)
+    assert refined.prop_text == "Some (10 :: nil) = Some (10 :: nil)"
+    assert calls["render"] == 1
+
+    calls.update(run_prog=0, render=0)
+    with pytest.raises(CastFault):
+        runc(checked_compile("buggy"), MINUS_2_1)
+    assert calls == {"run_prog": 2, "render": 1}
