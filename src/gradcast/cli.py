@@ -9,9 +9,9 @@ Three subcommands:
 * ``demo-regimes`` shows the lazy/eager difference on a function that ignores
   its (invalid) argument.
 
-Exit codes: 0 success, 1 cast failure, 2 usage or parse error, including a
-numeral longer than Python's integer digit limit.  Cast faults are caught
-here and nowhere else; output is line-oriented ASCII.
+Exit codes: 0 success, 1 cast failure, 2 usage, parse or limit error: a
+numeral or a ``check`` result longer than Python's integer digit limit.  Cast
+faults are caught here and nowhere else; output is line-oriented ASCII.
 """
 
 from __future__ import annotations
@@ -60,11 +60,14 @@ def cmd_check(expr_src: str, config: CliConfig) -> int:
         return 2
     compiler = checked_compile(config.compiler_variant, config.mode)
     try:
-        result = runc(compiler, exp)
+        line = f"RESULT {runc(compiler, exp)[0]}"
     except CastFault as fault:
         config.emit(f"FAILED_CAST value={fault.value_text} prop={fault.prop_text}")
         return 1
-    config.emit(f"RESULT {result[0]}")
+    except ValueError:  # parsed input is natural: only int-to-text past the digit limit
+        config.emit("LIMIT_ERROR result exceeds the integer digit limit")
+        return 2
+    config.emit(line)
     return 0
 
 

@@ -19,10 +19,13 @@ from .render import show_optional, show_sequence, show_value
 A = TypeVar("A")
 
 Nat = int
+_EQ_REFL = _holds("eq_refl")  # shared by every equality that holds
 
 
 def check_nat(value: object) -> int:
     """Validate that ``value`` is a natural number and return it."""
+    if type(value) is int and value >= 0:
+        return value
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"natural number expected, got {value!r}")
     if value < 0:
@@ -87,7 +90,7 @@ def eq_nat() -> EqDec[Nat]:
         check_nat(a)
         check_nat(b)
         if a == b:
-            return _holds("eq_refl")
+            return _EQ_REFL
         return _refutes(f"{a} <> {b}")
 
     return EqDec(eq_decide=decide, render_value=show_value)
@@ -96,7 +99,7 @@ def eq_nat() -> EqDec[Nat]:
 def eq_bool() -> EqDec[bool]:
     def decide(a: bool, b: bool) -> Decision:
         if a == b:
-            return _holds("eq_refl")
+            return _EQ_REFL
         return _refutes(f"{show_value(a)} <> {show_value(b)}")
 
     return EqDec(eq_decide=decide, render_value=show_value)
@@ -115,7 +118,7 @@ def eq_list(elem: EqDec[A]) -> EqDec[Sequence[A]]:
             verdict = elem.eq_decide(x, y)
             if isinstance(verdict, Refutes):
                 return _refutes(f"elements differ: {elem.render_eq(x, y)}")
-        return _holds("eq_refl")
+        return _EQ_REFL
 
     return EqDec(eq_decide=decide, render_value=show_sequence(elem.render_value))
 
@@ -125,7 +128,7 @@ def eq_option(elem: EqDec[A]) -> EqDec[Optional[A]]:
 
     def decide(a: Optional[A], b: Optional[A]) -> Decision:
         if a is None and b is None:
-            return _holds("eq_refl")
+            return _EQ_REFL
         if a is None or b is None:
             return _refutes("None <> Some")
         return elem.eq_decide(a, b)

@@ -9,6 +9,7 @@ Evidence is deliberately unforgeable: the only ways to obtain an
 :class:`Evidence` are the ``Holds``/``Refutes`` arm of a decision and
 :func:`p_proven`, which is an explicit, documented trust step.  There is no
 way to conjure evidence for a proposition whose decision procedure refuted it.
+Evidence is immutable and may be shared: compare it with ``==``, not by identity.
 
 All predicates are immutable once built and ``decide`` must be a pure function
 of its input, so predicates can be shared freely across threads.
@@ -17,6 +18,7 @@ of its input, so predicates can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Callable, Generic, Sequence, TypeVar
 
 from .render import show_value
@@ -33,7 +35,7 @@ class Evidence:
     Cannot be constructed directly; decision procedures issue it.
     """
 
-    __slots__ = ("summary",)
+    __slots__ = ("_summary",)
 
     def __init__(self, summary: str, *, _key: object = None) -> None:
         if _key is not _EVIDENCE_KEY:
@@ -41,7 +43,9 @@ class Evidence:
                 "Evidence cannot be constructed directly; it is only issued by "
                 "decision procedures (or by p_proven, an explicit trust step)"
             )
-        self.summary = summary
+        self._summary = summary
+
+    summary = property(attrgetter("_summary"), doc="Read-only justification text.")
 
     def __repr__(self) -> str:
         return f"Evidence({self.summary!r})"

@@ -149,9 +149,6 @@ class Peano:
     def to_int(self) -> int:
         return self.count
 
-    def add(self, other: "Peano") -> "Peano":
-        return Peano(_walk_add(self.count, other.count))
-
     def mul(self, other: "Peano") -> "Peano":
         total = 0
         for _ in range(self.count):
@@ -164,14 +161,6 @@ class Peano:
             x -= 1
             y -= 1
         return x == 0 and y == 0
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Peano):
-            return NotImplemented
-        return self.equals(other)
-
-    def __hash__(self) -> int:
-        return hash(("Peano", self.count))
 
     def __repr__(self) -> str:
         return f"Peano({self.count})"
@@ -249,6 +238,21 @@ def irreducible_bounded(top: Nat, bottom: Nat, arith: NatArith) -> Decision:
     return _holds(f"every divisor triple bounded by {bound} forces x = 1")
 
 
+def _decide_gcd(pair: tuple[Nat, Nat]) -> Decision:
+    top, bottom = pair
+    g = gcd(top, bottom)
+    if g == 1:
+        return _holds(f"gcd {top} {bottom} = 1")
+    return _refutes(f"gcd {top} {bottom} = {g}")
+
+
+_GCD_IRREDUCIBLE = p_equivalent(
+    Pred(decide=_decide_gcd, render=lambda pair: f"gcd {pair[0]} {pair[1]} = 1"),
+    render_override=lambda pair: _irreducibility_text(*pair),
+    justification="irreducibility is equivalent to gcd(top, bottom) = 1 for a nonzero bottom",
+)
+
+
 def irreducible_gcd(top: Nat, bottom: Nat) -> Decision:
     """Decide irreducibility as gcd(top, bottom) = 1.
 
@@ -258,21 +262,7 @@ def irreducible_gcd(top: Nat, bottom: Nat) -> Decision:
     check_nat(top)
     check_nat(bottom)
     _require_nonzero_bottom(bottom)
-
-    def decide_gcd(_unit: None) -> Decision:
-        g = gcd(top, bottom)
-        if g == 1:
-            return _holds(f"gcd {top} {bottom} = 1")
-        return _refutes(f"gcd {top} {bottom} = {g}")
-
-    substitute = Pred(decide=decide_gcd, render=lambda _unit: f"gcd {top} {bottom} = 1")
-    wrapped = p_equivalent(
-        substitute,
-        render_override=lambda _unit: _irreducibility_text(top, bottom),
-        justification="irreducibility is equivalent to gcd(top, bottom) = 1 "
-        "for a nonzero bottom",
-    )
-    return wrapped.decide(None)
+    return _GCD_IRREDUCIBLE.decide((top, bottom))
 
 
 _IRRED_DECIDERS: Dict[IrredStrategy, Callable[[Nat, Nat], Decision]] = {

@@ -25,24 +25,24 @@ def _show_bool(value: bool) -> str:
     return "true" if value else "false"
 
 
-@show_value.register
-def _show_int(value: int) -> str:
-    return str(value)
-
-
-@show_value.register(type(None))
-def _show_none(value: None) -> str:
-    return "None"
-
-
 @show_value.register(list)
 @show_value.register(tuple)
 def _show_seq(value: Iterable[Any]) -> str:
-    return show_sequence(show_value)(value)
+    renderers: dict[type, Callable] = {}  # per call, so later registrations apply
+    parts = []
+    for x in value:
+        show = renderers.get(x.__class__)
+        if show is None:
+            show = renderers[x.__class__] = show_value.dispatch(x.__class__)
+        parts.append(show(x))
+    parts.append("nil")
+    return " :: ".join(parts)
 
 
 def show_sequence(show_elem: Callable[[A], str]) -> Callable[[Iterable[A]], str]:
     """Cons-notation renderer: ``3 :: 2 :: nil``; the empty sequence is ``nil``."""
+    if show_elem is show_value:
+        return _show_seq
 
     def show(xs: Iterable[A]) -> str:
         parts = [show_elem(x) for x in xs]

@@ -13,7 +13,13 @@ from gradcast.casts import (
     proj2,
     try_cast,
 )
-from gradcast.instances import eq_nat, pred_equals, pred_gt_const, pred_lt_const
+from gradcast.instances import (
+    eq_list,
+    eq_nat,
+    pred_equals,
+    pred_gt_const,
+    pred_lt_const,
+)
 from gradcast.predicates import Holds, Pred, p_false, p_proven, p_true
 
 LT10 = pred_lt_const(10)
@@ -66,6 +72,16 @@ def test_proj2_returns_evidence_on_success():
     assert proj2(cast(p_true(), 0)).summary == "trivially true"
     verdict = cast(pred_gt_const(0), 5)
     assert proj2(verdict).summary == "1 <= 5 by arithmetic"
+
+
+def test_shared_equality_evidence_cannot_be_rewritten_through_proj2():
+    eq = eq_list(eq_nat())
+    first = proj2(cast(pred_equals(eq, [1, 2]), [1, 2]))
+    second = proj2(cast(pred_equals(eq, [3]), [3]))
+    assert first == second
+    with pytest.raises(AttributeError):
+        first.summary = "forged"
+    assert first.summary == second.summary == "eq_refl"
 
 
 def test_proj2_faults_on_failed_cast():

@@ -157,3 +157,23 @@ def test_check_fixed_accepts_a_long_left_nested_sum(capsys):
     status, lines = run_cli(capsys, "check", expr, "--compiler", "fixed")
     assert status == 0
     assert lines == ["RESULT 5000"]
+
+
+# 3000 nines: the operands parse, but a product has more digits than an int
+# may render as text.
+HUGE = "9" * 3000
+
+
+def test_check_result_over_int_digit_limit_is_a_limit_error(capsys):
+    status, lines = run_cli(capsys, "check", f"{HUGE}*{HUGE}")
+    assert status == 2
+    assert lines == ["LIMIT_ERROR result exceeds the integer digit limit"]
+
+
+@pytest.mark.parametrize("mode", ["lazy", "eager"])
+def test_check_failed_cast_over_int_digit_limit_is_a_limit_error(capsys, mode):
+    status, lines = run_cli(
+        capsys, "check", f"{HUGE}*{HUGE}-1", "--compiler", "buggy", "--mode", mode
+    )
+    assert status == 2
+    assert lines == ["LIMIT_ERROR result exceeds the integer digit limit"]

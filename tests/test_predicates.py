@@ -219,6 +219,15 @@ def test_evidence_cannot_be_constructed_directly():
         Evidence("forged")
 
 
+def test_evidence_summary_is_read_only():
+    evidence = pred_lt_const(10).decide(5).evidence
+    with pytest.raises(AttributeError):
+        evidence.summary = "forged"
+    with pytest.raises(AttributeError):
+        del evidence.summary
+    assert evidence.summary == "6 <= 10 by arithmetic"
+
+
 def test_evidence_only_flows_out_of_decisions():
     verdict = pred_lt_const(10).decide(5)
     assert isinstance(verdict.evidence, Evidence)
