@@ -10,8 +10,10 @@ Three subcommands:
   its (invalid) argument.
 
 Exit codes: 0 success, 1 cast failure, 2 usage, parse or limit error: a
-numeral or a ``check`` result longer than Python's integer digit limit.  Cast
-faults are caught here and nowhere else; output is line-oriented ASCII.
+numeral or a ``check`` result longer than Python's integer digit limit, or a
+``rat`` too large for the bounded strategy asked for.  Cast faults are caught
+here and nowhere else, and any other exception ends as a one-line
+``INTERNAL_ERROR`` with exit 2; output is line-oriented ASCII.
 """
 
 from __future__ import annotations
@@ -39,6 +41,10 @@ _STRATEGIES = {
     "gcd": IrredStrategy.GCD,
 }
 _BENCH_REPETITIONS = 5
+# The largest top or bottom each bounded strategy accepts.  Their worst case
+# there, an irreducible pair, takes about 1 s (Python 3.11, 2-core x86 VM);
+# the enumeration grows as the fourth (bounded) or second (binary) power.
+BOUNDED_CEILINGS = {IrredStrategy.BOUNDED: 90, IrredStrategy.BINARY_BOUNDED: 2000}
 
 
 @dataclass
@@ -85,6 +91,14 @@ def cmd_rat(
     except ValueError:
         config.emit("USAGE_ERROR top or bottom exceeds the integer digit limit")
         return 2
+    size = max(top_n, bottom_n)
+    ceiling = BOUNDED_CEILINGS.get(config.strategy, size)
+    if size > ceiling:
+        config.emit(
+            f"LIMIT_ERROR strategy {config.strategy.value} takes top and bottom "
+            f"up to {ceiling}"
+        )
+        return 2
     try:
         refined = cast_rat(
             sign == "+", top_n, bottom_n, strategy=config.strategy, mode=config.mode
@@ -99,9 +113,16 @@ def cmd_rat(
         config.emit(f"FAILED_CAST value={refined.value_text} prop={refined.violated}")
         status = 1
     if time_strategies and bottom_n != 0:
-        report = bench_strategies(top_n, bottom_n, _BENCH_REPETITIONS)
+        timed = [st for st in IrredStrategy if size <= BOUNDED_CEILINGS.get(st, size)]
+        report = bench_strategies(top_n, bottom_n, _BENCH_REPETITIONS, timed)
         for strategy in IrredStrategy:
-            config.emit(f"TIME {strategy.value} {report.medians[strategy]:.6f}")
+            if strategy in report.medians:
+                config.emit(f"TIME {strategy.value} {report.medians[strategy]:.6f}")
+            else:
+                config.emit(
+                    f"TIME {strategy.value} skipped: top or bottom exceeds "
+                    f"{BOUNDED_CEILINGS[strategy]}"
+                )
     return status
 
 
@@ -167,11 +188,18 @@ def main(argv: Optional[list[str]] = None) -> int:
         compiler_variant=getattr(args, "compiler", "buggy"),
         strategy=_STRATEGIES[getattr(args, "strategy", "gcd")],
     )
-    if args.command == "check":
-        return cmd_check(args.expr, config)
-    if args.command == "rat":
-        return cmd_rat(args.sign, args.top, args.bottom, config, args.time_strategies)
-    return cmd_demo_regimes(config, probe_value=args.value)
+    try:
+        if args.command == "check":
+            return cmd_check(args.expr, config)
+        if args.command == "rat":
+            return cmd_rat(args.sign, args.top, args.bottom, config, args.time_strategies)
+        return cmd_demo_regimes(config, probe_value=args.value)
+    except CastFault:
+        raise
+    except Exception as err:  # noqa: BLE001 - the boundary: no traceback reaches the user
+        detail = " ".join(str(err).split())  # one line, whatever the message
+        config.emit(f"INTERNAL_ERROR {type(err).__name__} {detail}".rstrip())
+        return 2
 
 
 def run() -> None:

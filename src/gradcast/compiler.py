@@ -16,18 +16,28 @@ products.
 
 Parsing, compiling, evaluating and running each walk their input once with
 an explicit stack, so they take linear time and accept any nesting depth.
+Each node costs only its own work: the parser splits the text into tokens
+with one regular expression, leaves with the same numeral share one
+``Const`` within a parse and equal ``int`` constants share one ``IConst``
+within a compile, operations are picked by identity, and an operand is
+checked inline, reaching ``check_nat`` only when it is not a plain natural.
+A failed check renders from the stack its decision observed, so it runs the
+program once.
 """
 
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
+from itertools import islice
+from operator import is_
 from typing import Callable, Optional, Union
 
 from .casts import FailureMode, Refined, proj1
 from .hocasts import cast_forall_range
 from .instances import Nat, check_nat, eq_list, eq_nat, eq_option
-from .predicates import Pred, PredFamily
+from .predicates import Decision, Pred, PredFamily, Refutes
 from .render import show_value
 
 
@@ -87,24 +97,44 @@ def eval_binop(b: Binop, x: Nat, y: Nat) -> Nat:
     return x * y
 
 
+_PLUS, _MINUS, _TIMES = Binop.PLUS, Binop.MINUS, Binop.TIMES
+
 # Marks, on an explicit traversal stack, that the operands of the BinOp
 # pushed just beneath it have been visited.
 _OPERANDS_DONE = object()
+
+# The loops below inline eval_binop: an operand that is not a plain int >= 0
+# goes through check_nat, first x then y, so errors are eval_binop's; the
+# operation is picked by identity, and any op other than PLUS or MINUS
+# multiplies, as in eval_binop.
 
 
 def eval_exp(e: Exp) -> Nat:
     """The interpreter: evaluates left operand, right operand, then the node,
     with an explicit stack, so any nesting depth is fine."""
     values: Stack = []
+    push, pop_value = values.append, values.pop
     todo: list = [e]
     pop = todo.pop
     while todo:
         node = pop()
-        if isinstance(node, Const):
-            values.append(check_nat(node.value))
-        elif node is _OPERANDS_DONE:
-            right = values.pop()
-            values[-1] = eval_binop(pop().op, values[-1], right)
+        if node is _OPERANDS_DONE:
+            op = pop().op
+            y = pop_value()
+            x = values[-1]
+            if not (type(x) is int and x >= 0):
+                check_nat(x)
+            if not (type(y) is int and y >= 0):
+                check_nat(y)
+            if op is _PLUS:
+                values[-1] = x + y
+            elif op is _MINUS:
+                values[-1] = x - y if x >= y else 0
+            else:
+                values[-1] = x * y
+        elif isinstance(node, Const):
+            value = node.value
+            push(value if type(value) is int and value >= 0 else check_nat(value))
         elif isinstance(node, BinOp):
             todo += (node, _OPERANDS_DONE, node.right, node.left)
         else:
@@ -132,8 +162,19 @@ def run_prog(p: Prog, s: Stack) -> Optional[Stack]:
         elif isinstance(instr, IBinop):
             if len(stack) < 2:
                 return None
-            arg1 = pop()
-            stack[-1] = eval_binop(instr.op, arg1, stack[-1])
+            op = instr.op
+            x = pop()
+            y = stack[-1]
+            if not (type(x) is int and x >= 0):
+                check_nat(x)
+            if not (type(y) is int and y >= 0):
+                check_nat(y)
+            if op is _PLUS:
+                stack[-1] = x + y
+            elif op is _MINUS:
+                stack[-1] = x - y if x >= y else 0
+            else:
+                stack[-1] = x * y
         else:
             raise TypeError(f"not an instruction: {instr!r}")
     stack.reverse()
@@ -142,20 +183,34 @@ def run_prog(p: Prog, s: Stack) -> Optional[Stack]:
 
 # Instructions are immutable, so one IBinop per operation serves every program.
 _IBINOP = {b: IBinop(b) for b in Binop}
+_IPLUS, _IMINUS, _ITIMES = _IBINOP[_PLUS], _IBINOP[_MINUS], _IBINOP[_TIMES]
 
 
 def _compile(e: Exp, left_first: bool) -> Prog:
-    """Post-order code for ``e``: both operands' code, then the operation."""
+    """Post-order code for ``e``: both operands' code, then the operation.
+    One IConst serves every leaf with the same ``int`` value."""
     prog: Prog = []
     emit = prog.append
+    iconsts: dict[int, IConst] = {}
     todo: list = [e]
     pop = todo.pop
     while todo:
         node = pop()
-        if isinstance(node, Const):
-            emit(IConst(node.value))
-        elif node is _OPERANDS_DONE:
-            emit(_IBINOP[pop().op])
+        if node is _OPERANDS_DONE:
+            op = pop().op
+            emit(
+                _IPLUS if op is _PLUS else _IMINUS if op is _MINUS
+                else _ITIMES if op is _TIMES else _IBINOP[op]
+            )
+        elif isinstance(node, Const):
+            value = node.value
+            if type(value) is int:
+                instr = iconsts.get(value)
+                if instr is None:
+                    instr = iconsts[value] = IConst(value)
+                emit(instr)
+            else:
+                emit(IConst(value))
         elif isinstance(node, BinOp):
             if left_first:
                 todo += (node, _OPERANDS_DONE, node.right, node.left)
@@ -182,13 +237,33 @@ _RESULT_EQ = eq_option(eq_list(eq_nat()))
 def correct_prog(e: Exp) -> Pred[Prog]:
     """The property of programs: running on an empty stack yields exactly the
     interpreter's value for ``e``.  Decided by synthesized equality over
-    optional stacks."""
-    expected: Optional[Stack] = [eval_exp(e)]
+    optional stacks.
 
-    return Pred(
-        decide=lambda p: _RESULT_EQ.eq_decide(run_prog(p, []), expected),
-        render=lambda p: _RESULT_EQ.render_eq(run_prog(p, []), expected),
-    )
+    ``render`` reuses the stack that ``decide`` observed for the last refuted
+    program, so a failed check runs the program once; a program whose
+    instructions have changed since is run again."""
+    expected: Optional[Stack] = [eval_exp(e)]
+    # (snapshot of the instructions, stack they ran to) for the last refutation.
+    refuted: Optional[tuple[tuple, Optional[Stack]]] = None
+
+    def decide(p: Prog) -> Decision:
+        nonlocal refuted
+        snapshot = tuple(p)
+        result = run_prog(snapshot, [])
+        verdict = _RESULT_EQ.eq_decide(result, expected)
+        refuted = (snapshot, result) if isinstance(verdict, Refutes) else None
+        return verdict
+
+    def render(p: Prog) -> str:
+        last = refuted
+        if last is not None:
+            snapshot, result = last
+            current = tuple(p)
+            if len(current) == len(snapshot) and all(map(is_, current, snapshot)):
+                return _RESULT_EQ.render_eq(result, expected)
+        return _RESULT_EQ.render_eq(run_prog(p, []), expected)
+
+    return Pred(decide=decide, render=render)
 
 
 COMPILERS: dict[str, Callable[[Exp], Prog]] = {
@@ -226,13 +301,30 @@ class ParseError(Exception):
         self.offset = offset
 
 
-_WHITESPACE = " \t\r\n\f\v"
-_DIGITS = "0123456789"
+# One token per numeral (ASCII digits) or per other character; the six ASCII
+# whitespace characters separate tokens.
+_TOKEN = re.compile(r"[0-9]+|[^ \t\r\n\f\v]")
 _OPERATORS = {"+": Binop.PLUS, "-": Binop.MINUS, "*": Binop.TIMES}
 _PRECEDENCE = {Binop.PLUS: 1, Binop.MINUS: 1, Binop.TIMES: 2}
 _SYMBOL = {b: symbol for symbol, b in _OPERATORS.items()}
-# Precedence on the parser's operator stack, where None is an open parenthesis.
-_BINDING = {None: 0, **_PRECEDENCE}
+# Precedence of each symbol on the parser's operator stack; "(" marks an open
+# parenthesis and binds least.
+_BINDING = {"(": 0, **{symbol: _PRECEDENCE[b] for symbol, b in _OPERATORS.items()}}
+
+
+def _parse_error(
+    src: str, tokens: list[str], index: int, reason: Optional[str] = None
+) -> ParseError:
+    """The error at token ``index``, by default naming its first character.
+    The offset comes from scanning ``src`` again, which only a failing parse
+    pays for."""
+    if index == len(tokens) - 1:  # the end-of-input sentinel
+        offset = len(src)
+    else:
+        offset = next(islice(_TOKEN.finditer(src), index, None)).start()
+    if reason is None:
+        reason = f"unexpected character {tokens[index][0]!r}"
+    return ParseError(reason, offset + 1)
 
 
 def parse_exp(src: str) -> Exp:
@@ -240,68 +332,68 @@ def parse_exp(src: str) -> Exp:
     factor := NAT | '(' expr ')'``; operators are left-associative and ``*``
     binds tighter.
 
-    An operator-precedence loop with explicit stacks, so any nesting depth
-    is fine.  A numeral too long for ``int`` is a :class:`ParseError`."""
-    end = len(src)
-    # A NUL sentinel ends the text; reading it at ``end`` means end of input.
-    text = src + "\0"
-    pos = 0
+    The text is split into tokens by one regular expression, then an
+    operator-precedence loop with explicit stacks builds the tree, so any
+    nesting depth is fine.  Leaves with the same numeral share one
+    :class:`Const`.  A numeral too long for ``int`` is a :class:`ParseError`."""
+    tokens = _TOKEN.findall(src)
+    tokens.append("")  # end of input
+    consts: dict[str, Const] = {}
     operands: list[Exp] = []
-    # Operators waiting for their right operand, and open parentheses (None).
-    pending: list[Optional[Binop]] = []
+    pop_operand = operands.pop
+    # Operator symbols waiting for their right operand, and "(" for each open
+    # parenthesis; the bottom "(" stands for the whole text, closed by its end.
+    pending = ["("]
+    push_pending, pop_pending = pending.append, pending.pop
     open_parens = 0
-
-    def reduce(min_prec: int) -> None:
-        while pending and _BINDING[pending[-1]] >= min_prec:
-            right = operands.pop()
-            operands[-1] = BinOp(pending.pop(), operands[-1], right)
-
+    i = 0
     while True:
         # Expect an operand: open parentheses, then a numeral.
-        ch = text[pos]
-        while ch in _WHITESPACE or ch == "(":
-            if ch == "(":
-                pending.append(None)
-                open_parens += 1
-            pos += 1
-            ch = text[pos]
-        if ch not in _DIGITS:
-            if pos == end:
-                raise ParseError("expected a number or '('", pos + 1)
-            raise ParseError(f"unexpected character {ch!r}", pos + 1)
-        start = pos
-        pos += 1
-        while text[pos] in _DIGITS:
-            pos += 1
-        try:
-            operands.append(Const(int(text[start:pos])))
-        except ValueError:
-            raise ParseError(
-                f"numeral of {pos - start} digits is too long", start + 1
-            ) from None
+        token = tokens[i]
+        while token == "(":
+            push_pending(token)
+            open_parens += 1
+            i += 1
+            token = tokens[i]
+        const = consts.get(token)
+        if const is None:
+            # A token is a numeral exactly when its first character is a digit.
+            if not "0" <= token[:1] <= "9":
+                raise _parse_error(
+                    src, tokens, i, None if token else "expected a number or '('"
+                )
+            try:
+                const = consts[token] = Const(int(token))
+            except ValueError:
+                raise _parse_error(
+                    src, tokens, i, f"numeral of {len(token)} digits is too long"
+                ) from None
+        operands.append(const)
         # After an operand: close parentheses, then an operator or the end.
-        while True:
-            ch = text[pos]
-            while ch in _WHITESPACE:
-                pos += 1
-                ch = text[pos]
-            op = _OPERATORS.get(ch)
-            if op is not None:
-                break
-            if not open_parens:
-                if pos == end:
-                    reduce(1)
-                    return operands[0]
-                raise ParseError(f"unexpected character {ch!r}", pos + 1)
-            if ch != ")":
-                raise ParseError("expected ')'", pos + 1)
-            reduce(1)
-            pending.pop()
-            open_parens -= 1
-            pos += 1
-        reduce(_PRECEDENCE[op])
-        pending.append(op)
-        pos += 1
+        i += 1
+        token = tokens[i]
+        while token not in _OPERATORS:
+            if open_parens:
+                if token != ")":
+                    raise _parse_error(src, tokens, i, "expected ')'")
+                open_parens -= 1
+            elif token:
+                raise _parse_error(src, tokens, i)
+            symbol = pop_pending()
+            while symbol != "(":
+                right = pop_operand()
+                operands[-1] = BinOp(_OPERATORS[symbol], operands[-1], right)
+                symbol = pop_pending()
+            if not token:
+                return operands[0]
+            i += 1
+            token = tokens[i]
+        binding = _BINDING[token]
+        while _BINDING[pending[-1]] >= binding:
+            right = pop_operand()
+            operands[-1] = BinOp(_OPERATORS[pop_pending()], operands[-1], right)
+        push_pending(token)
+        i += 1
 
 
 def format_exp(e: Exp) -> str:

@@ -22,7 +22,7 @@ import enum
 import statistics
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict
+from typing import Any, Callable, Dict, Iterable
 
 from .casts import CastFault, FailureMode
 from .instances import Nat, check_nat
@@ -320,15 +320,21 @@ class BenchReport:
     medians: Dict[IrredStrategy, float]
 
 
-def bench_strategies(top: Nat, bottom: Nat, repetitions: int) -> BenchReport:
-    """Time ``cast_rat`` under each strategy and report median seconds."""
+def bench_strategies(
+    top: Nat,
+    bottom: Nat,
+    repetitions: int,
+    strategies: Iterable[IrredStrategy] = tuple(IrredStrategy),
+) -> BenchReport:
+    """Time ``cast_rat`` under each of ``strategies`` (all by default) and
+    report median seconds."""
     check_nat(top)
     check_nat(bottom)
     _require_nonzero_bottom(bottom)
     if repetitions < 1:
         raise ValueError("repetitions must be at least 1")
     medians: Dict[IrredStrategy, float] = {}
-    for strategy in IrredStrategy:
+    for strategy in strategies:
         samples = []
         for _ in range(repetitions):
             started = time.perf_counter()

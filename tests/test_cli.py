@@ -1,9 +1,14 @@
+import contextlib
+import io
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gradcast.cli import main
+import gradcast.cli as cli
+from gradcast.cli import BOUNDED_CEILINGS, main
+from gradcast.rationals import IrredStrategy
 
 
 def run_cli(capsys, *argv):
@@ -177,3 +182,62 @@ def test_check_failed_cast_over_int_digit_limit_is_a_limit_error(capsys, mode):
     )
     assert status == 2
     assert lines == ["LIMIT_ERROR result exceeds the integer digit limit"]
+
+
+@pytest.mark.parametrize("strategy", [IrredStrategy.BOUNDED, IrredStrategy.BINARY_BOUNDED])
+def test_bounded_strategies_refuse_values_over_their_ceiling(capsys, strategy):
+    ceiling, strategy = BOUNDED_CEILINGS[strategy], strategy.value
+    for top, bottom in ((ceiling + 1, 1), (1, ceiling + 1), (3000, 3001)):
+        status, lines = run_cli(capsys, "rat", "+", str(top), str(bottom), "--strategy", strategy)
+        assert status == 2
+        assert lines == [f"LIMIT_ERROR strategy {strategy} takes top and bottom up to {ceiling}"]
+    status, lines = run_cli(capsys, "rat", "+", "6", str(ceiling), "--strategy", strategy)
+    assert status in (0, 1) and lines[0].startswith(("RAT", "FAILED_CAST"))
+
+
+def test_rat_time_skips_strategies_over_their_ceiling(capsys):
+    status, lines = run_cli(capsys, "rat", "+", "3000", "3001", "--time")
+    assert status == 0
+    assert lines[:3] == [
+        "RAT sign=+ top=3000 bottom=3001",
+        f"TIME bounded skipped: top or bottom exceeds {BOUNDED_CEILINGS[IrredStrategy.BOUNDED]}",
+        "TIME binary skipped: top or bottom exceeds "
+        f"{BOUNDED_CEILINGS[IrredStrategy.BINARY_BOUNDED]}",
+    ]
+    assert lines[3].startswith("TIME gcd ") and len(lines) == 4
+
+    status, lines = run_cli(capsys, "rat", "+", "300", "301", "--time")
+    assert lines[1].startswith("TIME bounded skipped: ")
+    assert [line.split()[1] for line in lines[2:]] == ["binary", "gcd"]
+    assert all(float(line.split()[2]) >= 0 for line in lines[2:])
+
+
+def test_unexpected_exception_is_a_one_line_exit_two(capsys, monkeypatch):
+    def broken(*_args):
+        raise RuntimeError("first line\nsecond line")
+
+    monkeypatch.setattr(cli, "cmd_check", broken)
+    status, lines = run_cli(capsys, "check", "1")
+    assert status == 2
+    assert lines == ["INTERNAL_ERROR RuntimeError first line second line"]
+
+
+_WORDS = st.sampled_from(
+    ["check", "rat", "demo-regimes", "--mode", "lazy", "eager", "--compiler", "buggy",
+     "fixed", "--strategy", "bounded", "binary", "gcd", "--time", "--value", "+", "-",
+     "-h", "--", "2-1", "(2+2)*3", "1 2", "0", "3000", "3001", "9" * 5000, "-1"]
+)
+_ARGS = st.one_of(_WORDS, _WORDS, st.integers(0, 40).map(str), st.text(max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ARGS, max_size=7))
+def test_main_is_total_over_arbitrary_argv(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = main(argv)
+        except SystemExit as exit_:  # argparse: usage error or --help
+            status = exit_.code
+    assert status in (0, 1, 2)
+    assert "Traceback" not in out.getvalue() + err.getvalue()

@@ -269,7 +269,44 @@ def test_attested_compile_runs_the_program_twice_and_renders_nothing(monkeypatch
     assert refined.prop_text == "Some (10 :: nil) = Some (10 :: nil)"
     assert calls["render"] == 1
 
+    # A failed check renders from the stack its decision observed: one run.
     calls.update(run_prog=0, render=0)
     with pytest.raises(CastFault):
         runc(checked_compile("buggy"), MINUS_2_1)
-    assert calls == {"run_prog": 2, "render": 1}
+    assert calls == {"run_prog": 1, "render": 1}
+
+
+def test_failed_check_renders_the_stack_its_decision_observed(monkeypatch):
+    import gradcast.compiler as compiler
+
+    runs = []
+    original_run_prog = compiler.run_prog
+
+    def counting_run_prog(p, s):
+        runs.append(p)
+        return original_run_prog(p, s)
+
+    monkeypatch.setattr(compiler, "run_prog", counting_run_prog)
+    pred = correct_prog(MINUS_2_1)
+    prog = compile_buggy(MINUS_2_1)
+    assert not holds(pred.decide(prog))
+    assert pred.render(prog) == "Some (0 :: nil) = Some (1 :: nil)"
+    assert pred.render(list(prog)) == "Some (0 :: nil) = Some (1 :: nil)"
+    assert len(runs) == 1
+
+    # The program changes after the decision: render runs the new one.
+    prog[1] = IConst(7)
+    assert pred.render(prog) == "Some (5 :: nil) = Some (1 :: nil)"
+    assert len(runs) == 2
+    # An equal but different instruction is a change too: IConst(True) is
+    # == IConst(1), and running it raises.
+    prog[:] = [IConst(2), IConst(True), IBinop(Binop.MINUS)]
+    with pytest.raises(TypeError):
+        pred.render(prog)
+
+    # A later decision that holds forgets the refuted program.
+    runs.clear()
+    good = compile_fixed(MINUS_2_1)
+    assert holds(pred.decide(good))
+    assert pred.render(compile_buggy(MINUS_2_1)) == "Some (0 :: nil) = Some (1 :: nil)"
+    assert len(runs) == 2

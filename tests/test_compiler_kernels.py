@@ -1,0 +1,328 @@
+"""The compiler's parse, compile, evaluate and run loops against the
+straightforward loops they replaced, kept here as references.
+
+The references scan the text one character at a time, build a new leaf per
+numeral, dispatch operations through Enum-keyed tables and check every
+operand through ``eval_binop``; the library must give the same tree, the
+same program, the same value, or the same exception with the same message
+(for a :class:`ParseError`, the same reason and offset).
+"""
+
+from typing import Optional
+
+from hypothesis import given, settings, strategies as st
+
+from gradcast.compiler import (
+    BinOp,
+    Binop,
+    Const,
+    IBinop,
+    IConst,
+    ParseError,
+    compile_buggy,
+    compile_fixed,
+    eval_exp,
+    parse_exp,
+    run_prog,
+)
+
+
+def ref_check_nat(value):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"natural number expected, got {value!r}")
+    if value < 0:
+        raise ValueError(f"natural number expected, got {value}")
+    return value
+
+
+def ref_eval_binop(b, x, y):
+    ref_check_nat(x)
+    ref_check_nat(y)
+    if b is Binop.PLUS:
+        return x + y
+    if b is Binop.MINUS:
+        return x - y if x >= y else 0
+    return x * y
+
+
+_DONE = object()
+
+
+def ref_eval_exp(e):
+    values = []
+    todo = [e]
+    pop = todo.pop
+    while todo:
+        node = pop()
+        if isinstance(node, Const):
+            values.append(ref_check_nat(node.value))
+        elif node is _DONE:
+            right = values.pop()
+            values[-1] = ref_eval_binop(pop().op, values[-1], right)
+        elif isinstance(node, BinOp):
+            todo += (node, _DONE, node.right, node.left)
+        else:
+            raise TypeError(f"not an expression: {node!r}")
+    return values[0]
+
+
+def ref_run_prog(p, s):
+    stack = list(s)
+    stack.reverse()
+    push, pop = stack.append, stack.pop
+    for instr in p:
+        if isinstance(instr, IConst):
+            push(instr.value)
+        elif isinstance(instr, IBinop):
+            if len(stack) < 2:
+                return None
+            arg1 = pop()
+            stack[-1] = ref_eval_binop(instr.op, arg1, stack[-1])
+        else:
+            raise TypeError(f"not an instruction: {instr!r}")
+    stack.reverse()
+    return stack
+
+
+_REF_IBINOP = {b: IBinop(b) for b in Binop}
+
+
+def ref_compile(e, left_first):
+    prog = []
+    emit = prog.append
+    todo = [e]
+    pop = todo.pop
+    while todo:
+        node = pop()
+        if isinstance(node, Const):
+            emit(IConst(node.value))
+        elif node is _DONE:
+            emit(_REF_IBINOP[pop().op])
+        elif isinstance(node, BinOp):
+            if left_first:
+                todo += (node, _DONE, node.right, node.left)
+            else:
+                todo += (node, _DONE, node.left, node.right)
+        else:
+            raise TypeError(f"not an expression: {node!r}")
+    return prog
+
+
+_WHITESPACE = " \t\r\n\f\v"
+_DIGITS = "0123456789"
+_OPERATORS = {"+": Binop.PLUS, "-": Binop.MINUS, "*": Binop.TIMES}
+_PRECEDENCE = {Binop.PLUS: 1, Binop.MINUS: 1, Binop.TIMES: 2}
+_BINDING = {None: 0, **_PRECEDENCE}
+
+
+def ref_parse_exp(src):
+    end = len(src)
+    text = src + "\0"
+    pos = 0
+    operands = []
+    pending: list[Optional[Binop]] = []
+    open_parens = 0
+
+    def reduce(min_prec):
+        while pending and _BINDING[pending[-1]] >= min_prec:
+            right = operands.pop()
+            operands[-1] = BinOp(pending.pop(), operands[-1], right)
+
+    while True:
+        ch = text[pos]
+        while ch in _WHITESPACE or ch == "(":
+            if ch == "(":
+                pending.append(None)
+                open_parens += 1
+            pos += 1
+            ch = text[pos]
+        if ch not in _DIGITS:
+            if pos == end:
+                raise ParseError("expected a number or '('", pos + 1)
+            raise ParseError(f"unexpected character {ch!r}", pos + 1)
+        start = pos
+        pos += 1
+        while text[pos] in _DIGITS:
+            pos += 1
+        try:
+            operands.append(Const(int(text[start:pos])))
+        except ValueError:
+            raise ParseError(
+                f"numeral of {pos - start} digits is too long", start + 1
+            ) from None
+        while True:
+            ch = text[pos]
+            while ch in _WHITESPACE:
+                pos += 1
+                ch = text[pos]
+            op = _OPERATORS.get(ch)
+            if op is not None:
+                break
+            if not open_parens:
+                if pos == end:
+                    reduce(1)
+                    return operands[0]
+                raise ParseError(f"unexpected character {ch!r}", pos + 1)
+            if ch != ")":
+                raise ParseError("expected ')'", pos + 1)
+            reduce(1)
+            pending.pop()
+            open_parens -= 1
+            pos += 1
+        reduce(_PRECEDENCE[op])
+        pending.append(op)
+        pos += 1
+
+
+def outcome(fn, *args):
+    """What a call shows its caller: the result with its exact rendering
+    (``IConst(True)`` equals ``IConst(1)``, but does not print like it), or
+    the exception with its message, reason and offset."""
+    try:
+        result = fn(*args)
+    except ParseError as exc:
+        return ("parse error", exc.reason, exc.offset, str(exc))
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return ("raised", type(exc), str(exc))
+    return ("returned", type(result), repr(result))
+
+
+# ---------------------------------------------------------------- parser
+
+# Characters the grammar uses, the six ASCII whitespace characters, and
+# characters a looser tokeniser would misread: NUL (the reference's end
+# sentinel), non-ASCII digits, a Unicode-only separator, a no-break space.
+_CHARS = list("0123456789+-*()") + list(" \t\r\n\f\v") + ["\0", "٣", "²", "\x1c", "\xa0", "x"]
+_PIECES = st.one_of(
+    st.sampled_from(_CHARS),
+    st.sampled_from(_CHARS),
+    st.sampled_from(_CHARS),
+    st.integers(min_value=0, max_value=10**6).map(str),
+    st.sampled_from(["9" * 4300, "1" * 4301, "0" * 5000]),
+)
+
+
+@given(st.lists(_PIECES, max_size=40).map("".join))
+def test_parse_exp_matches_reference_on_arbitrary_text(src):
+    assert outcome(parse_exp, src) == outcome(ref_parse_exp, src)
+
+
+@st.composite
+def well_formed_text(draw, depth=4):
+    """Expression text with random spacing and redundant parentheses."""
+    space = st.sampled_from(["", "", " ", "\t", "\r\n", "\f\v"])
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        text = str(draw(st.integers(0, 99)))
+    else:
+        left = draw(well_formed_text(depth - 1))
+        right = draw(well_formed_text(depth - 1))
+        text = f"{left}{draw(space)}{draw(st.sampled_from('+-*'))}{draw(space)}{right}"
+        if draw(st.booleans()):
+            text = f"({draw(space)}{text}{draw(space)})"
+    return text
+
+
+@given(well_formed_text(), st.integers(0, 3), st.sampled_from(["", ")", "(", "+", "1", "\0"]))
+def test_parse_exp_matches_reference_on_near_valid_text(text, cut, suffix):
+    # Valid text, and the same with its last characters replaced.
+    src = text[: len(text) - cut] + suffix
+    assert outcome(parse_exp, src) == outcome(ref_parse_exp, src)
+
+
+def test_parse_exp_shares_one_leaf_per_numeral_text():
+    e = parse_exp("(7 + 7) * 07")
+    assert e.left.left is e.left.right
+    assert e.right == Const(7) and e.right is not e.left.left
+    assert parse_exp("7") is not parse_exp("7")  # nothing is shared across calls
+
+
+# ------------------------------------------------- trees and programs
+
+
+class Small(int):
+    """An int subclass: takes check_nat's slow path."""
+
+
+class Negating(int):
+    """An int subclass whose arithmetic leaves the naturals."""
+
+    def __add__(self, other):
+        return -1
+
+    __mul__ = __sub__ = __add__
+
+
+_VALUES = st.one_of(
+    st.integers(min_value=0, max_value=20),
+    st.integers(min_value=0, max_value=20),
+    st.integers(min_value=0, max_value=20),
+    st.sampled_from(
+        [True, False, -1, -7, 1.0, float("nan"), [1], None, "3", Small(3), Negating(2)]
+    ),
+)
+# Mostly operations, sometimes a value that is not one (a string, None, an
+# unhashable list, an int, a float).
+_OPS = st.one_of(
+    st.sampled_from(list(Binop)),
+    st.sampled_from(list(Binop)),
+    st.sampled_from(["Plus", None, [1], 1, 2.5]),
+)
+# Things that are not nodes of the tree they sit in.
+_NON_NODES = st.sampled_from([1, None, "2", IConst(1), IBinop(Binop.PLUS), [Const(1)]])
+
+trees = st.recursive(
+    st.one_of(st.builds(Const, _VALUES), st.builds(Const, _VALUES), _NON_NODES),
+    lambda inner: st.builds(BinOp, _OPS, inner, inner),
+    max_leaves=25,
+)
+
+
+@given(trees)
+def test_eval_exp_matches_reference(e):
+    assert outcome(eval_exp, e) == outcome(ref_eval_exp, e)
+
+
+@given(trees)
+def test_compilers_match_reference(e):
+    assert outcome(compile_buggy, e) == outcome(ref_compile, e, True)
+    assert outcome(compile_fixed, e) == outcome(ref_compile, e, False)
+
+
+def test_compile_raises_key_error_for_an_op_that_is_not_a_binop():
+    for compile_exp, left_first in ((compile_buggy, True), (compile_fixed, False)):
+        e = BinOp("Plus", Const(1), Const(2))
+        assert outcome(compile_exp, e)[:2] == ("raised", KeyError)
+        assert outcome(compile_exp, e) == outcome(ref_compile, e, left_first)
+
+
+def test_compile_shares_one_iconst_per_int_value():
+    prog = compile_buggy(parse_exp("3 * 3 + 1"))
+    assert prog[0] is prog[1]
+    # Equal values of another type keep their own instruction.
+    prog = compile_fixed(BinOp(Binop.PLUS, Const(1), Const(True)))
+    assert [type(i.value) for i in prog[:2]] == [bool, int]
+
+
+instructions = st.one_of(
+    st.builds(IConst, _VALUES),
+    st.builds(IConst, _VALUES),
+    st.builds(IBinop, _OPS),
+    st.builds(IBinop, _OPS),
+    _NON_NODES,
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(instructions, max_size=20), st.lists(_VALUES, max_size=4))
+def test_run_prog_matches_reference(p, s):
+    assert outcome(run_prog, p, s) == outcome(ref_run_prog, p, s)
+
+
+@given(trees)
+def test_run_prog_of_compiled_trees_matches_reference(e):
+    for compile_exp in (compile_buggy, compile_fixed):
+        try:
+            p = compile_exp(e)
+        except Exception:  # noqa: BLE001 - compile parity is tested above
+            continue
+        assert outcome(run_prog, p, []) == outcome(ref_run_prog, p, [])
