@@ -19,20 +19,17 @@ here and nowhere else, and any other exception ends as a one-line
 from __future__ import annotations
 
 import argparse
+import statistics
 import sys
+import time
 from dataclasses import dataclass
-from typing import Optional, TextIO
+from typing import Dict, Iterable, Optional, TextIO
 
 from .casts import CastFault, FailureMode
 from .compiler import ParseError, checked_compile, parse_exp, runc
 from .hocasts import cast_fun_dom
-from .instances import pred_gt_const
-from .rationals import (
-    AttestedRat,
-    IrredStrategy,
-    bench_strategies,
-    cast_rat,
-)
+from .instances import Nat, check_nat, pred_gt_const
+from .rationals import AttestedRat, IrredStrategy, _require_nonzero_bottom, cast_rat
 
 _MODES = {"lazy": FailureMode.LAZY, "eager": FailureMode.EAGER}
 _STRATEGIES = {
@@ -45,6 +42,41 @@ _BENCH_REPETITIONS = 5
 # there, an irreducible pair, takes about 1 s (Python 3.11, 2-core x86 VM);
 # the enumeration grows as the fourth (bounded) or second (binary) power.
 BOUNDED_CEILINGS = {IrredStrategy.BOUNDED: 90, IrredStrategy.BINARY_BOUNDED: 2000}
+
+
+@dataclass(frozen=True)
+class BenchReport:
+    """Median wall time per strategy for one (top, bottom) cast; measurement
+    only, no assertions."""
+
+    top: Nat
+    bottom: Nat
+    repetitions: int
+    medians: Dict[IrredStrategy, float]
+
+
+def bench_strategies(
+    top: Nat,
+    bottom: Nat,
+    repetitions: int,
+    strategies: Iterable[IrredStrategy] = tuple(IrredStrategy),
+) -> BenchReport:
+    """Time ``cast_rat`` under each of ``strategies`` (all by default) and
+    report median seconds."""
+    check_nat(top)
+    check_nat(bottom)
+    _require_nonzero_bottom(bottom)
+    if repetitions < 1:
+        raise ValueError("repetitions must be at least 1")
+    medians: Dict[IrredStrategy, float] = {}
+    for strategy in strategies:
+        samples = []
+        for _ in range(repetitions):
+            started = time.perf_counter()
+            cast_rat(True, top, bottom, strategy=strategy, mode=FailureMode.LAZY)
+            samples.append(time.perf_counter() - started)
+        medians[strategy] = statistics.median(samples)
+    return BenchReport(top=top, bottom=bottom, repetitions=repetitions, medians=medians)
 
 
 @dataclass

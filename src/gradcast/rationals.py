@@ -2,31 +2,34 @@
 
 A :class:`Rat` packages a sign, numerator and denominator together with two
 invariants: the denominator is nonzero and the fraction is irreducible.  The
-only way to obtain one is :func:`cast_rat`, which runs a decision procedure
-for each invariant, in that order; the irreducibility decider is reached only
-once the denominator is known to be nonzero, because the bounded formulation
-of irreducibility is equivalent to the real thing only under that assumption.
+only way to obtain one is :func:`cast_rat`, which decides each invariant, in
+that order; the irreducibility decider is reached only once the denominator is
+known to be nonzero, because the bounded formulation of irreducibility is
+equivalent to the real thing only under that assumption.
 
 Three interchangeable irreducibility deciders are provided.  The two bounded
 ones enumerate candidate divisor triples up to max(top, bottom); they differ
 only in the number representation used for the multiplications and
 comparisons (:class:`Peano` unary naturals versus machine integers), which is
 exactly what separates their running times.  The gcd decider replaces the
-enumeration with Euclid's algorithm via the declared-equivalence combinator,
-so failures still report the irreducibility proposition itself.
+enumeration with ``gcd(top, bottom) = 1`` via the declared-equivalence
+combinator, so its refutation still names the irreducibility proposition.
+
+:func:`cast_rat` reads only the arm of each decision, as an :class:`AttestedRat`
+carries no evidence; the ``irreducible_*`` functions return the
+evidence-bearing :class:`Decision`.
 """
 
 from __future__ import annotations
 
 import enum
-import statistics
-import time
+import math
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable
+from typing import Any, Callable, Dict
 
 from .casts import CastFault, FailureMode
 from .instances import Nat, check_nat
-from .predicates import Decision, Pred, Refutes, _holds, _refutes, p_equivalent
+from .predicates import Decision, Holds, Pred, _holds, _refutes, p_equivalent
 from .render import show_value
 
 _RAT_KEY = object()
@@ -186,12 +189,14 @@ MACHINE_ARITH = NatArith(
 
 
 def gcd(a: Nat, b: Nat) -> Nat:
-    """Greatest common divisor by Euclid's algorithm; gcd(0, b) = b."""
+    """Greatest common divisor of two naturals; gcd(0, b) = b.
+
+    The result is ``math.gcd`` of their integer values, so an ``int``
+    subclass that overrides ``%`` is decided by its integer value.
+    """
     check_nat(a)
     check_nat(b)
-    while b:
-        a, b = b, a % b
-    return a
+    return math.gcd(a, b)
 
 
 def _irreducibility_text(top: Nat, bottom: Nat) -> str:
@@ -265,16 +270,17 @@ def irreducible_gcd(top: Nat, bottom: Nat) -> Decision:
     return _GCD_IRREDUCIBLE.decide((top, bottom))
 
 
-_IRRED_DECIDERS: Dict[IrredStrategy, Callable[[Nat, Nat], Decision]] = {
-    IrredStrategy.BOUNDED: lambda t, b: irreducible_bounded(t, b, PEANO_ARITH),
-    IrredStrategy.BINARY_BOUNDED: lambda t, b: irreducible_bounded(t, b, MACHINE_ARITH),
-    IrredStrategy.GCD: irreducible_gcd,
+# cast_rat's verdict per strategy.  The deciders are looked up as module
+# attributes at each call, so rebinding them on the module reaches cast_rat.
+_IRRED_DECIDERS: Dict[IrredStrategy, Callable[[Nat, Nat], bool]] = {
+    IrredStrategy.BOUNDED: lambda t, b: isinstance(
+        irreducible_bounded(t, b, PEANO_ARITH), Holds
+    ),
+    IrredStrategy.BINARY_BOUNDED: lambda t, b: isinstance(
+        irreducible_bounded(t, b, MACHINE_ARITH), Holds
+    ),
+    IrredStrategy.GCD: lambda t, b: gcd(t, b) == 1,
 }
-
-_BOTTOM_NONZERO = Pred(
-    decide=lambda b: _refutes("0 = 0") if b == 0 else _holds(f"0 <> {b}: {b} is a successor"),
-    render=lambda b: f"0 <> {b}",
-)
 
 
 def cast_rat(
@@ -294,51 +300,12 @@ def cast_rat(
     check_nat(bottom)
     if not isinstance(sign, bool):
         raise TypeError(f"sign must be a bool, got {sign!r}")
-
-    def fail(violated: str) -> FailedCastRat:
-        if mode is FailureMode.EAGER:
-            raise CastFault(f"mkRat {show_value(sign)} {top} {bottom}", violated)
-        return FailedCastRat(sign, top, bottom, violated)
-
-    bottom_verdict = _BOTTOM_NONZERO.decide(bottom)
-    if isinstance(bottom_verdict, Refutes):
-        return fail(_BOTTOM_NONZERO.render(bottom))
-    irred_verdict = _IRRED_DECIDERS[strategy](top, bottom)
-    if isinstance(irred_verdict, Refutes):
-        return fail(_irreducibility_text(top, bottom))
-    return AttestedRat(Rat(sign, top, bottom, _key=_RAT_KEY))
-
-
-@dataclass(frozen=True)
-class BenchReport:
-    """Median wall time per strategy for one (top, bottom) cast; measurement
-    only, no assertions."""
-
-    top: Nat
-    bottom: Nat
-    repetitions: int
-    medians: Dict[IrredStrategy, float]
-
-
-def bench_strategies(
-    top: Nat,
-    bottom: Nat,
-    repetitions: int,
-    strategies: Iterable[IrredStrategy] = tuple(IrredStrategy),
-) -> BenchReport:
-    """Time ``cast_rat`` under each of ``strategies`` (all by default) and
-    report median seconds."""
-    check_nat(top)
-    check_nat(bottom)
-    _require_nonzero_bottom(bottom)
-    if repetitions < 1:
-        raise ValueError("repetitions must be at least 1")
-    medians: Dict[IrredStrategy, float] = {}
-    for strategy in strategies:
-        samples = []
-        for _ in range(repetitions):
-            started = time.perf_counter()
-            cast_rat(True, top, bottom, strategy=strategy, mode=FailureMode.LAZY)
-            samples.append(time.perf_counter() - started)
-        medians[strategy] = statistics.median(samples)
-    return BenchReport(top=top, bottom=bottom, repetitions=repetitions, medians=medians)
+    if bottom == 0:
+        violated = f"0 <> {bottom}"
+    elif _IRRED_DECIDERS[strategy](top, bottom):
+        return AttestedRat(Rat(sign, top, bottom, _key=_RAT_KEY))
+    else:
+        violated = _irreducibility_text(top, bottom)
+    if mode is FailureMode.EAGER:
+        raise CastFault(f"mkRat {show_value(sign)} {top} {bottom}", violated)
+    return FailedCastRat(sign, top, bottom, violated)

@@ -26,7 +26,7 @@ from gradcast.casts import (
     proj2,
     try_cast,
 )
-from gradcast.cli import CliConfig, cmd_demo_regimes
+from gradcast.cli import CliConfig, bench_strategies, cmd_demo_regimes
 from gradcast.compiler import (
     Binop,
     checked_compile,
@@ -63,7 +63,6 @@ from gradcast.rationals import (
     AttestedRat,
     IrredStrategy,
     Rat,
-    bench_strategies,
     cast_rat,
 )
 

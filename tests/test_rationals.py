@@ -1,23 +1,22 @@
 import pytest
 
 from gradcast.casts import CastFault, FailureMode
-from gradcast.predicates import Holds, Refutes, _holds
+from gradcast.predicates import Holds, Refutes
 from gradcast.rationals import (
     MACHINE_ARITH,
     PEANO_ARITH,
     AttestedRat,
-    BenchReport,
     FailedCastRat,
     IrredStrategy,
     Peano,
     Rat,
-    bench_strategies,
     cast_rat,
     gcd,
     irreducible_bounded,
     irreducible_gcd,
 )
 import gradcast.rationals as rationals
+from gradcast.cli import BenchReport, bench_strategies
 
 
 def holds(decision):
@@ -145,7 +144,7 @@ def test_cast_rat_zero_bottom_never_runs_irreducibility(monkeypatch):
 
     def counting_decider(top, bottom):
         calls.append((top, bottom))
-        return _holds("counted")
+        return True
 
     counted = {strategy: counting_decider for strategy in IrredStrategy}
     monkeypatch.setattr(rationals, "_IRRED_DECIDERS", counted)
