@@ -14,23 +14,25 @@ value itself, so no code path can smuggle a value out of a failed cast.
 Library code never catches :class:`CastFault`; catching it is the business of
 the outermost boundary (for instance the CLI).
 
-An ``Attested`` keeps its predicate and renders ``prop_text`` only when the
-text is read, so a successful cast never runs ``Pred.render``.  A
-``Pred.render`` must therefore be pure: reading the text once, many times or
-never must not change anything.  A ``FailedCast`` renders at the cast, since
-it may not keep the value to render later.
+A cast pays only for its decision.  An ``Attested`` keeps its predicate and
+renders ``prop_text`` only when the text is read, and its evidence text is
+joined only when read, so a successful cast never runs ``Pred.render`` or
+formats evidence.  A ``Pred.render`` must therefore be pure: reading the text
+once, many times or never must not change anything.  A ``FailedCast``
+renders at the cast, since it may not keep the value to render later.
 
-Refined values are immutable and safe to hand between threads; ``cast`` is
-pure apart from fault raising.
+Refined values are slotted, read-only records, safe to hand between threads;
+``cast`` is pure apart from fault raising.  Every entry that takes a ``mode``
+raises ``ValueError`` for anything but a :class:`FailureMode`.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Generic, Sequence, TypeVar
 
 from .predicates import Evidence, Holds, Pred
+from .records import record
 from .render import show_value
 
 A = TypeVar("A")
@@ -41,6 +43,14 @@ class FailureMode(enum.Enum):
 
     LAZY = "lazy"
     EAGER = "eager"
+
+
+def check_choice(name: str, value: object, choices: type[enum.Enum]) -> None:
+    """Raise ``ValueError`` naming the allowed values unless ``value`` is a
+    member of the enum ``choices``: a type identity test, with no ``==``."""
+    if type(value) is not choices:
+        allowed = ", ".join(f"{choices.__name__}.{member.name}" for member in choices)
+        raise ValueError(f"{name} must be one of {allowed}; got {value!r}")
 
 
 class CastFault(Exception):
@@ -57,47 +67,26 @@ class CastFault(Exception):
         self.prop_text = prop_text
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Attested(Generic[A]):
+class Attested(record("value", "pred", "evidence"), Generic[A]):
     """A value paired with evidence that the property holds of it.
 
     ``prop_text`` is rendered from ``pred`` each time it is read; ``repr``,
-    ``==`` and ``hash`` include it as if it were a stored field.
+    ``==`` and ``hash`` include it in place of ``pred``.
     """
 
-    value: A
-    pred: Pred[A]
-    evidence: Evidence
+    __slots__ = ()
+    _shown = ("value", "prop_text", "evidence")
 
     @property
     def prop_text(self) -> str:
         return self.pred.render(self.value)
 
-    def _fields(self) -> tuple:
-        return (self.value, self.prop_text, self.evidence)
 
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__qualname__}(value={self.value!r}, "
-            f"prop_text={self.prop_text!r}, evidence={self.evidence!r})"
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-
-@dataclass(frozen=True)
-class FailedCast:
+class FailedCast(record("value_text", "prop_text")):
     """The poisoned result of a failed cast: a rendering of the rejected value
     and the violated proposition, with no way back to the value itself."""
 
-    value_text: str
-    prop_text: str
+    __slots__ = ()
 
 
 Refined = Attested | FailedCast
@@ -107,8 +96,11 @@ def cast(p: Pred[A], a: A, mode: FailureMode = FailureMode.LAZY) -> Refined:
     """Check ``p`` against ``a`` and wrap the outcome.
 
     Returns ``Attested`` exactly when ``p.decide(a)`` holds.  In EAGER mode a
-    refuted property raises :class:`CastFault` instead of returning.
+    refuted property raises :class:`CastFault` instead of returning.  A
+    ``mode`` that is not a :class:`FailureMode` raises ``ValueError``.
     """
+    if type(mode) is not FailureMode:
+        check_choice("mode", mode, FailureMode)
     verdict = p.decide(a)
     if isinstance(verdict, Holds):
         return Attested(a, p, verdict.evidence)
@@ -156,4 +148,5 @@ def map_cast(
     In LAZY mode the result is a mixed list of attested and failed entries; in
     EAGER mode the first failing element raises.
     """
+    check_choice("mode", mode, FailureMode)
     return [cast(p, x, mode) for x in xs]

@@ -276,7 +276,8 @@ def checked_compile(
     variant: str = "buggy", mode: FailureMode = FailureMode.LAZY
 ) -> Callable[[Exp], Refined]:
     """Wrap a compiler so each compiled program carries (or fails to carry)
-    evidence of correctness for the expression it was compiled from."""
+    evidence of correctness for the expression it was compiled from.  An
+    unknown variant or mode raises ``ValueError``."""
     if variant not in COMPILERS:
         raise ValueError(f"unknown compiler variant {variant!r}")
     return cast_forall_range(PredFamily(at=correct_prog), COMPILERS[variant], mode)

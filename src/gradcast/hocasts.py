@@ -1,10 +1,11 @@
 """Higher-order casts: defer checking to each application of a function.
 
 Wrapping a function runs no decision procedure at all; only applying the
-wrapper does.  ``cast_fun_range`` strengthens what a function promises about
-its results, ``cast_fun_dom`` weakens what it demands of its arguments.  The
-``forall`` variants cover the dependent cases, where the checked property (or
-the shape of the result) varies with the argument.
+wrapper does.  Wrapping checks only ``mode``, raising ``ValueError`` for
+anything but a :class:`FailureMode`.  ``cast_fun_range`` strengthens what a
+function promises about its results, ``cast_fun_dom`` weakens what it demands
+of its arguments.  The ``forall`` variants cover the dependent cases, where
+the checked property (or the shape of the result) varies with the argument.
 
 Dependent result shapes are modelled by runtime-indexed data: an
 :class:`IList` carries its own length, and that index is validated as a data
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, TypeVar
 
-from .casts import FailureMode, Refined, cast
+from .casts import FailureMode, Refined, cast, check_choice
 from .instances import check_nat
 from .predicates import Pred, PredFamily
 from .render import show_value
@@ -67,6 +68,7 @@ def cast_fun_range(
     mode: FailureMode = FailureMode.LAZY,
 ) -> Callable[[A], Refined]:
     """Strengthen a function's range: every result is cast against ``p``."""
+    check_choice("mode", mode, FailureMode)
 
     def wrapped(a: A) -> Refined:
         return cast(p, f(a), mode)
@@ -85,6 +87,7 @@ def cast_fun_dom(
     ``f`` projects it.  A function that ignores its argument therefore runs
     to completion even on arguments that violate ``p``.
     """
+    check_choice("mode", mode, FailureMode)
 
     def wrapped(a: A) -> B:
         return f(cast(p, a, mode))
@@ -98,6 +101,7 @@ def cast_forall_range(
     mode: FailureMode = FailureMode.LAZY,
 ) -> Callable[[A], Refined]:
     """Strengthen a range dependently: ``f(a)`` is cast against ``family.at(a)``."""
+    check_choice("mode", mode, FailureMode)
 
     def wrapped(a: A) -> Refined:
         return cast(family.at(a), f(a), mode)

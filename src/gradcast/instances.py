@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Generic, Optional, Sequence, TypeVar
 
-from .predicates import Decision, Pred, Refutes, _holds, _refutes
+from .predicates import Decision, Pred, Refutes, _holds, _later, _refutes
 from .render import show_optional, show_sequence, show_value
 
 A = TypeVar("A")
@@ -37,9 +37,12 @@ def dec_le(x: Nat, y: Nat) -> Decision:
     """Decide ``x <= y`` over naturals."""
     check_nat(x)
     check_nat(y)
-    if x <= y:
-        return _holds(f"{x} <= {y} by arithmetic")
-    return _refutes(f"{x} <= {y} is false: {y} < {x}")
+    holds = x <= y
+    if type(x) is not int or type(y) is not int:  # an int subclass is shown now
+        x, y = format(x), format(y)
+    if holds:
+        return _holds("{} <= {} by arithmetic", x, y)
+    return _refutes("{} <= {} is false: {} < {}", x, y, y, x)
 
 
 def pred_lt_const(k: Nat) -> Pred[Nat]:
@@ -91,7 +94,9 @@ def eq_nat() -> EqDec[Nat]:
         check_nat(b)
         if a == b:
             return _EQ_REFL
-        return _refutes(f"{a} <> {b}")
+        if type(a) is not int or type(b) is not int:  # an int subclass is shown now
+            a, b = format(a), format(b)
+        return _refutes("{} <> {}", a, b)
 
     return EqDec(eq_decide=decide, render_value=show_value)
 
@@ -100,7 +105,7 @@ def eq_bool() -> EqDec[bool]:
     def decide(a: bool, b: bool) -> Decision:
         if a == b:
             return _EQ_REFL
-        return _refutes(f"{show_value(a)} <> {show_value(b)}")
+        return _refutes("{} <> {}", _later(show_value, a), _later(show_value, b))
 
     return EqDec(eq_decide=decide, render_value=show_value)
 
@@ -113,11 +118,11 @@ def eq_list(elem: EqDec[A]) -> EqDec[Sequence[A]]:
 
     def decide(xs: Sequence[A], ys: Sequence[A]) -> Decision:
         if len(xs) != len(ys):
-            return _refutes(f"lengths differ: {len(xs)} <> {len(ys)}")
+            return _refutes("lengths differ: {} <> {}", len(xs), len(ys))
         for x, y in zip(xs, ys):
             verdict = elem.eq_decide(x, y)
             if isinstance(verdict, Refutes):
-                return _refutes(f"elements differ: {elem.render_eq(x, y)}")
+                return _refutes("elements differ: {}", _later(elem.render_eq, x, y))
         return _EQ_REFL
 
     return EqDec(eq_decide=decide, render_value=show_sequence(elem.render_value))

@@ -11,6 +11,15 @@ Evidence is deliberately unforgeable: the only ways to obtain an
 way to conjure evidence for a proposition whose decision procedure refuted it.
 Evidence is immutable and may be shared: compare it with ``==``, not by identity.
 
+A cast reads only the arm of a decision, so evidence text is deferred: it is
+kept as a format string with immutable arguments (naturals, booleans, text,
+``None``, child evidence, or a renderer call over such values) and joined on
+the first read of ``summary``, ``==``, ``hash`` or ``repr``, in one store, so
+concurrent readers get the same text.  Other values, such as lists, are
+rendered while deciding, so mutating a value never changes its evidence.  A
+read raises what formatting raises: ``pred_lt_const(10**5000)`` holds at 5,
+and only reading the summary hits the int-string digit limit (``ValueError``).
+
 All predicates are immutable once built and ``decide`` must be a pure function
 of its input, so predicates can be shared freely across threads.
 """
@@ -18,15 +27,37 @@ of its input, so predicates can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Any, Callable, Generic, Sequence, TypeVar
 
+from .records import record
 from .render import show_value
 
 A = TypeVar("A")
 B = TypeVar("B")
 
 _EVIDENCE_KEY = object()
+_IMMUTABLE = frozenset({int, bool, str, type(None)})
+
+
+def _join(evidence: Evidence) -> str:
+    # Depth first and left to right, with an explicit stack: a pending text is
+    # formatted once the child evidence it holds is joined.
+    stack = [evidence]
+    while stack:
+        node = stack[-1]
+        text = node._text  # read once: another thread may join it meanwhile
+        if type(text) is tuple:
+            fmt, args = text
+            pending = [a for a in args if type(a) is Evidence and type(a._text) is tuple]
+            if pending:
+                stack.extend(reversed(pending))
+                continue
+            node._text = fmt.format(*[
+                a._text if type(a) is Evidence else a[0](*a[1:]) if type(a) is tuple else a
+                for a in args
+            ])
+        stack.pop()
+    return evidence._text
 
 
 class Evidence:
@@ -35,17 +66,18 @@ class Evidence:
     Cannot be constructed directly; decision procedures issue it.
     """
 
-    __slots__ = ("_summary",)
+    __slots__ = ("_text",)
 
-    def __init__(self, summary: str, *, _key: object = None) -> None:
+    def __init__(self, text: str, args: tuple = (), _key: object = None) -> None:
         if _key is not _EVIDENCE_KEY:
             raise TypeError(
                 "Evidence cannot be constructed directly; it is only issued by "
                 "decision procedures (or by p_proven, an explicit trust step)"
             )
-        self._summary = summary
+        # Pending: (format string, arguments).  Joined: the text itself.
+        self._text = (text, args) if args else text
 
-    summary = property(attrgetter("_summary"), doc="Read-only justification text.")
+    summary = property(_join, doc="Read-only justification text, joined on first read.")
 
     def __repr__(self) -> str:
         return f"Evidence({self.summary!r})"
@@ -59,25 +91,31 @@ class Evidence:
         return hash(("Evidence", self.summary))
 
 
-@dataclass(frozen=True)
-class Holds:
-    evidence: Evidence
+def _later(render: Callable[..., str], *args: object) -> object:
+    """``render(*args)`` as an evidence argument: called when the text is
+    read if every argument is immutable, and now otherwise."""
+    return (render, *args) if _IMMUTABLE.issuperset(map(type, args)) else render(*args)
 
 
-@dataclass(frozen=True)
-class Refutes:
-    refutation: Evidence
+class Holds(record("evidence")):
+    __slots__ = ()
+
+
+class Refutes(record("refutation")):
+    __slots__ = ()
 
 
 Decision = Holds | Refutes
 
 
-def _holds(summary: str) -> Holds:
-    return Holds(Evidence(summary, _key=_EVIDENCE_KEY))
+# ``text`` is a format string only when ``args`` are given: text from callers
+# is passed as an argument, never as ``text``.
+def _holds(text: str, *args: object) -> Holds:
+    return Holds(Evidence(text, args, _EVIDENCE_KEY))
 
 
-def _refutes(summary: str) -> Refutes:
-    return Refutes(Evidence(summary, _key=_EVIDENCE_KEY))
+def _refutes(text: str, *args: object) -> Refutes:
+    return Refutes(Evidence(text, args, _EVIDENCE_KEY))
 
 
 @dataclass(frozen=True)
@@ -117,11 +155,11 @@ def p_and(p: Pred[A], q: Pred[A]) -> Pred[A]:
     def decide(a: A) -> Decision:
         left = p.decide(a)
         if isinstance(left, Refutes):
-            return _refutes(f"left conjunct refuted: {p.render(a)}")
+            return _refutes("left conjunct refuted: {}", _later(p.render, a))
         right = q.decide(a)
         if isinstance(right, Refutes):
-            return _refutes(f"right conjunct refuted: {q.render(a)}")
-        return _holds(f"{left.evidence.summary} and {right.evidence.summary}")
+            return _refutes("right conjunct refuted: {}", _later(q.render, a))
+        return _holds("{} and {}", left.evidence, right.evidence)
 
     return Pred(decide=decide, render=lambda a: f"{p.render(a)} /\\ {q.render(a)}")
 
@@ -132,10 +170,10 @@ def p_or(p: Pred[A], q: Pred[A]) -> Pred[A]:
     def decide(a: A) -> Decision:
         left = p.decide(a)
         if isinstance(left, Holds):
-            return _holds(f"left disjunct holds: {left.evidence.summary}")
+            return _holds("left disjunct holds: {}", left.evidence)
         right = q.decide(a)
         if isinstance(right, Holds):
-            return _holds(f"right disjunct holds: {right.evidence.summary}")
+            return _holds("right disjunct holds: {}", right.evidence)
         return _refutes("both disjuncts refuted")
 
     return Pred(decide=decide, render=lambda a: f"{p.render(a)} \\/ {q.render(a)}")
@@ -147,8 +185,8 @@ def p_not(p: Pred[A]) -> Pred[A]:
     def decide(a: A) -> Decision:
         inner = p.decide(a)
         if isinstance(inner, Refutes):
-            return _holds(f"negated proposition refuted: {inner.refutation.summary}")
-        return _refutes(f"negated proposition holds: {p.render(a)}")
+            return _holds("negated proposition refuted: {}", inner.refutation)
+        return _refutes("negated proposition holds: {}", _later(p.render, a))
 
     return Pred(decide=decide, render=lambda a: f"~ {p.render(a)}")
 
@@ -162,8 +200,8 @@ def p_implies(p: Pred[A], q: Pred[A]) -> Pred[A]:
             return _holds("vacuously true: antecedent refuted")
         consequent = q.decide(a)
         if isinstance(consequent, Holds):
-            return _holds(f"consequent holds: {consequent.evidence.summary}")
-        return _refutes(f"antecedent holds but consequent refuted: {q.render(a)}")
+            return _holds("consequent holds: {}", consequent.evidence)
+        return _refutes("antecedent holds but consequent refuted: {}", _later(q.render, a))
 
     return Pred(decide=decide, render=lambda a: f"{p.render(a)} -> {q.render(a)}")
 
@@ -175,7 +213,8 @@ def p_proven(description: str) -> Pred[Any]:
     always decides ``Holds``, with the description as the evidence summary.
     Keep the description auditable (point at the external argument).
     """
-    return Pred(decide=lambda _a: _holds(description), render=lambda _a: description)
+    text = _later(format, description)
+    return Pred(decide=lambda _a: _holds("{}", text), render=lambda _a: description)
 
 
 def p_equivalent(
@@ -193,11 +232,13 @@ def p_equivalent(
     to cast reports.
     """
 
+    why = _later(format, justification)
+
     def decide(a: A) -> Decision:
         inner = substitute.decide(a)
         if isinstance(inner, Holds):
-            return _holds(f"{inner.evidence.summary} (via equivalence: {justification})")
-        return _refutes(f"{inner.refutation.summary} (via equivalence: {justification})")
+            return _holds("{} (via equivalence: {})", inner.evidence, why)
+        return _refutes("{} (via equivalence: {})", inner.refutation, why)
 
     return Pred(decide=decide, render=render_override)
 
@@ -215,8 +256,8 @@ def p_forall_bounded(k: int, family: Callable[[int], Pred[int]]) -> Pred[None]:
         for n in range(k + 1):
             verdict = family(n).decide(n)
             if isinstance(verdict, Refutes):
-                return _refutes(f"counterexample at n = {n}: {family(n).render(n)}")
-        return _holds(f"holds for every n in 0..{k}")
+                return _refutes("counterexample at n = {}: {}", n, _later(family(n).render, n))
+        return _holds("holds for every n in 0..{}", _later(format, k))
 
     return Pred(decide=decide, render=lambda _unit: f"forall n <= {k}, P n")
 

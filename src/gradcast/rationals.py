@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict
 
-from .casts import CastFault, FailureMode
+from .casts import CastFault, FailureMode, check_choice
 from .instances import Nat, check_nat
 from .predicates import Decision, Holds, Pred, _holds, _refutes, p_equivalent
 from .render import show_value
@@ -294,8 +294,13 @@ def cast_rat(
 
     The nonzero-bottom check runs first; the irreducibility decider runs only
     on its success, so a zero denominator never reaches the bounded
-    enumeration (whose equivalence needs that fact).
+    enumeration (whose equivalence needs that fact).  An unknown ``strategy``
+    or ``mode`` raises ``ValueError`` before any other check.
     """
+    if type(strategy) is not IrredStrategy:
+        check_choice("strategy", strategy, IrredStrategy)
+    if type(mode) is not FailureMode:
+        check_choice("mode", mode, FailureMode)
     check_nat(top)
     check_nat(bottom)
     if not isinstance(sign, bool):

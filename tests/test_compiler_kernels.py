@@ -1,5 +1,6 @@
 """The compiler's parse, compile, evaluate and run loops against the
-straightforward loops they replaced, kept here as references.
+straightforward loops they replaced, kept here (``check_nat`` in ``spec``)
+as references.
 
 The references scan the text one character at a time, build a new leaf per
 numeral, dispatch operations through Enum-keyed tables and check every
@@ -25,14 +26,7 @@ from gradcast.compiler import (
     parse_exp,
     run_prog,
 )
-
-
-def ref_check_nat(value):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"natural number expected, got {value!r}")
-    if value < 0:
-        raise ValueError(f"natural number expected, got {value}")
-    return value
+from spec import check_nat as ref_check_nat
 
 
 def ref_eval_binop(b, x, y):

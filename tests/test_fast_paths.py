@@ -1,5 +1,6 @@
 """The derived equalities, ``check_nat`` and sequence rendering against the
-straightforward implementations they replaced, kept here as references.
+straightforward implementations they replaced, kept here (or, where shared,
+in ``spec``) as references.
 
 The references build a fresh verdict per element comparison, run the full
 natural-number checks and dispatch ``show_value`` once per element; the
@@ -14,16 +15,9 @@ from hypothesis import given, strategies as st
 from gradcast.compiler import Binop, IBinop, IConst
 from gradcast.hocasts import IList
 from gradcast.instances import EqDec, check_nat, eq_list, eq_nat, eq_option
-from gradcast.predicates import Holds, Refutes, _holds, _refutes
+from gradcast.predicates import Holds, Refutes
 from gradcast.render import show_optional, show_sequence, show_value
-
-
-def ref_check_nat(value):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"natural number expected, got {value!r}")
-    if value < 0:
-        raise ValueError(f"natural number expected, got {value}")
-    return value
+from spec import _holds, _refutes, check_nat as ref_check_nat
 
 
 def ref_show_sequence(show_elem):

@@ -12,15 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from gradcast.casts import CastFault, FailureMode
 from gradcast.instances import check_nat
-from gradcast.predicates import (
-    Decision,
-    Holds,
-    Pred,
-    Refutes,
-    _holds,
-    _refutes,
-    p_equivalent,
-)
+from gradcast.predicates import Decision, Holds, Pred, Refutes
 from gradcast.rationals import (
     _RAT_KEY,
     MACHINE_ARITH,
@@ -37,6 +29,7 @@ from gradcast.rationals import (
     irreducible_gcd,
 )
 from gradcast.render import show_value
+from spec import _holds, _refutes, p_equivalent
 
 
 def ref_gcd(a, b):
