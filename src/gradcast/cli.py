@@ -10,15 +10,17 @@ Three subcommands:
   its (invalid) argument.
 
 Exit codes: 0 success, 1 cast failure, 2 usage, parse or limit error: a
-numeral or a ``check`` result longer than Python's integer digit limit, or a
-``rat`` too large for the bounded strategy asked for.  Cast faults are caught
-here and nowhere else, and any other exception ends as a one-line
+numeral or a ``check`` result longer than Python's integer digit limit, a
+``check`` operation whose bit-length bound passes that limit, or a ``rat``
+too large for the bounded strategy asked for.  Cast faults are caught here
+and nowhere else, and any other exception ends as a one-line
 ``INTERNAL_ERROR`` with exit 2; output is line-oriented ASCII.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import statistics
 import sys
 import time
@@ -26,22 +28,17 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, TextIO
 
 from .casts import CastFault, FailureMode
-from .compiler import ParseError, checked_compile, parse_exp, runc
+from .compiler import BinOp, Binop, Const, Exp, ParseError, checked_compile, parse_exp, runc
 from .hocasts import cast_fun_dom
 from .instances import Nat, check_nat, pred_gt_const
 from .rationals import AttestedRat, IrredStrategy, _require_nonzero_bottom, cast_rat
 
-_MODES = {"lazy": FailureMode.LAZY, "eager": FailureMode.EAGER}
-_STRATEGIES = {
-    "bounded": IrredStrategy.BOUNDED,
-    "binary": IrredStrategy.BINARY_BOUNDED,
-    "gcd": IrredStrategy.GCD,
-}
 _BENCH_REPETITIONS = 5
 # The largest top or bottom each bounded strategy accepts.  Their worst case
 # there, an irreducible pair, takes about 1 s (Python 3.11, 2-core x86 VM);
 # the enumeration grows as the fourth (bounded) or second (binary) power.
 BOUNDED_CEILINGS = {IrredStrategy.BOUNDED: 90, IrredStrategy.BINARY_BOUNDED: 2000}
+_LIMIT_ERROR = "LIMIT_ERROR result exceeds the integer digit limit"
 
 
 @dataclass(frozen=True)
@@ -90,11 +87,39 @@ class CliConfig:
         print(line, file=self.output if self.output is not None else sys.stdout)
 
 
+def exceeds_digit_limit(exp: Exp) -> bool:
+    """Whether an operation in ``exp`` may pass the int-string digit limit, in
+    one pass over bit-length bounds: a*b <= la+lb, a+b <= max(la, lb)+1, a-b <= la."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()  # 3.10 has none
+    ceiling = int(limit * math.log2(10)) + 1 if limit else math.inf  # bits of 10**limit-1
+    bounds: list[int] = []
+    todo: list = [exp]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, BinOp):
+            todo += (node.op, node.right, node.left)
+        elif isinstance(node, Const):
+            bounds.append(node.value.bit_length())
+        else:  # an operation: its operands' bounds are on top, the left one below
+            right, bound = bounds.pop(), bounds.pop()
+            if node is Binop.TIMES:
+                bound += right
+            elif node is Binop.PLUS:
+                bound = max(bound, right) + 1
+            if bound > ceiling:
+                return True
+            bounds.append(bound)
+    return False
+
+
 def cmd_check(expr_src: str, config: CliConfig) -> int:
     try:
         exp = parse_exp(expr_src)
     except ParseError as err:
         config.emit(f"PARSE_ERROR offset={err.offset} {err.reason}")
+        return 2
+    if exceeds_digit_limit(exp):
+        config.emit(_LIMIT_ERROR)
         return 2
     compiler = checked_compile(config.compiler_variant, config.mode)
     try:
@@ -103,7 +128,7 @@ def cmd_check(expr_src: str, config: CliConfig) -> int:
         config.emit(f"FAILED_CAST value={fault.value_text} prop={fault.prop_text}")
         return 1
     except ValueError:  # parsed input is natural: only int-to-text past the digit limit
-        config.emit("LIMIT_ERROR result exceeds the integer digit limit")
+        config.emit(_LIMIT_ERROR)
         return 2
     config.emit(line)
     return 0
@@ -142,7 +167,7 @@ def cmd_rat(
         config.emit(f"RAT sign={sign} top={refined.top} bottom={refined.bottom}")
         status = 0
     else:
-        config.emit(f"FAILED_CAST value={refined.value_text} prop={refined.violated}")
+        config.emit(f"FAILED_CAST value={refined.value_text} prop={refined.prop_text}")
         status = 1
     if time_strategies and bottom_n != 0:
         timed = [st for st in IrredStrategy if size <= BOUNDED_CEILINGS.get(st, size)]
@@ -184,20 +209,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Runtime-checked refinement casts: demo commands.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    modes = [mode.value for mode in FailureMode]
 
     check = sub.add_parser(
         "check", help="compile an expression with a checked compiler and run it"
     )
     check.add_argument("expr", help="arithmetic expression, e.g. '(2+2)*3'")
     check.add_argument("--compiler", choices=["buggy", "fixed"], default="buggy")
-    check.add_argument("--mode", choices=["lazy", "eager"], default="lazy")
+    check.add_argument("--mode", choices=modes, default="lazy")
 
     rat = sub.add_parser("rat", help="cast a fraction into a checked rational")
     rat.add_argument("sign", help="'+' or '-'")
     rat.add_argument("top", help="numerator (decimal natural)")
     rat.add_argument("bottom", help="denominator (decimal natural)")
-    rat.add_argument("--strategy", choices=sorted(_STRATEGIES), default="gcd")
-    rat.add_argument("--mode", choices=["lazy", "eager"], default="lazy")
+    rat.add_argument("--strategy", choices=sorted(s.value for s in IrredStrategy), default="gcd")
+    rat.add_argument("--mode", choices=modes, default="lazy")
     rat.add_argument(
         "--time",
         action="store_true",
@@ -216,9 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     config = CliConfig(
-        mode=_MODES[getattr(args, "mode", "lazy")],
+        mode=FailureMode(getattr(args, "mode", "lazy")),
         compiler_variant=getattr(args, "compiler", "buggy"),
-        strategy=_STRATEGIES[getattr(args, "strategy", "gcd")],
+        strategy=IrredStrategy(getattr(args, "strategy", "gcd")),
     )
     try:
         if args.command == "check":

@@ -15,102 +15,60 @@ exactly what separates their running times.  The gcd decider replaces the
 enumeration with ``gcd(top, bottom) = 1`` via the declared-equivalence
 combinator, so its refutation still names the irreducibility proposition.
 
-:func:`cast_rat` reads only the arm of each decision, as an :class:`AttestedRat`
-carries no evidence; the ``irreducible_*`` functions return the
-evidence-bearing :class:`Decision`.
+:func:`cast_rat` reads only the arm of each decision.  Its results are the
+cast core's records, so ``proj1``, ``proj2`` and ``==`` apply: an
+:class:`AttestedRat` holds one shared evidence for :data:`RAT_INVARIANTS`.
+The ``irreducible_*`` functions return the evidence-bearing :class:`Decision`.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Any, Callable, Dict
+from operator import attrgetter, eq, mul
+from typing import Callable
 
-from .casts import CastFault, FailureMode, check_choice
+from .casts import Attested, CastFault, FailedCast, FailureMode, check_choice, proj1
 from .instances import Nat, check_nat
-from .predicates import Decision, Holds, Pred, _holds, _refutes, p_equivalent
+from .predicates import Decision, Holds, Pred, _holds, _later, _refutes, p_equivalent
+from .records import record
 from .render import show_value
 
 _RAT_KEY = object()
+_SIGN_TEXT = {sign: show_value(sign) for sign in (True, False)}  # no dispatch per cast
 
 
-class Rat:
+class Rat(record("sign", "top", "bottom")):
     """An irreducible fraction with a nonzero denominator.
 
     Instances cannot be constructed directly; :func:`cast_rat` builds one
-    exactly when both invariant checks hold.
+    exactly when both invariant checks hold.  Its fields are read-only.
     """
 
-    __slots__ = ("sign", "top", "bottom")
+    __slots__ = ()
 
     def __init__(self, sign: bool, top: Nat, bottom: Nat, *, _key: object = None) -> None:
         if _key is not _RAT_KEY:
             raise TypeError("Rat cannot be constructed directly; use cast_rat")
-        self.sign = sign
-        self.top = top
-        self.bottom = bottom
-
-    def __repr__(self) -> str:
-        return f"Rat(sign={self.sign}, top={self.top}, bottom={self.bottom})"
+        super().__init__(sign, top, bottom)
 
 
-@dataclass(frozen=True)
-class AttestedRat:
-    """A successfully cast rational; field access goes through to the record."""
+class AttestedRat(Attested):
+    """A successfully cast rational: its value is the :class:`Rat`, whose
+    fields it reads through."""
 
-    rat: Rat
-
-    @property
-    def sign(self) -> bool:
-        return self.rat.sign
-
-    @property
-    def top(self) -> Nat:
-        return self.rat.top
-
-    @property
-    def bottom(self) -> Nat:
-        return self.rat.bottom
+    __slots__ = ()
+    sign = property(attrgetter("value.sign"))
+    top = property(attrgetter("value.top"))
+    bottom = property(attrgetter("value.bottom"))
 
 
-class FailedCastRat:
-    """The poisoned result of a failed rational cast.
+class FailedCastRat(FailedCast):
+    """The poisoned result of a failed rational cast: projecting any field
+    raises its :class:`CastFault`, as :func:`proj1` does."""
 
-    The attempted field values are remembered for reporting, but projecting
-    any field out of a failed cast faults, just like projecting a failed
-    subset cast.
-    """
-
-    __slots__ = ("_sign", "_top", "_bottom", "violated")
-
-    def __init__(self, sign: bool, top: Nat, bottom: Nat, violated: str) -> None:
-        self._sign = sign
-        self._top = top
-        self._bottom = bottom
-        self.violated = violated
-
-    @property
-    def value_text(self) -> str:
-        return f"mkRat {show_value(self._sign)} {self._top} {self._bottom}"
-
-    def _fault(self) -> CastFault:
-        return CastFault(self.value_text, self.violated)
-
-    @property
-    def sign(self) -> bool:
-        raise self._fault()
-
-    @property
-    def top(self) -> Nat:
-        raise self._fault()
-
-    @property
-    def bottom(self) -> Nat:
-        raise self._fault()
-
-    def __repr__(self) -> str:
-        return f"FailedCastRat({self.value_text}, violated={self.violated!r})"
+    __slots__ = ()
+    sign = top = bottom = property(proj1)
 
 
 RefinedRat = AttestedRat | FailedCastRat
@@ -169,23 +127,15 @@ class Peano:
         return f"Peano({self.count})"
 
 
-@dataclass(frozen=True)
-class NatArith:
-    """The arithmetic a bounded enumeration runs on."""
+class NatArith(record("name", "lift", "mul", "equal")):
+    """The arithmetic a bounded enumeration runs on: a name, the lift from
+    ``int`` and the multiplication and equality on lifted values."""
 
-    name: str
-    lift: Callable[[int], Any]
-    mul: Callable[[Any, Any], Any]
-    equal: Callable[[Any, Any], bool]
+    __slots__ = ()
 
 
 PEANO_ARITH = NatArith(name="peano", lift=Peano.from_int, mul=Peano.mul, equal=Peano.equals)
-MACHINE_ARITH = NatArith(
-    name="machine",
-    lift=lambda n: n,
-    mul=lambda a, b: a * b,
-    equal=lambda a, b: a == b,
-)
+MACHINE_ARITH = NatArith(name="machine", lift=lambda n: n, mul=mul, equal=eq)
 
 
 def gcd(a: Nat, b: Nat) -> Nat:
@@ -272,7 +222,7 @@ def irreducible_gcd(top: Nat, bottom: Nat) -> Decision:
 
 # cast_rat's verdict per strategy.  The deciders are looked up as module
 # attributes at each call, so rebinding them on the module reaches cast_rat.
-_IRRED_DECIDERS: Dict[IrredStrategy, Callable[[Nat, Nat], bool]] = {
+_IRRED_DECIDERS: dict[IrredStrategy, Callable[[Nat, Nat], bool]] = {
     IrredStrategy.BOUNDED: lambda t, b: isinstance(
         irreducible_bounded(t, b, PEANO_ARITH), Holds
     ),
@@ -281,6 +231,30 @@ _IRRED_DECIDERS: Dict[IrredStrategy, Callable[[Nat, Nat], bool]] = {
     ),
     IrredStrategy.GCD: lambda t, b: gcd(t, b) == 1,
 }
+
+
+def _invariant_text(top: Nat, bottom: Nat) -> str:
+    """The first invariant a failing fraction violates, else irreducibility."""
+    if bottom == 0:
+        return f"0 <> {bottom}"
+    return _irreducibility_text(top, bottom)
+
+
+# The verdict of every fraction that holds; its evidence is every AttestedRat's.
+_RATIONAL = _holds("the bottom is nonzero and the fraction is irreducible")
+_RATIONAL_EVIDENCE = _RATIONAL.evidence
+
+
+def _decide_rat(rat: Rat) -> Decision:
+    if rat.bottom != 0 and gcd(rat.top, rat.bottom) == 1:
+        return _RATIONAL
+    return _refutes("{} is false", _later(_invariant_text, rat.top, rat.bottom))
+
+
+# Every AttestedRat's predicate; all strategies give the same arm as gcd.
+RAT_INVARIANTS: Pred[Rat] = Pred(
+    decide=_decide_rat, render=lambda rat: _invariant_text(rat.top, rat.bottom)
+)
 
 
 def cast_rat(
@@ -305,12 +279,11 @@ def cast_rat(
     check_nat(bottom)
     if not isinstance(sign, bool):
         raise TypeError(f"sign must be a bool, got {sign!r}")
-    if bottom == 0:
-        violated = f"0 <> {bottom}"
-    elif _IRRED_DECIDERS[strategy](top, bottom):
-        return AttestedRat(Rat(sign, top, bottom, _key=_RAT_KEY))
-    else:
-        violated = _irreducibility_text(top, bottom)
+    # Not casts.cast, which builds a Rat before deciding and adds a Pred call.
+    if bottom != 0 and _IRRED_DECIDERS[strategy](top, bottom):
+        rat = Rat(sign, top, bottom, _key=_RAT_KEY)
+        return AttestedRat(rat, RAT_INVARIANTS, _RATIONAL_EVIDENCE)
+    value_text = f"mkRat {_SIGN_TEXT[sign]} {top} {bottom}"
     if mode is FailureMode.EAGER:
-        raise CastFault(f"mkRat {show_value(sign)} {top} {bottom}", violated)
-    return FailedCastRat(sign, top, bottom, violated)
+        raise CastFault(value_text, _invariant_text(top, bottom))
+    return FailedCastRat(value_text, _invariant_text(top, bottom))

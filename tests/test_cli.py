@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gradcast.cli as cli
-from gradcast.cli import BOUNDED_CEILINGS, main
+import gradcast.compiler as compiler
+from gradcast.cli import BOUNDED_CEILINGS, exceeds_digit_limit, main
+from gradcast.compiler import parse_exp
 from gradcast.rationals import IrredStrategy
 
 
@@ -241,3 +243,71 @@ def test_main_is_total_over_arbitrary_argv(argv):
             status = exit_.code
     assert status in (0, 1, 2)
     assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
+IRREDUCIBILITY_5_10 = "forall x y z, y * x = 5 /\\ z * x = 10 -> 1 = x"
+
+
+@pytest.mark.parametrize("strategy", ["bounded", "binary", "gcd"])
+@pytest.mark.parametrize("mode", ["lazy", "eager"])
+def test_rat_failed_cast_line_is_pinned(capsys, mode, strategy):
+    status, lines = run_cli(capsys, "rat", "+", "5", "10", "--mode", mode, "--strategy", strategy)
+    assert status == 1
+    assert lines == [f"FAILED_CAST value=mkRat true 5 10 prop={IRREDUCIBILITY_5_10}"]
+
+
+@pytest.mark.parametrize("command", ["check", "rat"])
+def test_mode_and_strategy_choices_keep_their_order(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    options = [line.split()[:2] for line in capsys.readouterr().out.splitlines()]
+    assert ["--mode", "{lazy,eager}"] in options
+    assert (["--strategy", "{binary,bounded,gcd}"] in options) == (command == "rat")
+
+
+def test_check_refuses_a_long_product_before_evaluating_it(capsys, monkeypatch):
+    calls = []
+    evaluate = compiler.eval_exp
+
+    def counting_eval(e):
+        calls.append(e)
+        return evaluate(e)
+
+    monkeypatch.setattr(compiler, "eval_exp", counting_eval)
+    expr = "*".join(["9" * 4000] * 100)
+    status, lines = run_cli(capsys, "check", expr, "--compiler", "fixed")
+    assert status == 2
+    assert lines == ["LIMIT_ERROR result exceeds the integer digit limit"]
+    assert calls == []
+    status, lines = run_cli(capsys, "check", "2+2", "--compiler", "fixed")
+    assert (status, lines, len(calls)) == (0, ["RESULT 4"], 1)
+
+
+BIG = "9" * 2200
+
+
+@pytest.mark.parametrize("expr", [f"{BIG}*{BIG}-{BIG}*{BIG}", f"1-{BIG}*{BIG}"])
+def test_check_refuses_intermediates_past_the_ceiling(capsys, expr):
+    # Both results are 0; the product in between has 4400 digits.
+    status, lines = run_cli(capsys, "check", expr, "--compiler", "fixed")
+    assert status == 2
+    assert lines == ["LIMIT_ERROR result exceeds the integer digit limit"]
+
+
+def test_check_computes_values_within_the_ceiling(capsys):
+    # 2149 nines have 7139 bits: the product's bound, 14278 bits, is within
+    # the 14285 bits of the largest 4300-digit numeral.
+    nines = "9" * 2149
+    status, lines = run_cli(capsys, "check", f"{nines}*{nines}-{nines}*{nines}+7")
+    assert (status, lines) == (0, ["RESULT 7"])
+
+
+def test_digit_bound_follows_the_interpreter_limit(monkeypatch):
+    product = parse_exp(f"{BIG}*{BIG}")
+    assert exceeds_digit_limit(product)
+    assert not exceeds_digit_limit(parse_exp(f"{BIG}+{BIG}-{BIG}"))
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0, raising=False)
+    assert not exceeds_digit_limit(product)  # a limit of 0 bounds nothing
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    assert exceeds_digit_limit(product)  # no limit to ask: CPython's default 4300
+    assert not exceeds_digit_limit(parse_exp("9" * 4300))

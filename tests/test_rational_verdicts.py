@@ -15,8 +15,10 @@ from gradcast.instances import check_nat
 from gradcast.predicates import Decision, Holds, Pred, Refutes
 from gradcast.rationals import (
     _RAT_KEY,
+    _RATIONAL_EVIDENCE,
     MACHINE_ARITH,
     PEANO_ARITH,
+    RAT_INVARIANTS,
     AttestedRat,
     FailedCastRat,
     IrredStrategy,
@@ -83,7 +85,7 @@ def ref_cast_rat(sign, top, bottom, strategy=IrredStrategy.GCD, mode=FailureMode
     def fail(violated):
         if mode is FailureMode.EAGER:
             raise CastFault(f"mkRat {show_value(sign)} {top} {bottom}", violated)
-        return FailedCastRat(sign, top, bottom, violated)
+        return FailedCastRat(f"mkRat {show_value(sign)} {top} {bottom}", violated)
 
     bottom_verdict = REF_BOTTOM_NONZERO.decide(bottom)
     if isinstance(bottom_verdict, Refutes):
@@ -91,7 +93,9 @@ def ref_cast_rat(sign, top, bottom, strategy=IrredStrategy.GCD, mode=FailureMode
     irred_verdict = REF_IRRED_DECIDERS[strategy](top, bottom)
     if isinstance(irred_verdict, Refutes):
         return fail(_irreducibility_text(top, bottom))
-    return AttestedRat(Rat(sign, top, bottom, _key=_RAT_KEY))
+    return AttestedRat(
+        Rat(sign, top, bottom, _key=_RAT_KEY), RAT_INVARIANTS, _RATIONAL_EVIDENCE
+    )
 
 
 class PlainInt(int):
@@ -117,7 +121,7 @@ def outcome(fn, *args):
     except Exception as err:  # noqa: BLE001 - compared, not handled
         return ("raised", type(err), str(err))
     if isinstance(r, FailedCastRat):
-        return ("failed", r.value_text, r.violated)
+        return ("failed", r.value_text, r.prop_text)
     return (type(r), typed(r.sign), typed(r.top), typed(r.bottom))
 
 

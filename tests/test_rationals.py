@@ -1,10 +1,12 @@
 import pytest
 
-from gradcast.casts import CastFault, FailureMode
+from gradcast.casts import Attested, CastFault, FailedCast, FailureMode, proj1, proj2
 from gradcast.predicates import Holds, Refutes
 from gradcast.rationals import (
+    _RAT_KEY,
     MACHINE_ARITH,
     PEANO_ARITH,
+    RAT_INVARIANTS,
     AttestedRat,
     FailedCastRat,
     IrredStrategy,
@@ -136,7 +138,7 @@ def test_cast_rat_bad_blocks_projections():
 def test_cast_rat_zero_bottom_fails_first_guard():
     refined = cast_rat(True, 1, 0)
     assert isinstance(refined, FailedCastRat)
-    assert refined.violated == "0 <> 0"
+    assert refined.prop_text == "0 <> 0"
 
 
 def test_cast_rat_zero_bottom_never_runs_irreducibility(monkeypatch):
@@ -229,3 +231,90 @@ def test_bench_strategies_validates_arguments():
         bench_strategies(5, 0, 3)
     with pytest.raises(ValueError):
         bench_strategies(5, 10, 0)
+
+
+@pytest.mark.parametrize("field", ["sign", "top", "bottom"])
+def test_rat_fields_are_read_only(field):
+    refined = cast_rat(True, 5, 6)
+    with pytest.raises(AttributeError):
+        setattr(refined.value, field, 10)
+    with pytest.raises(AttributeError):
+        delattr(refined.value, field)
+    with pytest.raises(AttributeError):
+        setattr(refined, field, 10)
+    assert (refined.sign, refined.top, refined.bottom) == (True, 5, 6)
+
+
+def test_rational_results_are_the_cast_core_records():
+    refined = cast_rat(False, 5, 6)
+    assert isinstance(refined, Attested)
+    assert isinstance(cast_rat(True, 5, 10), FailedCast)
+    rat = proj1(refined)
+    assert type(rat) is Rat and rat is refined.value
+    assert (rat.sign, rat.top, rat.bottom) == (False, 5, 6)
+    assert refined.pred is RAT_INVARIANTS
+    # One shared evidence, the evidence of the predicate's holding verdict.
+    assert proj2(refined) is proj2(cast_rat(True, 40, 77, strategy=IrredStrategy.BOUNDED))
+    assert proj2(refined) is RAT_INVARIANTS.decide(rat).evidence
+    assert proj2(refined).summary == "the bottom is nonzero and the fraction is irreducible"
+
+
+@pytest.mark.parametrize("top_bottom", [(5, 10), (1, 0), (0, 0)])
+def test_failed_rational_projections_raise_the_field_fault(top_bottom):
+    refined = cast_rat(True, *top_bottom)
+    with pytest.raises(CastFault) as field:
+        refined.top
+    expected = (str(field.value), field.value.value_text, field.value.prop_text)
+    assert expected[1:] == (refined.value_text, refined.prop_text)
+    for project in (proj1, proj2):
+        with pytest.raises(CastFault) as excinfo:
+            project(refined)
+        fault = excinfo.value
+        assert (str(fault), fault.value_text, fault.prop_text) == expected
+
+
+def test_equal_casts_are_equal_and_hash_equal():
+    first, second = cast_rat(True, 5, 6), cast_rat(True, 5, 6, strategy=IrredStrategy.BOUNDED)
+    assert first is not second and first.value is not second.value
+    assert first == second and hash(first) == hash(second)
+    assert first.value == second.value and hash(first.value) == hash(second.value)
+    assert first != cast_rat(False, 5, 6)
+    failed, again = cast_rat(True, 5, 10), cast_rat(True, 5, 10, mode=FailureMode.LAZY)
+    assert failed == again and hash(failed) == hash(again)
+    assert failed != cast_rat(True, 1, 0)
+
+
+def test_rational_results_match_class_patterns_and_repr():
+    irreducibility = "forall x y z, y * x = 5 /\\ z * x = 6 -> 1 = x"
+    match cast_rat(True, 5, 6):
+        case AttestedRat(Rat(True, top, bottom=6), rationals.RAT_INVARIANTS, evidence):
+            assert top == 5 and evidence.summary.startswith("the bottom")
+        case _:
+            pytest.fail("no match")
+    match cast_rat(False, 1, 0):
+        case FailedCastRat(value_text, prop_text="0 <> 0"):
+            assert value_text == "mkRat false 1 0"
+        case _:
+            pytest.fail("no match")
+    assert repr(cast_rat(True, 5, 6)) == (
+        "AttestedRat(value=Rat(sign=True, top=5, bottom=6), "
+        f"prop_text={irreducibility!r}, evidence=Evidence("
+        "'the bottom is nonzero and the fraction is irreducible'))"
+    )
+    assert repr(cast_rat(True, 1, 0)) == (
+        "FailedCastRat(value_text='mkRat true 1 0', prop_text='0 <> 0')"
+    )
+
+
+@pytest.mark.parametrize("strategy", list(IrredStrategy))
+def test_rat_invariants_agree_with_cast_rat(strategy):
+    for top in range(41):
+        for bottom in range(41):
+            refined = cast_rat(bool(top % 2), top, bottom, strategy=strategy)
+            candidate = Rat(bool(top % 2), top, bottom, _key=_RAT_KEY)
+            verdict = RAT_INVARIANTS.decide(candidate)
+            assert isinstance(verdict, Holds) == isinstance(refined, AttestedRat), (top, bottom)
+            assert RAT_INVARIANTS.render(candidate) == refined.prop_text
+            if isinstance(refined, AttestedRat):
+                assert refined.value == candidate
+                assert verdict.evidence is refined.evidence
