@@ -12,26 +12,27 @@ Three subcommands:
 Exit codes: 0 success, 1 cast failure, 2 usage, parse or limit error: a
 numeral or a ``check`` result longer than Python's integer digit limit, a
 ``check`` operation whose bit-length bound passes that limit, or a ``rat``
-too large for the bounded strategy asked for.  Cast faults are caught here
-and nowhere else, and any other exception ends as a one-line
-``INTERNAL_ERROR`` with exit 2; output is line-oriented ASCII.
+too large for the bounded strategy asked for.  Both regimes share one failure
+path: ``rat`` forces its cast with ``proj1``, so ``--time`` prints its ``TIME``
+lines after a failed cast, lazy or eager, and a ``CastFault`` reaching ``main``
+from any command prints ``FAILED_CAST`` with exit 1.  Any other exception ends
+as a one-line ``INTERNAL_ERROR`` with exit 2; output is line-oriented ASCII.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import statistics
 import sys
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, TextIO
+from typing import Dict, Iterable, Optional
 
-from .casts import CastFault, FailureMode
+from .casts import CastFault, FailureMode, proj1
 from .compiler import BinOp, Binop, Const, Exp, ParseError, checked_compile, parse_exp, runc
 from .hocasts import cast_fun_dom
 from .instances import Nat, check_nat, pred_gt_const
-from .rationals import AttestedRat, IrredStrategy, _require_nonzero_bottom, cast_rat
+from .rationals import IrredStrategy, _require_nonzero_bottom, cast_rat
 
 _BENCH_REPETITIONS = 5
 # The largest top or bottom each bounded strategy accepts.  Their worst case
@@ -39,6 +40,7 @@ _BENCH_REPETITIONS = 5
 # the enumeration grows as the fourth (bounded) or second (binary) power.
 BOUNDED_CEILINGS = {IrredStrategy.BOUNDED: 90, IrredStrategy.BINARY_BOUNDED: 2000}
 _LIMIT_ERROR = "LIMIT_ERROR result exceeds the integer digit limit"
+_FAILED_CAST = "FAILED_CAST value={0.value_text} prop={0.prop_text}"  # of a CastFault
 
 
 @dataclass(frozen=True)
@@ -72,7 +74,8 @@ def bench_strategies(
             started = time.perf_counter()
             cast_rat(True, top, bottom, strategy=strategy, mode=FailureMode.LAZY)
             samples.append(time.perf_counter() - started)
-        medians[strategy] = statistics.median(samples)
+        samples.sort()  # statistics.median's value, without importing statistics
+        medians[strategy] = (samples[(repetitions - 1) // 2] + samples[repetitions // 2]) / 2
     return BenchReport(top=top, bottom=bottom, repetitions=repetitions, medians=medians)
 
 
@@ -81,10 +84,9 @@ class CliConfig:
     mode: FailureMode = FailureMode.LAZY
     compiler_variant: str = "buggy"
     strategy: IrredStrategy = IrredStrategy.GCD
-    output: Optional[TextIO] = None
 
     def emit(self, line: str) -> None:
-        print(line, file=self.output if self.output is not None else sys.stdout)
+        print(line)
 
 
 def exceeds_digit_limit(exp: Exp) -> bool:
@@ -122,11 +124,8 @@ def cmd_check(expr_src: str, config: CliConfig) -> int:
         config.emit(_LIMIT_ERROR)
         return 2
     compiler = checked_compile(config.compiler_variant, config.mode)
-    try:
+    try:  # a CastFault is main's to report
         line = f"RESULT {runc(compiler, exp)[0]}"
-    except CastFault as fault:
-        config.emit(f"FAILED_CAST value={fault.value_text} prop={fault.prop_text}")
-        return 1
     except ValueError:  # parsed input is natural: only int-to-text past the digit limit
         config.emit(_LIMIT_ERROR)
         return 2
@@ -156,19 +155,14 @@ def cmd_rat(
             f"up to {ceiling}"
         )
         return 2
-    try:
-        refined = cast_rat(
-            sign == "+", top_n, bottom_n, strategy=config.strategy, mode=config.mode
-        )
+    try:  # both regimes fault here: eager at the cast, lazy at proj1
+        rat = proj1(cast_rat(sign == "+", top_n, bottom_n, config.strategy, config.mode))
     except CastFault as fault:
-        config.emit(f"FAILED_CAST value={fault.value_text} prop={fault.prop_text}")
-        return 1
-    if isinstance(refined, AttestedRat):
-        config.emit(f"RAT sign={sign} top={refined.top} bottom={refined.bottom}")
-        status = 0
-    else:
-        config.emit(f"FAILED_CAST value={refined.value_text} prop={refined.prop_text}")
+        config.emit(_FAILED_CAST.format(fault))
         status = 1
+    else:
+        config.emit(f"RAT sign={sign} top={rat.top} bottom={rat.bottom}")
+        status = 0
     if time_strategies and bottom_n != 0:
         timed = [st for st in IrredStrategy if size <= BOUNDED_CEILINGS.get(st, size)]
         report = bench_strategies(top_n, bottom_n, _BENCH_REPETITIONS, timed)
@@ -252,8 +246,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "rat":
             return cmd_rat(args.sign, args.top, args.bottom, config, args.time_strategies)
         return cmd_demo_regimes(config, probe_value=args.value)
-    except CastFault:
-        raise
+    except CastFault as fault:
+        config.emit(_FAILED_CAST.format(fault))
+        return 1
     except Exception as err:  # noqa: BLE001 - the boundary: no traceback reaches the user
         detail = " ".join(str(err).split())  # one line, whatever the message
         config.emit(f"INTERNAL_ERROR {type(err).__name__} {detail}".rstrip())

@@ -149,7 +149,10 @@ def gcd(a: Nat, b: Nat) -> Nat:
     return math.gcd(a, b)
 
 
-def _irreducibility_text(top: Nat, bottom: Nat) -> str:
+def _invariant_text(top: Nat, bottom: Nat) -> str:
+    """The first invariant a failing fraction violates, else irreducibility."""
+    if bottom == 0:
+        return f"0 <> {bottom}"
     return f"forall x y z, y * x = {top} /\\ z * x = {bottom} -> 1 = x"
 
 
@@ -203,7 +206,7 @@ def _decide_gcd(pair: tuple[Nat, Nat]) -> Decision:
 
 _GCD_IRREDUCIBLE = p_equivalent(
     Pred(decide=_decide_gcd, render=lambda pair: f"gcd {pair[0]} {pair[1]} = 1"),
-    render_override=lambda pair: _irreducibility_text(*pair),
+    render_override=lambda pair: _invariant_text(*pair),  # the bottom is nonzero here
     justification="irreducibility is equivalent to gcd(top, bottom) = 1 for a nonzero bottom",
 )
 
@@ -231,13 +234,6 @@ _IRRED_DECIDERS: dict[IrredStrategy, Callable[[Nat, Nat], bool]] = {
     ),
     IrredStrategy.GCD: lambda t, b: gcd(t, b) == 1,
 }
-
-
-def _invariant_text(top: Nat, bottom: Nat) -> str:
-    """The first invariant a failing fraction violates, else irreducibility."""
-    if bottom == 0:
-        return f"0 <> {bottom}"
-    return _irreducibility_text(top, bottom)
 
 
 # The verdict of every fraction that holds; its evidence is every AttestedRat's.

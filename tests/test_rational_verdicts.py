@@ -23,7 +23,6 @@ from gradcast.rationals import (
     FailedCastRat,
     IrredStrategy,
     Rat,
-    _irreducibility_text,
     _require_nonzero_bottom,
     cast_rat,
     gcd,
@@ -42,6 +41,10 @@ def ref_gcd(a, b):
     return a
 
 
+def ref_irreducibility_text(top, bottom):
+    return f"forall x y z, y * x = {top} /\\ z * x = {bottom} -> 1 = x"
+
+
 def ref_decide_gcd(pair):
     top, bottom = pair
     g = ref_gcd(top, bottom)
@@ -52,7 +55,7 @@ def ref_decide_gcd(pair):
 
 REF_GCD_IRREDUCIBLE = p_equivalent(
     Pred(decide=ref_decide_gcd, render=lambda pair: f"gcd {pair[0]} {pair[1]} = 1"),
-    render_override=lambda pair: _irreducibility_text(*pair),
+    render_override=lambda pair: ref_irreducibility_text(*pair),
     justification="irreducibility is equivalent to gcd(top, bottom) = 1 for a nonzero bottom",
 )
 
@@ -92,7 +95,7 @@ def ref_cast_rat(sign, top, bottom, strategy=IrredStrategy.GCD, mode=FailureMode
         return fail(REF_BOTTOM_NONZERO.render(bottom))
     irred_verdict = REF_IRRED_DECIDERS[strategy](top, bottom)
     if isinstance(irred_verdict, Refutes):
-        return fail(_irreducibility_text(top, bottom))
+        return fail(ref_irreducibility_text(top, bottom))
     return AttestedRat(
         Rat(sign, top, bottom, _key=_RAT_KEY), RAT_INVARIANTS, _RATIONAL_EVIDENCE
     )
