@@ -25,7 +25,6 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import dataclass
 from typing import Dict, Iterable, Optional
 
 from .casts import CastFault, FailureMode, proj1
@@ -33,6 +32,7 @@ from .compiler import BinOp, Binop, Const, Exp, ParseError, checked_compile, par
 from .hocasts import cast_fun_dom
 from .instances import Nat, check_nat, pred_gt_const
 from .rationals import IrredStrategy, _require_nonzero_bottom, cast_rat
+from .records import record
 
 _BENCH_REPETITIONS = 5
 # The largest top or bottom each bounded strategy accepts.  Their worst case
@@ -43,15 +43,11 @@ _LIMIT_ERROR = "LIMIT_ERROR result exceeds the integer digit limit"
 _FAILED_CAST = "FAILED_CAST value={0.value_text} prop={0.prop_text}"  # of a CastFault
 
 
-@dataclass(frozen=True)
-class BenchReport:
+class BenchReport(record("top", "bottom", "repetitions", "medians")):
     """Median wall time per strategy for one (top, bottom) cast; measurement
     only, no assertions."""
 
-    top: Nat
-    bottom: Nat
-    repetitions: int
-    medians: Dict[IrredStrategy, float]
+    __slots__ = ()
 
 
 def bench_strategies(
@@ -79,11 +75,11 @@ def bench_strategies(
     return BenchReport(top=top, bottom=bottom, repetitions=repetitions, medians=medians)
 
 
-@dataclass
-class CliConfig:
-    mode: FailureMode = FailureMode.LAZY
-    compiler_variant: str = "buggy"
-    strategy: IrredStrategy = IrredStrategy.GCD
+class CliConfig(record("mode", "compiler_variant", "strategy")):
+    __slots__ = ()
+
+    def __init__(self, mode=FailureMode.LAZY, compiler_variant="buggy", strategy=IrredStrategy.GCD):
+        super().__init__(mode, compiler_variant, strategy)
 
     def emit(self, line: str) -> None:
         print(line)

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
 from itertools import islice
 from operator import is_
 from typing import Callable, Optional, Union
@@ -38,6 +37,7 @@ from .casts import FailureMode, Refined, proj1
 from .hocasts import cast_forall_range
 from .instances import Nat, check_nat, eq_list, eq_nat, eq_option
 from .predicates import Decision, Pred, PredFamily, Refutes
+from .records import record
 from .render import show_value
 
 
@@ -47,29 +47,23 @@ class Binop(enum.Enum):
     TIMES = "Times"
 
 
-@dataclass(frozen=True)
-class Const:
-    value: Nat
+class Const(record("value")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: Binop
-    left: "Exp"
-    right: "Exp"
+class BinOp(record("op", "left", "right")):
+    __slots__ = ()
 
 
 Exp = Union[Const, BinOp]
 
 
-@dataclass(frozen=True)
-class IConst:
-    value: Nat
+class IConst(record("value")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IBinop:
-    op: Binop
+class IBinop(record("op")):
+    __slots__ = ()
 
 
 Instr = Union[IConst, IBinop]

@@ -16,33 +16,30 @@ why :func:`cast_forall_dom` behaves exactly like :func:`cast_fun_dom`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, TypeVar
 
 from .casts import FailureMode, Refined, cast, check_choice
 from .instances import check_nat
 from .predicates import Pred, PredFamily
+from .records import record
 from .render import show_value
 
 A = TypeVar("A")
 B = TypeVar("B")
 
 
-@dataclass(frozen=True)
-class IList:
+class IList(record("length", "items")):
     """A list of naturals carrying its own length index."""
 
-    length: int
-    items: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        check_nat(self.length)
-        if self.length != len(self.items):
-            raise ValueError(
-                f"length index {self.length} does not match {len(self.items)} items"
-            )
-        for item in self.items:
+    def __init__(self, length: int, items: tuple[int, ...]) -> None:
+        check_nat(length)
+        if length != len(items):
+            raise ValueError(f"length index {length} does not match {len(items)} items")
+        for item in items:
             check_nat(item)
+        super().__init__(length, items)
 
 
 @show_value.register

@@ -10,10 +10,10 @@ match the conventional presentation of < as <= on the successor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Generic, Optional, Sequence, TypeVar
+from typing import Generic, Optional, Sequence, TypeVar
 
 from .predicates import Decision, Pred, Refutes, _holds, _later, _refutes
+from .records import record
 from .render import show_optional, show_sequence, show_value
 
 A = TypeVar("A")
@@ -72,8 +72,7 @@ def pred_ge_const(k: Nat) -> Pred[Nat]:
     )
 
 
-@dataclass(frozen=True)
-class EqDec(Generic[A]):
+class EqDec(record("eq_decide", "render_value"), Generic[A]):
     """Decidable equality over ``A``.
 
     ``render_value`` renders a single value; it is what lets the derived
@@ -81,8 +80,7 @@ class EqDec(Generic[A]):
     ``0 :: nil = 1 :: nil``.
     """
 
-    eq_decide: Callable[[A, A], Decision]
-    render_value: Callable[[A], str]
+    __slots__ = ()
 
     def render_eq(self, a: A, b: A) -> str:
         return f"{self.render_value(a)} = {self.render_value(b)}"
@@ -115,12 +113,13 @@ def eq_list(elem: EqDec[A]) -> EqDec[Sequence[A]]:
 
     A refutation reports the whole-list equation, not the mismatch index.
     """
+    elem_decide = elem.eq_decide  # a field read is a property call: once, not per element
 
     def decide(xs: Sequence[A], ys: Sequence[A]) -> Decision:
         if len(xs) != len(ys):
             return _refutes("lengths differ: {} <> {}", len(xs), len(ys))
         for x, y in zip(xs, ys):
-            verdict = elem.eq_decide(x, y)
+            verdict = elem_decide(x, y)
             if isinstance(verdict, Refutes):
                 return _refutes("elements differ: {}", _later(elem.render_eq, x, y))
         return _EQ_REFL

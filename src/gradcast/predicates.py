@@ -26,7 +26,6 @@ of its input, so predicates can be shared freely across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Generic, Sequence, TypeVar
 
 from .records import record
@@ -118,8 +117,7 @@ def _refutes(text: str, *args: object) -> Refutes:
     return Refutes(Evidence(text, args, _EVIDENCE_KEY))
 
 
-@dataclass(frozen=True)
-class Pred(Generic[A]):
+class Pred(record("decide", "render"), Generic[A]):
     """A decidable unary property over ``A``.
 
     ``decide`` must terminate on every input and always return the same arm
@@ -127,15 +125,13 @@ class Pred(Generic[A]):
     which is what a failed cast reports.
     """
 
-    decide: Callable[[A], Decision]
-    render: Callable[[A], str]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PredFamily(Generic[A, B]):
+class PredFamily(record("at"), Generic[A, B]):
     """An argument-indexed property: ``at(a)`` is a full :class:`Pred` over B."""
 
-    at: Callable[[A], Pred[B]]
+    __slots__ = ()
 
 
 def p_true() -> Pred[Any]:
@@ -290,23 +286,18 @@ def p_relate(witness: Callable[[A], bool], render: Callable[[A], str]) -> Pred[A
     return Pred(decide=decide, render=render)
 
 
-@dataclass(frozen=True)
-class RelateDisagreement(Generic[A]):
-    value: A
-    witness_says: bool
-    reference_holds: bool
+class RelateDisagreement(record("value", "witness_says", "reference_holds"), Generic[A]):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RelateReport(Generic[A]):
+class RelateReport(record("checked", "disagreements"), Generic[A]):
     """Result of sampling a boolean witness against a reference decider.
 
     An empty ``disagreements`` tuple means the witness respected the reference
     on every sample.
     """
 
-    checked: int
-    disagreements: tuple[RelateDisagreement[A], ...]
+    __slots__ = ()
 
     @property
     def agrees(self) -> bool:

@@ -1,12 +1,13 @@
-"""Slotted, read-only records: a frozen dataclass's interface without its
-per-field ``object.__setattr__`` on every construction.
+"""Slotted, read-only records: the one layout of every value type.
 
-The per-operation types (``Holds``, ``Refutes``, ``Attested``, ``FailedCast``,
-``Rat``) use this layout, private slots behind read-only properties, as the
-cheapest read-only one to build: about 265 ns for three fields against 870 ns
-for a frozen dataclass, at 55 ns per field read against 20 ns (``timeit``,
-Python 3.11.7, 2-core x86).  Only the public names are read-only: the private
-slots stay writable, so ``r.value._top = 10`` succeeds.
+``Pred``, ``EqDec``, ``BinOp``, ``IList``, ``Attested``, ``Rat``, ``CliConfig``
+and every other value type keep private slots behind read-only properties:
+three fields build in about 0.3 µs against 0.9 µs for a frozen dataclass, at
+55 ns per field read against 20 ns (``timeit``, Python 3.11.7, 2-core x86), and
+``copy``, ``deepcopy`` and ``pickle`` work.  Public slots refusing assignment in
+``__setattr__`` read faster, but cost ``casts`` 2.7% in op_p50_us, broke copy
+and pickle, and needed a second layout.  Only the public names are read-only:
+the private slots stay writable, so ``r.value._top = 10`` succeeds.
 """
 
 from __future__ import annotations

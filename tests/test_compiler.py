@@ -203,7 +203,7 @@ def test_parse_exp_numeral_over_int_digit_limit_is_a_parse_error():
 
 def test_format_parse_roundtrip_at_depth_ten_thousand():
     # Canonical text: every subtraction nests to the right, so each level
-    # needs parentheses.  Compare text, since dataclass == recurses.
+    # needs parentheses.  Compare text, since record == recurses.
     depth = 10_000
     text = "1 - (" * depth + "1 - 2" + ")" * depth
     assert format_exp(parse_exp(text)) == text

@@ -5,9 +5,13 @@ joins it on first read; ``spec`` formats every summary while deciding.  On
 random predicate trees both must give the same arm, summary, render, or the
 same exception.  The hazards of deferral get their own tests: values mutated
 after a decision, brace text from callers, deep chains, concurrent first
-reads, and the read-only records that carry the evidence.
+reads, and the read-only record layout that carries the evidence and every
+other value type.
 """
 
+import copy
+import pickle
+import subprocess
 import sys
 import threading
 
@@ -16,9 +20,21 @@ from hypothesis import given, settings, strategies as st
 
 import gradcast
 import spec
-from gradcast.casts import Attested, FailedCast, cast, proj1
-from gradcast.instances import _EQ_REFL
-from gradcast.predicates import Evidence, Holds, Refutes
+from gradcast.casts import Attested, FailedCast, FailureMode, cast, proj1
+from gradcast.cli import BenchReport, CliConfig
+from gradcast.compiler import BinOp, Binop, Const, IBinop, IConst, parse_exp
+from gradcast.hocasts import IList
+from gradcast.instances import _EQ_REFL, EqDec
+from gradcast.predicates import (
+    Evidence,
+    Holds,
+    Pred,
+    PredFamily,
+    Refutes,
+    RelateDisagreement,
+    RelateReport,
+)
+from gradcast.rationals import IrredStrategy
 
 LIB, REF = gradcast, spec
 
@@ -383,6 +399,116 @@ def test_records_construct_match_print_compare_and_hash_like_dataclasses():
                 assert value_text == "15"
             case _:
                 pytest.fail(f"no pattern matched {verdict!r}")
+
+
+# Every value type, built from fields whose repr is stable and that pickle.
+VALUE_TYPES = [
+    (Pred, (bool, str), "Pred(decide=<class 'bool'>, render=<class 'str'>)"),
+    (PredFamily, (len,), "PredFamily(at=<built-in function len>)"),
+    (
+        RelateDisagreement,
+        (3, True, False),
+        "RelateDisagreement(value=3, witness_says=True, reference_holds=False)",
+    ),
+    (
+        RelateReport,
+        (2, (RelateDisagreement(3, True, False),)),
+        "RelateReport(checked=2, disagreements=(RelateDisagreement(value=3, "
+        "witness_says=True, reference_holds=False),))",
+    ),
+    (EqDec, (divmod, str), "EqDec(eq_decide=<built-in function divmod>, render_value=<class 'str'>)"),
+    (Const, (7,), "Const(value=7)"),
+    (
+        BinOp,
+        (Binop.MINUS, Const(1), Const(2)),
+        "BinOp(op=<Binop.MINUS: 'Minus'>, left=Const(value=1), right=Const(value=2))",
+    ),
+    (IConst, (0,), "IConst(value=0)"),
+    (IBinop, (Binop.TIMES,), "IBinop(op=<Binop.TIMES: 'Times'>)"),
+    (IList, (2, (0, 5)), "IList(length=2, items=(0, 5))"),
+    (
+        BenchReport,
+        (5, 6, 1, {IrredStrategy.GCD: 0.5}),
+        "BenchReport(top=5, bottom=6, repetitions=1, medians={<IrredStrategy.GCD: 'gcd'>: 0.5})",
+    ),
+    (
+        CliConfig,
+        (FailureMode.EAGER, "fixed", IrredStrategy.BOUNDED),
+        "CliConfig(mode=<FailureMode.EAGER: 'eager'>, compiler_variant='fixed', "
+        "strategy=<IrredStrategy.BOUNDED: 'bounded'>)",
+    ),
+]
+
+
+def fields_by_keyword_pattern(value):
+    match value:
+        case Pred(decide=decide, render=render):
+            return decide, render
+        case PredFamily(at=at):
+            return (at,)
+        case RelateDisagreement(value=v, witness_says=w, reference_holds=r):
+            return v, w, r
+        case RelateReport(checked=checked, disagreements=disagreements):
+            return checked, disagreements
+        case EqDec(eq_decide=eq_decide, render_value=render_value):
+            return eq_decide, render_value
+        case Const(value=v) | IConst(value=v):
+            return (v,)
+        case BinOp(op=op, left=left, right=right):
+            return op, left, right
+        case IBinop(op=op):
+            return (op,)
+        case IList(length=length, items=items):
+            return length, items
+        case BenchReport(top=top, bottom=bottom, repetitions=reps, medians=medians):
+            return top, bottom, reps, medians
+        case CliConfig(mode=mode, compiler_variant=variant, strategy=strategy):
+            return mode, variant, strategy
+    pytest.fail(f"no pattern matched {value!r}")
+
+
+@pytest.mark.parametrize(
+    "cls, args, shown", VALUE_TYPES, ids=[cls.__name__ for cls, _, _ in VALUE_TYPES]
+)
+def test_every_value_type_is_a_record_with_the_dataclass_contract(cls, args, shown):
+    value = cls(*args)
+    assert value == cls(**dict(zip(cls.__match_args__, args)))
+    assert fields_by_keyword_pattern(value) == args
+    assert repr(value) == shown
+    assert value != args
+    try:
+        expected_hash = hash(args)
+    except TypeError:  # a dict field: unhashable, as a frozen dataclass was
+        with pytest.raises(TypeError):
+            hash(value)
+    else:
+        assert hash(value) == expected_hash
+    for name in cls.__match_args__:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is cls and twin == value
+
+
+def test_value_type_reprs_are_pinned_through_their_constructors():
+    assert repr(parse_exp("1+2*3")) == (
+        "BinOp(op=<Binop.PLUS: 'Plus'>, left=Const(value=1), right=BinOp(op=<Binop.TIMES: "
+        "'Times'>, left=Const(value=2), right=Const(value=3)))"
+    )
+    assert repr(CliConfig()) == (
+        "CliConfig(mode=<FailureMode.LAZY: 'lazy'>, compiler_variant='buggy', "
+        "strategy=<IrredStrategy.GCD: 'gcd'>)"
+    )
+    assert CliConfig() == CliConfig(FailureMode.LAZY, "buggy", IrredStrategy.GCD)
+
+
+def test_importing_the_package_does_not_load_dataclasses():
+    probe = "import sys, gradcast, gradcast.cli; print('dataclasses' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_evidence_is_still_issued_only_behind_its_key():

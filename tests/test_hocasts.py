@@ -165,10 +165,15 @@ def test_build_list_preserves_length_index():
 
 
 def test_ilist_rejects_mismatched_index():
-    with pytest.raises(ValueError):
-        IList(2, (0,))
-    with pytest.raises(ValueError):
+    # Validated in order: the length, then the count, then each item.
+    with pytest.raises(TypeError, match="^natural number expected, got '2'$"):
+        IList("2", (0, 0))
+    with pytest.raises(ValueError, match="^natural number expected, got -1$"):
         IList(-1, ())
+    with pytest.raises(ValueError, match="^length index 2 does not match 1 items$"):
+        IList(2, (0,))
+    with pytest.raises(ValueError, match="^natural number expected, got -3$"):
+        IList(1, (-3,))
 
 
 def test_ilist_rendering_interleaves_index_and_element():
