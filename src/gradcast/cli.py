@@ -17,6 +17,10 @@ path: ``rat`` forces its cast with ``proj1``, so ``--time`` prints its ``TIME``
 lines after a failed cast, lazy or eager, and a ``CastFault`` reaching ``main``
 from any command prints ``FAILED_CAST`` with exit 1.  Any other exception ends
 as a one-line ``INTERNAL_ERROR`` with exit 2; output is line-oriented ASCII.
+
+Each ``cmd_*`` function takes only the values it uses and prints its own
+lines; ``main`` reads them from the parsed arguments, so every default is
+written once, in :func:`build_parser`.
 """
 
 from __future__ import annotations
@@ -28,11 +32,12 @@ import time
 from typing import Dict, Iterable, Optional
 
 from .casts import CastFault, FailureMode, proj1
-from .compiler import BinOp, Binop, Const, Exp, ParseError, checked_compile, parse_exp, runc
+from .compiler import (
+    COMPILERS, BinOp, Binop, Const, Exp, ParseError, checked_compile, parse_exp, runc
+)
 from .hocasts import cast_fun_dom
 from .instances import Nat, check_nat, pred_gt_const
 from .rationals import IrredStrategy, _require_nonzero_bottom, cast_rat
-from .records import record
 
 _BENCH_REPETITIONS = 5
 # The largest top or bottom each bounded strategy accepts.  Their worst case
@@ -43,21 +48,14 @@ _LIMIT_ERROR = "LIMIT_ERROR result exceeds the integer digit limit"
 _FAILED_CAST = "FAILED_CAST value={0.value_text} prop={0.prop_text}"  # of a CastFault
 
 
-class BenchReport(record("top", "bottom", "repetitions", "medians")):
-    """Median wall time per strategy for one (top, bottom) cast; measurement
-    only, no assertions."""
-
-    __slots__ = ()
-
-
 def bench_strategies(
     top: Nat,
     bottom: Nat,
     repetitions: int,
     strategies: Iterable[IrredStrategy] = tuple(IrredStrategy),
-) -> BenchReport:
+) -> Dict[IrredStrategy, float]:
     """Time ``cast_rat`` under each of ``strategies`` (all by default) and
-    report median seconds."""
+    return the median seconds per strategy; measurement only, no assertions."""
     check_nat(top)
     check_nat(bottom)
     _require_nonzero_bottom(bottom)
@@ -72,22 +70,14 @@ def bench_strategies(
             samples.append(time.perf_counter() - started)
         samples.sort()  # statistics.median's value, without importing statistics
         medians[strategy] = (samples[(repetitions - 1) // 2] + samples[repetitions // 2]) / 2
-    return BenchReport(top=top, bottom=bottom, repetitions=repetitions, medians=medians)
-
-
-class CliConfig(record("mode", "compiler_variant", "strategy")):
-    __slots__ = ()
-
-    def __init__(self, mode=FailureMode.LAZY, compiler_variant="buggy", strategy=IrredStrategy.GCD):
-        super().__init__(mode, compiler_variant, strategy)
-
-    def emit(self, line: str) -> None:
-        print(line)
+    return medians
 
 
 def exceeds_digit_limit(exp: Exp) -> bool:
     """Whether an operation in ``exp`` may pass the int-string digit limit, in
-    one pass over bit-length bounds: a*b <= la+lb, a+b <= max(la, lb)+1, a-b <= la."""
+    one pass over bit-length bounds: a*b <= la+lb, a+b <= max(la, lb)+1 and
+    a-b <= max(la, lb).  Each bound is symmetric, so it holds whichever operand
+    order a compiler runs; the buggy one computes b-a."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()  # 3.10 has none
     ceiling = int(limit * math.log2(10)) + 1 if limit else math.inf  # bits of 10**limit-1
     bounds: list[int] = []
@@ -104,92 +94,93 @@ def exceeds_digit_limit(exp: Exp) -> bool:
                 bound += right
             elif node is Binop.PLUS:
                 bound = max(bound, right) + 1
+            else:
+                bound = max(bound, right)
             if bound > ceiling:
                 return True
             bounds.append(bound)
     return False
 
 
-def cmd_check(expr_src: str, config: CliConfig) -> int:
+def cmd_check(expr_src: str, variant: str, mode: FailureMode) -> int:
     try:
         exp = parse_exp(expr_src)
     except ParseError as err:
-        config.emit(f"PARSE_ERROR offset={err.offset} {err.reason}")
+        print(f"PARSE_ERROR offset={err.offset} {err.reason}")
         return 2
     if exceeds_digit_limit(exp):
-        config.emit(_LIMIT_ERROR)
+        print(_LIMIT_ERROR)
         return 2
-    compiler = checked_compile(config.compiler_variant, config.mode)
+    compiler = checked_compile(variant, mode)
     try:  # a CastFault is main's to report
         line = f"RESULT {runc(compiler, exp)[0]}"
     except ValueError:  # parsed input is natural: only int-to-text past the digit limit
-        config.emit(_LIMIT_ERROR)
+        print(_LIMIT_ERROR)
         return 2
-    config.emit(line)
+    print(line)
     return 0
 
 
 def cmd_rat(
-    sign: str, top: str, bottom: str, config: CliConfig, time_strategies: bool = False
+    sign: str,
+    top: str,
+    bottom: str,
+    strategy: IrredStrategy,
+    mode: FailureMode,
+    time_strategies: bool = False,
 ) -> int:
     if sign not in {"+", "-"}:
-        config.emit(f"USAGE_ERROR sign must be '+' or '-', got {sign!r}")
+        print(f"USAGE_ERROR sign must be '+' or '-', got {sign!r}")
         return 2
     if not (top.isascii() and top.isdigit() and bottom.isascii() and bottom.isdigit()):
-        config.emit("USAGE_ERROR top and bottom must be decimal naturals")
+        print("USAGE_ERROR top and bottom must be decimal naturals")
         return 2
     try:
         top_n, bottom_n = int(top), int(bottom)
     except ValueError:
-        config.emit("USAGE_ERROR top or bottom exceeds the integer digit limit")
+        print("USAGE_ERROR top or bottom exceeds the integer digit limit")
         return 2
     size = max(top_n, bottom_n)
-    ceiling = BOUNDED_CEILINGS.get(config.strategy, size)
+    ceiling = BOUNDED_CEILINGS.get(strategy, size)
     if size > ceiling:
-        config.emit(
-            f"LIMIT_ERROR strategy {config.strategy.value} takes top and bottom "
-            f"up to {ceiling}"
-        )
+        print(f"LIMIT_ERROR strategy {strategy.value} takes top and bottom up to {ceiling}")
         return 2
     try:  # both regimes fault here: eager at the cast, lazy at proj1
-        rat = proj1(cast_rat(sign == "+", top_n, bottom_n, config.strategy, config.mode))
+        rat = proj1(cast_rat(sign == "+", top_n, bottom_n, strategy, mode))
     except CastFault as fault:
-        config.emit(_FAILED_CAST.format(fault))
+        print(_FAILED_CAST.format(fault))
         status = 1
     else:
-        config.emit(f"RAT sign={sign} top={rat.top} bottom={rat.bottom}")
+        print(f"RAT sign={sign} top={rat.top} bottom={rat.bottom}")
         status = 0
     if time_strategies and bottom_n != 0:
         timed = [st for st in IrredStrategy if size <= BOUNDED_CEILINGS.get(st, size)]
-        report = bench_strategies(top_n, bottom_n, _BENCH_REPETITIONS, timed)
-        for strategy in IrredStrategy:
-            if strategy in report.medians:
-                config.emit(f"TIME {strategy.value} {report.medians[strategy]:.6f}")
+        medians = bench_strategies(top_n, bottom_n, _BENCH_REPETITIONS, timed)
+        for each in IrredStrategy:
+            if each in medians:
+                print(f"TIME {each.value} {medians[each]:.6f}")
             else:
-                config.emit(
-                    f"TIME {strategy.value} skipped: top or bottom exceeds "
-                    f"{BOUNDED_CEILINGS[strategy]}"
-                )
+                print(f"TIME {each.value} skipped: top or bottom exceeds {BOUNDED_CEILINGS[each]}")
     return status
 
 
-def cmd_demo_regimes(config: CliConfig, probe_value: int = 0) -> int:
+def cmd_demo_regimes(probe_value: int = 0) -> int:
     """Run a function that ignores its argument through a domain cast at an
     argument violating the precondition, once per failure regime."""
     if probe_value < 0:
-        config.emit(f"USAGE_ERROR --value must be a natural number, got {probe_value}")
+        print(f"USAGE_ERROR --value must be a natural number, got {probe_value}")
         return 2
 
     def ignore_argument(_refined: object) -> int:
         return 1
 
     lazily = cast_fun_dom(pred_gt_const(0), ignore_argument, FailureMode.LAZY)
-    config.emit(f"LAZY: {lazily(probe_value)}")
+    print(f"LAZY: {lazily(probe_value)}")
     eagerly = cast_fun_dom(pred_gt_const(0), ignore_argument, FailureMode.EAGER)
     try:
-        config.emit(f"EAGER: {eagerly(probe_value)}")
+        print(f"EAGER: {eagerly(probe_value)}")
     except CastFault as fault:
-        config.emit(f"EAGER: {fault.message}")
+        print(f"EAGER: {fault.message}")
     return 0
 
 
@@ -205,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
         "check", help="compile an expression with a checked compiler and run it"
     )
     check.add_argument("expr", help="arithmetic expression, e.g. '(2+2)*3'")
-    check.add_argument("--compiler", choices=["buggy", "fixed"], default="buggy")
+    check.add_argument("--compiler", choices=list(COMPILERS), default="buggy")
     check.add_argument("--mode", choices=modes, default="lazy")
 
     rat = sub.add_parser("rat", help="cast a fraction into a checked rational")
@@ -231,23 +222,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    config = CliConfig(
-        mode=FailureMode(getattr(args, "mode", "lazy")),
-        compiler_variant=getattr(args, "compiler", "buggy"),
-        strategy=IrredStrategy(getattr(args, "strategy", "gcd")),
-    )
     try:
         if args.command == "check":
-            return cmd_check(args.expr, config)
+            return cmd_check(args.expr, args.compiler, FailureMode(args.mode))
         if args.command == "rat":
-            return cmd_rat(args.sign, args.top, args.bottom, config, args.time_strategies)
-        return cmd_demo_regimes(config, probe_value=args.value)
+            strategy, mode = IrredStrategy(args.strategy), FailureMode(args.mode)
+            return cmd_rat(args.sign, args.top, args.bottom, strategy, mode, args.time_strategies)
+        return cmd_demo_regimes(args.value)
     except CastFault as fault:
-        config.emit(_FAILED_CAST.format(fault))
+        print(_FAILED_CAST.format(fault))
         return 1
     except Exception as err:  # noqa: BLE001 - the boundary: no traceback reaches the user
         detail = " ".join(str(err).split())  # one line, whatever the message
-        config.emit(f"INTERNAL_ERROR {type(err).__name__} {detail}".rstrip())
+        print(f"INTERNAL_ERROR {type(err).__name__} {detail}".rstrip())
         return 2
 
 

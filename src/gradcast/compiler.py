@@ -16,6 +16,9 @@ products.
 
 Parsing, compiling, evaluating and running each walk their input once with
 an explicit stack, so they take linear time and accept any nesting depth.
+The record ``==``, ``hash`` and ``repr`` of a tree do not: they recurse once
+per level, so they raise ``RecursionError`` near the interpreter's recursion
+limit (at depth 1000 under the default limit; depth 300 works).
 Each node costs only its own work: the parser splits the text into tokens
 with one regular expression, leaves with the same numeral share one
 ``Const`` within a parse and equal ``int`` constants share one ``IConst``

@@ -11,9 +11,10 @@ Three interchangeable irreducibility deciders are provided.  The two bounded
 ones enumerate candidate divisor triples up to max(top, bottom); they differ
 only in the number representation used for the multiplications and
 comparisons (:class:`Peano` unary naturals versus machine integers), which is
-exactly what separates their running times.  The gcd decider replaces the
-enumeration with ``gcd(top, bottom) = 1`` via the declared-equivalence
-combinator, so its refutation still names the irreducibility proposition.
+exactly what separates their running times.  The gcd strategy replaces the
+enumeration with ``gcd(top, bottom) = 1``: :func:`cast_rat` decides it as
+``gcd(top, bottom) == 1``, and :func:`irreducible_gcd`'s evidence names the
+gcd equation plus the justification of its declared equivalence.
 
 :func:`cast_rat` reads only the arm of each decision.  Its results are the
 cast core's records, so ``proj1``, ``proj2`` and ``==`` apply: an
@@ -103,13 +104,6 @@ class Peano:
     def __init__(self, count: int = 0) -> None:
         self.count = check_nat(count)
 
-    @classmethod
-    def from_int(cls, n: int) -> "Peano":
-        return cls(check_nat(n))
-
-    def to_int(self) -> int:
-        return self.count
-
     def mul(self, other: "Peano") -> "Peano":
         total = 0
         for _ in range(self.count):
@@ -134,7 +128,7 @@ class NatArith(record("name", "lift", "mul", "equal")):
     __slots__ = ()
 
 
-PEANO_ARITH = NatArith(name="peano", lift=Peano.from_int, mul=Peano.mul, equal=Peano.equals)
+PEANO_ARITH = NatArith(name="peano", lift=Peano, mul=Peano.mul, equal=Peano.equals)
 MACHINE_ARITH = NatArith(name="machine", lift=lambda n: n, mul=mul, equal=eq)
 
 
@@ -214,8 +208,9 @@ _GCD_IRREDUCIBLE = p_equivalent(
 def irreducible_gcd(top: Nat, bottom: Nat) -> Decision:
     """Decide irreducibility as gcd(top, bottom) = 1.
 
-    Wrapped in the declared-equivalence combinator so a refutation still
-    renders the irreducibility proposition rather than the gcd equation.
+    Wrapped in the declared-equivalence combinator: the summary names the gcd
+    equation plus the justification, and the predicate renders the
+    irreducibility proposition.
     """
     check_nat(top)
     check_nat(bottom)

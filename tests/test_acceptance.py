@@ -26,7 +26,7 @@ from gradcast.casts import (
     proj2,
     try_cast,
 )
-from gradcast.cli import CliConfig, bench_strategies, cmd_demo_regimes
+from gradcast.cli import bench_strategies, cmd_demo_regimes
 from gradcast.compiler import (
     Binop,
     checked_compile,
@@ -118,7 +118,7 @@ def test_criterion_1_golden_outputs(capsys):
     non_empty_build = cast_forall_range(positive_length, build_list)
     expect("non_empty_build(0)", non_empty_build(0), FailedCast("Nil", "1 <= 0"))
 
-    status = cmd_demo_regimes(CliConfig())
+    status = cmd_demo_regimes()
     demo_lines = capsys.readouterr().out.splitlines()
     expect("demo exit", status, 0)
     expect("demo lines", demo_lines, ["LAZY: 1", "EAGER: Cast has failed"])
@@ -207,9 +207,9 @@ def test_criterion_3_rational_strategy_equivalence():
 
 def test_criterion_4_performance_ordering():
     reportt = bench_strategies(30, 42, 5)
-    gcd_t = reportt.medians[IrredStrategy.GCD]
-    binary_t = reportt.medians[IrredStrategy.BINARY_BOUNDED]
-    bounded_t = reportt.medians[IrredStrategy.BOUNDED]
+    gcd_t = reportt[IrredStrategy.GCD]
+    binary_t = reportt[IrredStrategy.BINARY_BOUNDED]
+    bounded_t = reportt[IrredStrategy.BOUNDED]
     ok = gcd_t * 2 <= binary_t and binary_t * 2 <= bounded_t
     report(4, "performance ordering", ok)
     assert ok, (gcd_t, binary_t, bounded_t)

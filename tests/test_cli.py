@@ -14,7 +14,7 @@ import gradcast.cli as cli
 import gradcast.compiler as compiler
 from gradcast.casts import CastFault
 from gradcast.cli import BOUNDED_CEILINGS, bench_strategies, exceeds_digit_limit, main
-from gradcast.compiler import parse_exp
+from gradcast.compiler import COMPILERS, BinOp, Binop, Const, parse_exp
 from gradcast.rationals import IrredStrategy
 
 
@@ -254,7 +254,7 @@ def test_bench_median_is_statistics_median(samples):
     ticks = iter([tick for sample in samples for tick in (0.0, sample)])
     with mock.patch.object(cli, "time", SimpleNamespace(perf_counter=ticks.__next__)):
         report = bench_strategies(5, 6, len(samples), [IrredStrategy.GCD])
-    assert report.medians[IrredStrategy.GCD] == statistics.median(samples)
+    assert report[IrredStrategy.GCD] == statistics.median(samples)
 
 
 _WORDS = st.sampled_from(
@@ -262,10 +262,13 @@ _WORDS = st.sampled_from(
      "fixed", "--strategy", "bounded", "binary", "gcd", "--time", "--value", "+", "-",
      "-h", "--", "2-1", "(2+2)*3", "1 2", "0", "3000", "3001", "9" * 5000, "-1"]
 )
-# Products of up to 100 numerals of up to 4300 nines: the bit-length pass
-# refuses the long ones before anything is evaluated.
+# Products of up to 100 factors, each N or (1-N) for N of up to 4300 nines: the
+# bit-length pass refuses the long ones before anything is evaluated.
+_NINES = st.integers(1, 4300).map(lambda digits: "9" * digits)
 _PRODUCTS = st.builds(
-    lambda digits, n: "*".join(["9" * digits] * n), st.integers(1, 4300), st.integers(1, 100)
+    lambda factor, n: "*".join([factor] * n),
+    _NINES | _NINES.map(lambda nines: f"(1-{nines})"),
+    st.integers(1, 100),
 )
 _ARGS = st.one_of(_WORDS, _WORDS, st.integers(0, 40).map(str), st.text(max_size=8), _PRODUCTS)
 _ARGVS = st.one_of(
@@ -333,6 +336,30 @@ def test_check_refuses_a_long_product_before_evaluating_it(capsys, monkeypatch):
     assert (status, lines, len(calls)) == (0, ["RESULT 4"], 1)
 
 
+def test_check_refuses_a_long_product_of_differences_in_either_operand_order(
+    capsys, monkeypatch
+):
+    # The buggy compiler runs N-1 where the text says 1-N, so the bound on a
+    # difference must cover both orders.
+    calls = []
+
+    def counting(name):
+        original = getattr(compiler, name)
+
+        def call(*args):
+            calls.append(name)
+            return original(*args)
+
+        return call
+
+    for name in ("eval_exp", "run_prog"):
+        monkeypatch.setattr(compiler, name, counting(name))
+    expr = "*".join(["(1-" + "9" * 4000 + ")"] * 100)
+    status, lines = run_cli(capsys, "check", expr)
+    assert (status, lines) == (2, ["LIMIT_ERROR result exceeds the integer digit limit"])
+    assert calls == []
+
+
 BIG = "9" * 2200
 
 
@@ -356,8 +383,41 @@ def test_digit_bound_follows_the_interpreter_limit(monkeypatch):
     product = parse_exp(f"{BIG}*{BIG}")
     assert exceeds_digit_limit(product)
     assert not exceeds_digit_limit(parse_exp(f"{BIG}+{BIG}-{BIG}"))
+    assert exceeds_digit_limit(parse_exp(f"(1-{BIG})*(1-{BIG})"))  # either operand order
     monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0, raising=False)
     assert not exceeds_digit_limit(product)  # a limit of 0 bounds nothing
     monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
     assert exceeds_digit_limit(product)  # no limit to ask: CPython's default 4300
     assert not exceeds_digit_limit(parse_exp("9" * 4300))
+
+
+def _mirrored(e):
+    """``e`` with the operands of every operation swapped."""
+    if isinstance(e, Const):
+        return e
+    return BinOp(e.op, _mirrored(e.right), _mirrored(e.left))
+
+
+_TREES = st.recursive(
+    st.integers(0, 4400).map(lambda digits: Const(10**digits - 1 if digits else 0)),
+    lambda sub: st.builds(BinOp, st.sampled_from(list(Binop)), sub, sub),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TREES)
+def test_digit_bound_does_not_depend_on_operand_order(tree):
+    # A compiler may run either operand order (the buggy one runs b-a for
+    # a-b), so the refusal must not depend on it.
+    assert exceeds_digit_limit(tree) == exceeds_digit_limit(_mirrored(tree))
+
+
+@pytest.mark.parametrize("variant", list(COMPILERS))
+def test_compiler_option_takes_every_compiler_variant(capsys, variant):
+    assert cli.build_parser().parse_args(["check", "2+2"]).compiler == "buggy"
+    status, lines = run_cli(capsys, "check", "(2+2)*3", "--compiler", variant)
+    assert (status, lines) == (0, ["RESULT 12"])
+    with pytest.raises(SystemExit):
+        main(["check", "2+2", "--compiler", variant + "x"])
+    assert "invalid choice" in capsys.readouterr().err
