@@ -24,8 +24,9 @@ with one regular expression, leaves with the same numeral share one
 ``Const`` within a parse and equal ``int`` constants share one ``IConst``
 within a compile, operations are picked by identity, and an operand is
 checked inline, reaching ``check_nat`` only when it is not a plain natural.
-A failed check renders from the stack its decision observed, so it runs the
-program once.
+The loops read each field once, from its private slot.  The correctness
+check runs each program once: rendering a failed check and :func:`runc` on
+an attested one reuse the stack the decision observed.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import Callable, Optional, Union
 from .casts import FailureMode, Refined, proj1
 from .hocasts import cast_forall_range
 from .instances import Nat, check_nat, eq_list, eq_nat, eq_option
-from .predicates import Decision, Pred, PredFamily, Refutes
+from .predicates import Decision, Pred, PredFamily
 from .records import record
 from .render import show_value
 
@@ -84,26 +85,15 @@ def _show_ibinop(instr: IBinop) -> str:
     return f"iBinop {instr.op.value}"
 
 
-def eval_binop(b: Binop, x: Nat, y: Nat) -> Nat:
-    check_nat(x)
-    check_nat(y)
-    if b is Binop.PLUS:
-        return x + y
-    if b is Binop.MINUS:
-        return x - y if x >= y else 0
-    return x * y
-
-
 _PLUS, _MINUS, _TIMES = Binop.PLUS, Binop.MINUS, Binop.TIMES
 
 # Marks, on an explicit traversal stack, that the operands of the BinOp
 # pushed just beneath it have been visited.
 _OPERANDS_DONE = object()
 
-# The loops below inline eval_binop: an operand that is not a plain int >= 0
-# goes through check_nat, first x then y, so errors are eval_binop's; the
-# operation is picked by identity, and any op other than PLUS or MINUS
-# multiplies, as in eval_binop.
+# The loops below apply x OP y inline: an operand that is not a plain int >= 0
+# goes through check_nat, x first; the op is picked by identity, subtraction
+# truncates at zero, and any op other than PLUS or MINUS multiplies.
 
 
 def eval_exp(e: Exp) -> Nat:
@@ -116,7 +106,7 @@ def eval_exp(e: Exp) -> Nat:
     while todo:
         node = pop()
         if node is _OPERANDS_DONE:
-            op = pop().op
+            op = pop()._op
             y = pop_value()
             x = values[-1]
             if not (type(x) is int and x >= 0):
@@ -130,18 +120,13 @@ def eval_exp(e: Exp) -> Nat:
             else:
                 values[-1] = x * y
         elif isinstance(node, Const):
-            value = node.value
+            value = node._value
             push(value if type(value) is int and value >= 0 else check_nat(value))
         elif isinstance(node, BinOp):
-            todo += (node, _OPERANDS_DONE, node.right, node.left)
+            todo += (node, _OPERANDS_DONE, node._right, node._left)
         else:
             raise TypeError(f"not an expression: {node!r}")
     return values[0]
-
-
-def run_instr(i: Instr, s: Stack) -> Optional[Stack]:
-    """Execute one instruction; see :func:`run_prog`."""
-    return run_prog([i], s)
 
 
 def run_prog(p: Prog, s: Stack) -> Optional[Stack]:
@@ -155,11 +140,11 @@ def run_prog(p: Prog, s: Stack) -> Optional[Stack]:
     push, pop = stack.append, stack.pop
     for instr in p:
         if isinstance(instr, IConst):
-            push(instr.value)
+            push(instr._value)
         elif isinstance(instr, IBinop):
             if len(stack) < 2:
                 return None
-            op = instr.op
+            op = instr._op
             x = pop()
             y = stack[-1]
             if not (type(x) is int and x >= 0):
@@ -194,13 +179,13 @@ def _compile(e: Exp, left_first: bool) -> Prog:
     while todo:
         node = pop()
         if node is _OPERANDS_DONE:
-            op = pop().op
+            op = pop()._op
             emit(
                 _IPLUS if op is _PLUS else _IMINUS if op is _MINUS
                 else _ITIMES if op is _TIMES else _IBINOP[op]
             )
         elif isinstance(node, Const):
-            value = node.value
+            value = node._value
             if type(value) is int:
                 instr = iconsts.get(value)
                 if instr is None:
@@ -210,9 +195,9 @@ def _compile(e: Exp, left_first: bool) -> Prog:
                 emit(IConst(value))
         elif isinstance(node, BinOp):
             if left_first:
-                todo += (node, _OPERANDS_DONE, node.right, node.left)
+                todo += (node, _OPERANDS_DONE, node._right, node._left)
             else:
-                todo += (node, _OPERANDS_DONE, node.left, node.right)
+                todo += (node, _OPERANDS_DONE, node._left, node._right)
         else:
             raise TypeError(f"not an expression: {node!r}")
     return prog
@@ -231,36 +216,43 @@ def compile_fixed(e: Exp) -> Prog:
 _RESULT_EQ = eq_option(eq_list(eq_nat()))
 
 
+class _ProgCheck:
+    """What ``correct_prog(e)`` expects, and what its last decision ran and saw."""
+
+    __slots__ = ("expected", "last")
+
+    def __init__(self, expected: Stack) -> None:
+        self.expected = expected
+        self.last: tuple[tuple, Optional[Stack]] = ((), [])  # () runs to []
+
+    def run(self, p: Prog) -> Optional[Stack]:
+        """``run_prog(p, [])``, copied from the last decision's stack when ``p``
+        holds the very instructions it ran (compared by identity)."""
+        snapshot, stack = self.last
+        if len(p) != len(snapshot) or not all(map(is_, p, snapshot)):
+            return run_prog(p, [])
+        return None if stack is None else stack.copy()
+
+    def decide(self, p: Prog) -> Decision:
+        snapshot = tuple(p)
+        stack = run_prog(snapshot, [])
+        self.last = (snapshot, stack)
+        return _RESULT_EQ.eq_decide(stack, self.expected)
+
+    def render(self, p: Prog) -> str:
+        return _RESULT_EQ.render_eq(self.run(p), self.expected)
+
+
 def correct_prog(e: Exp) -> Pred[Prog]:
     """The property of programs: running on an empty stack yields exactly the
     interpreter's value for ``e``.  Decided by synthesized equality over
     optional stacks.
 
-    ``render`` reuses the stack that ``decide`` observed for the last refuted
-    program, so a failed check runs the program once; a program whose
-    instructions have changed since is run again."""
-    expected: Optional[Stack] = [eval_exp(e)]
-    # (snapshot of the instructions, stack they ran to) for the last refutation.
-    refuted: Optional[tuple[tuple, Optional[Stack]]] = None
-
-    def decide(p: Prog) -> Decision:
-        nonlocal refuted
-        snapshot = tuple(p)
-        result = run_prog(snapshot, [])
-        verdict = _RESULT_EQ.eq_decide(result, expected)
-        refuted = (snapshot, result) if isinstance(verdict, Refutes) else None
-        return verdict
-
-    def render(p: Prog) -> str:
-        last = refuted
-        if last is not None:
-            snapshot, result = last
-            current = tuple(p)
-            if len(current) == len(snapshot) and all(map(is_, current, snapshot)):
-                return _RESULT_EQ.render_eq(result, expected)
-        return _RESULT_EQ.render_eq(run_prog(p, []), expected)
-
-    return Pred(decide=decide, render=render)
+    Each decision keeps the stack its program ran to; ``render`` and
+    :func:`runc` reuse it while the program holds the instructions that ran,
+    so a checked program runs once.  A changed program is run again."""
+    state = _ProgCheck([eval_exp(e)])
+    return Pred(decide=state.decide, render=state.render)
 
 
 COMPILERS: dict[str, Callable[[Exp], Prog]] = {
@@ -285,8 +277,13 @@ def runc(c: Callable[[Exp], Refined], e: Exp) -> Optional[Stack]:
 
     Projects the compiled program out of the refined wrapper first, so a
     failed compilation cast faults here rather than producing a wrong answer.
+    A program attested by :func:`correct_prog` is not run again while it
+    holds the instructions its decision ran: a copy of their stack is returned.
     """
-    return run_prog(proj1(c(e)), [])
+    refined = c(e)
+    prog = proj1(refined)
+    state = getattr(refined.pred.decide, "__self__", None)
+    return state.run(prog) if type(state) is _ProgCheck else run_prog(prog, [])
 
 
 class ParseError(Exception):

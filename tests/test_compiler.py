@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from exprgen import ALL_OPS, COMMUTATIVE_OPS, exprs_by_op_count, random_exp
-from gradcast.casts import Attested, CastFault, FailedCast
+from gradcast.casts import Attested, CastFault, FailedCast, FailureMode, proj1
 from gradcast.compiler import (
+    COMPILERS,
     BinOp,
     Binop,
     Const,
@@ -15,16 +17,16 @@ from gradcast.compiler import (
     compile_buggy,
     compile_fixed,
     correct_prog,
-    eval_binop,
     eval_exp,
     format_exp,
     parse_exp,
-    run_instr,
     run_prog,
     runc,
 )
-from gradcast.predicates import Holds, Pred
+from gradcast.hocasts import cast_fun_range
+from gradcast.predicates import Holds, Pred, p_true
 from gradcast.render import show_value
+from test_compiler_kernels import ref_eval_binop
 
 MINUS_2_1 = BinOp(Binop.MINUS, Const(2), Const(1))
 PLUS_2_2 = BinOp(Binop.PLUS, Const(2), Const(2))
@@ -35,10 +37,15 @@ def holds(decision):
 
 
 def test_eval_binop():
-    assert eval_binop(Binop.MINUS, 1, 2) == 0  # natural subtraction truncates
-    assert eval_binop(Binop.PLUS, 2, 2) == 4
-    assert eval_binop(Binop.TIMES, 3, 0) == 0
-    assert eval_binop(Binop.MINUS, 5, 3) == 2
+    assert ref_eval_binop(Binop.MINUS, 1, 2) == 0  # natural subtraction truncates
+    assert ref_eval_binop(Binop.PLUS, 2, 2) == 4
+    assert ref_eval_binop(Binop.TIMES, 3, 0) == 0
+    assert ref_eval_binop(Binop.MINUS, 5, 3) == 2
+    # The machine applies the same operation to its top two entries.
+    assert run_prog([IBinop(Binop.MINUS)], [1, 2]) == [0]
+    assert run_prog([IBinop(Binop.PLUS)], [2, 2]) == [4]
+    assert run_prog([IBinop(Binop.TIMES)], [3, 0]) == [0]
+    assert run_prog([IBinop(Binop.MINUS)], [5, 3]) == [2]
 
 
 def test_eval_exp():
@@ -47,10 +54,10 @@ def test_eval_exp():
     assert eval_exp(Const(5)) == 5
 
 
-def test_run_instr():
-    assert run_instr(IConst(3), []) == [3]
-    assert run_instr(IBinop(Binop.MINUS), [1, 2]) == [eval_binop(Binop.MINUS, 1, 2)]
-    assert run_instr(IBinop(Binop.PLUS), [5]) is None
+def test_run_prog_one_instruction():
+    assert run_prog([IConst(3)], []) == [3]
+    assert run_prog([IBinop(Binop.MINUS)], [1, 2]) == [ref_eval_binop(Binop.MINUS, 1, 2)]
+    assert run_prog([IBinop(Binop.PLUS)], [5]) is None
 
 
 def test_run_prog():
@@ -240,7 +247,9 @@ def test_eval_compile_run_and_format_reject_invalid_input():
     assert stack == [1, 2]
 
 
-def test_attested_compile_runs_the_program_twice_and_renders_nothing(monkeypatch):
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of run_prog calls and of renders by correct_prog's predicates."""
     import gradcast.compiler as compiler
 
     calls = {"run_prog": 0, "render": 0}
@@ -261,19 +270,78 @@ def test_attested_compile_runs_the_program_twice_and_renders_nothing(monkeypatch
 
     monkeypatch.setattr(compiler, "run_prog", counting_run_prog)
     monkeypatch.setattr(compiler, "correct_prog", counting_correct_prog)
+    return calls
+
+
+def test_attested_compile_runs_the_program_once_and_renders_nothing(calls):
     e = parse_exp("(3 - 1) * 4 + 2")
     assert runc(checked_compile("fixed"), e) == [10]
+    assert calls == {"run_prog": 1, "render": 0}
+    assert runc(checked_compile("fixed", FailureMode.EAGER), e) == [10]
     assert calls == {"run_prog": 2, "render": 0}
 
     refined = checked_compile("fixed")(e)
     assert refined.prop_text == "Some (10 :: nil) = Some (10 :: nil)"
-    assert calls["render"] == 1
+    assert calls == {"run_prog": 3, "render": 1}
 
     # A failed check renders from the stack its decision observed: one run.
     calls.update(run_prog=0, render=0)
     with pytest.raises(CastFault):
         runc(checked_compile("buggy"), MINUS_2_1)
     assert calls == {"run_prog": 1, "render": 1}
+
+
+def test_runc_runs_a_program_changed_after_its_cast(calls):
+    refined = checked_compile("fixed")(MINUS_2_1)
+    prog = refined.value
+    assert prog == [IConst(1), IConst(2), IBinop(Binop.MINUS)]
+    prog[0] = IConst(7)
+    assert runc(lambda _: refined, MINUS_2_1) == [0]
+    assert calls["run_prog"] == 2
+    # An equal but different instruction is a change too.
+    prog[0] = IConst(1)
+    assert runc(lambda _: refined, MINUS_2_1) == [1]
+    assert calls["run_prog"] == 3
+    prog.append(IConst(4))
+    assert runc(lambda _: refined, MINUS_2_1) == [4, 1]
+    assert calls == {"run_prog": 4, "render": 0}
+
+
+def test_runc_runs_a_program_its_own_cast_did_not_run(calls):
+    assert runc(cast_fun_range(p_true(), compile_buggy), MINUS_2_1) == [0]
+    assert calls == {"run_prog": 1, "render": 0}
+
+
+def test_runc_returns_a_new_list_each_time():
+    e = parse_exp("(3 - 1) * 4 + 2")
+    refined = checked_compile("fixed")(e)
+    first = runc(lambda _: refined, e)
+    first[0] = 0
+    first.append(99)
+    second = runc(lambda _: refined, e)
+    assert second == [10]
+    assert second is not first
+    assert runc(lambda _: refined, e) is not second
+
+
+def _outcome(fn):
+    try:
+        return ("returned", fn())
+    except CastFault as fault:
+        return ("fault", str(fault), fault.value_text, fault.prop_text)
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32),
+    st.sampled_from(sorted(COMPILERS)),
+    st.sampled_from(FailureMode),
+)
+def test_runc_agrees_with_running_the_projected_program(seed, variant, mode):
+    e = random_exp(random.Random(seed), max_depth=6)
+    checked = checked_compile(variant, mode)
+    assert _outcome(lambda: runc(checked, e)) == _outcome(
+        lambda: run_prog(proj1(checked(e)), [])
+    )
 
 
 def test_failed_check_renders_the_stack_its_decision_observed(monkeypatch):
@@ -304,7 +372,7 @@ def test_failed_check_renders_the_stack_its_decision_observed(monkeypatch):
     with pytest.raises(TypeError):
         pred.render(prog)
 
-    # A later decision that holds forgets the refuted program.
+    # A later decision replaces the program it observed.
     runs.clear()
     good = compile_fixed(MINUS_2_1)
     assert holds(pred.decide(good))

@@ -4,7 +4,7 @@ as references.
 
 The references scan the text one character at a time, build a new leaf per
 numeral, dispatch operations through Enum-keyed tables and check every
-operand through ``eval_binop``; the library must give the same tree, the
+operand through ``ref_eval_binop``; the library must give the same tree, the
 same program, the same value, or the same exception with the same message
 (for a :class:`ParseError`, the same reason and offset).
 """
