@@ -3,7 +3,8 @@
 Values are promoted into refinement-carrying wrappers by running decision
 procedures; functions are wrapped by higher-order casts that check each
 application.  Failed casts are either poisoned values whose projections fault
-(lazy regime) or immediate faults (eager regime).
+(lazy regime) or immediate faults (eager regime).  The names imported below
+are the package's public API.
 """
 
 from .casts import (
@@ -62,56 +63,3 @@ from .predicates import (
     p_true,
 )
 from .render import show_optional, show_sequence, show_value
-
-__all__ = [
-    "Attested",
-    "CastFault",
-    "Decision",
-    "EqDec",
-    "Evidence",
-    "FailedCast",
-    "FailureMode",
-    "Holds",
-    "IList",
-    "Nat",
-    "Pred",
-    "PredFamily",
-    "Refined",
-    "Refutes",
-    "RelateReport",
-    "build_list",
-    "cast",
-    "cast_forall_dom",
-    "cast_forall_range",
-    "cast_fun_dom",
-    "cast_fun_range",
-    "check_nat",
-    "check_relate_spec",
-    "dec_le",
-    "eq_bool",
-    "eq_list",
-    "eq_nat",
-    "eq_option",
-    "map_cast",
-    "p_and",
-    "p_equivalent",
-    "p_false",
-    "p_forall_bounded",
-    "p_implies",
-    "p_is_true",
-    "p_not",
-    "p_or",
-    "p_proven",
-    "p_relate",
-    "p_true",
-    "pred_equals",
-    "pred_ge_const",
-    "pred_gt_const",
-    "pred_lt_const",
-    "proj1",
-    "proj2",
-    "show_optional",
-    "show_sequence",
-    "show_value",
-    "try_cast",
-]

@@ -14,9 +14,10 @@ numeral or a ``check`` result longer than Python's integer digit limit, a
 ``check`` operation whose bit-length bound passes that limit, or a ``rat``
 too large for the bounded strategy asked for.  Both regimes share one failure
 path: ``rat`` forces its cast with ``proj1``, so ``--time`` prints its ``TIME``
-lines after a failed cast, lazy or eager, and a ``CastFault`` reaching ``main``
-from any command prints ``FAILED_CAST`` with exit 1.  Any other exception ends
-as a one-line ``INTERNAL_ERROR`` with exit 2; output is line-oriented ASCII.
+lines after a failed cast, lazy or eager; a zero bottom times nothing, as the
+deciders need a nonzero one.  A ``CastFault`` reaching ``main`` from any
+command prints ``FAILED_CAST`` with exit 1.  Any other exception ends as a
+one-line ``INTERNAL_ERROR`` with exit 2; output is line-oriented ASCII.
 
 Each ``cmd_*`` function takes only the values it uses and prints its own
 lines; ``main`` reads them from the parsed arguments, so every default is

@@ -12,14 +12,14 @@ ones enumerate candidate divisor triples up to max(top, bottom); they differ
 only in the number representation used for the multiplications and
 comparisons (:class:`Peano` unary naturals versus machine integers), which is
 exactly what separates their running times.  The gcd strategy replaces the
-enumeration with ``gcd(top, bottom) = 1``: :func:`cast_rat` decides it as
-``gcd(top, bottom) == 1``, and :func:`irreducible_gcd`'s evidence names the
-gcd equation plus the justification of its declared equivalence.
+enumeration with ``gcd(top, bottom) == 1``, which is equivalent to
+irreducibility for a nonzero denominator.
 
 :func:`cast_rat` reads only the arm of each decision.  Its results are the
 cast core's records, so ``proj1``, ``proj2`` and ``==`` apply: an
 :class:`AttestedRat` holds one shared evidence for :data:`RAT_INVARIANTS`.
-The ``irreducible_*`` functions return the evidence-bearing :class:`Decision`.
+:func:`irreducible_bounded` returns the evidence-bearing :class:`Decision`,
+whose refutation names the least counterexample triple.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Callable
 
 from .casts import Attested, CastFault, FailedCast, FailureMode, check_choice, proj1
 from .instances import Nat, check_nat
-from .predicates import Decision, Holds, Pred, _holds, _later, _refutes, p_equivalent
+from .predicates import Decision, Holds, Pred, _holds, _later, _refutes
 from .records import record
 from .render import show_value
 
@@ -188,34 +188,6 @@ def irreducible_bounded(top: Nat, bottom: Nat, arith: NatArith) -> Decision:
                         f"{y} * {x} = {top} and {z} * {x} = {bottom} with 1 <> {x}"
                     )
     return _holds(f"every divisor triple bounded by {bound} forces x = 1")
-
-
-def _decide_gcd(pair: tuple[Nat, Nat]) -> Decision:
-    top, bottom = pair
-    g = gcd(top, bottom)
-    if g == 1:
-        return _holds(f"gcd {top} {bottom} = 1")
-    return _refutes(f"gcd {top} {bottom} = {g}")
-
-
-_GCD_IRREDUCIBLE = p_equivalent(
-    Pred(decide=_decide_gcd, render=lambda pair: f"gcd {pair[0]} {pair[1]} = 1"),
-    render_override=lambda pair: _invariant_text(*pair),  # the bottom is nonzero here
-    justification="irreducibility is equivalent to gcd(top, bottom) = 1 for a nonzero bottom",
-)
-
-
-def irreducible_gcd(top: Nat, bottom: Nat) -> Decision:
-    """Decide irreducibility as gcd(top, bottom) = 1.
-
-    Wrapped in the declared-equivalence combinator: the summary names the gcd
-    equation plus the justification, and the predicate renders the
-    irreducibility proposition.
-    """
-    check_nat(top)
-    check_nat(bottom)
-    _require_nonzero_bottom(bottom)
-    return _GCD_IRREDUCIBLE.decide((top, bottom))
 
 
 # cast_rat's verdict per strategy.  The deciders are looked up as module

@@ -70,8 +70,10 @@ def test_rat_bad(capsys):
     assert lines[0].startswith("FAILED_CAST value=mkRat true 5 10 prop=")
 
 
-def test_rat_zero_bottom_names_bottom_condition(capsys):
-    status, lines = run_cli(capsys, "rat", "+", "1", "0")
+# bench_strategies needs a nonzero bottom, so --time adds no TIME line here.
+@pytest.mark.parametrize("flags", [(), ("--time", "--mode", "lazy"), ("--time", "--mode", "eager")])
+def test_rat_zero_bottom_names_bottom_condition(capsys, flags):
+    status, lines = run_cli(capsys, "rat", "+", "1", "0", *flags)
     assert status == 1
     assert lines == ["FAILED_CAST value=mkRat true 1 0 prop=0 <> 0"]
 

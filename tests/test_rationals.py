@@ -15,7 +15,6 @@ from gradcast.rationals import (
     cast_rat,
     gcd,
     irreducible_bounded,
-    irreducible_gcd,
 )
 import gradcast.rationals as rationals
 from gradcast.cli import bench_strategies
@@ -75,47 +74,6 @@ def test_both_bounded_representations_agree():
             machine = holds(irreducible_bounded(top, bottom, MACHINE_ARITH))
             peano = holds(irreducible_bounded(top, bottom, PEANO_ARITH))
             assert machine == peano == divisor_scan_irreducible(top, bottom)
-
-
-def test_irreducible_gcd_examples():
-    assert holds(irreducible_gcd(5, 6))
-    assert not holds(irreducible_gcd(5, 10))
-    for k in range(1, 12):
-        assert holds(irreducible_gcd(1, k))
-    with pytest.raises(ValueError):
-        irreducible_gcd(3, 0)
-
-
-GCD_JUSTIFICATION = (
-    " (via equivalence: irreducibility is equivalent to gcd(top, bottom) = 1 "
-    "for a nonzero bottom)"
-)
-
-
-@pytest.mark.parametrize(
-    "top, bottom, arm, summary",
-    [
-        (5, 6, Holds, "gcd 5 6 = 1"),
-        (5, 10, Refutes, "gcd 5 10 = 5"),
-        (
-            123456789012345678,
-            987654321098765431,
-            Holds,
-            "gcd 123456789012345678 987654321098765431 = 1",
-        ),
-        (
-            123456789012345678,
-            987654321098765432,
-            Refutes,
-            "gcd 123456789012345678 987654321098765432 = 2",
-        ),
-    ],
-)
-def test_irreducible_gcd_summaries(top, bottom, arm, summary):
-    verdict = irreducible_gcd(top, bottom)
-    assert type(verdict) is arm
-    evidence = verdict.evidence if arm is Holds else verdict.refutation
-    assert evidence.summary == summary + GCD_JUSTIFICATION
 
 
 def test_cast_rat_good():
