@@ -66,6 +66,9 @@ class CastFault(Exception):
         self.value_text = value_text
         self.prop_text = prop_text
 
+    def __reduce__(self) -> tuple:  # rebuilt from its fields by copy and pickle
+        return type(self), (self.value_text, self.prop_text), self.__dict__
+
 
 class Attested(record("value", "pred", "evidence"), Generic[A]):
     """A value paired with evidence that the property holds of it.

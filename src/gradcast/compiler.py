@@ -19,14 +19,14 @@ an explicit stack, so they take linear time and accept any nesting depth.
 The record ``==``, ``hash`` and ``repr`` of a tree do not: they recurse once
 per level, so they raise ``RecursionError`` near the interpreter's recursion
 limit (at depth 1000 under the default limit; depth 300 works).
-Each node costs only its own work: the parser splits the text into tokens
-with one regular expression, leaves with the same numeral share one
-``Const`` within a parse and equal ``int`` constants share one ``IConst``
-within a compile, operations are picked by identity, and an operand is
-checked inline, reaching ``check_nat`` only when it is not a plain natural.
-The loops read each field once, from its private slot.  The correctness
-check runs each program once: rendering a failed check and :func:`runc` on
-an attested one reuse the stack the decision observed.
+Each node costs only its own work: the parser splits the text with ``str``
+methods up to its first character outside the grammar, leaves with the same
+numeral share one ``Const`` within a parse and equal ``int`` constants share
+one ``IConst`` within a compile, operations are picked by identity, and an
+operand is checked inline, reaching ``check_nat`` only when not a plain natural.
+The loops and instruction renderers read each field once, from its private
+slot.  The correctness check runs each program once: rendering a failed
+check and :func:`runc` on an attested one reuse the stack the decision saw.
 """
 
 from __future__ import annotations
@@ -74,15 +74,18 @@ Instr = Union[IConst, IBinop]
 Prog = list[Instr]
 Stack = list[Nat]
 
+_IBINOP_TEXT = {b: f"iBinop {b.value}" for b in Binop}
+
 
 @show_value.register
 def _show_iconst(instr: IConst) -> str:
-    return f"iConst {instr.value}"
+    return f"iConst {instr._value}"
 
 
 @show_value.register
 def _show_ibinop(instr: IBinop) -> str:
-    return f"iBinop {instr.op.value}"
+    op = instr._op
+    return _IBINOP_TEXT[op] if type(op) is Binop else f"iBinop {op.value}"
 
 
 _PLUS, _MINUS, _TIMES = Binop.PLUS, Binop.MINUS, Binop.TIMES
@@ -295,10 +298,15 @@ class ParseError(Exception):
         self.reason = reason
         self.offset = offset
 
+    def __reduce__(self) -> tuple:  # rebuilt from its fields by copy and pickle
+        return type(self), (self.reason, self.offset), self.__dict__
+
 
 # One token per numeral (ASCII digits) or per other character; the six ASCII
-# whitespace characters separate tokens.
+# whitespace characters separate tokens.  Only an error's offset rescans with it.
 _TOKEN = re.compile(r"[0-9]+|[^ \t\r\n\f\v]")
+# A character outside the grammar: the parse fails at or before the first one.
+_FOREIGN = re.compile(r"[^0-9+*()\- \t\r\n\f\v]")
 _OPERATORS = {"+": Binop.PLUS, "-": Binop.MINUS, "*": Binop.TIMES}
 _PRECEDENCE = {Binop.PLUS: 1, Binop.MINUS: 1, Binop.TIMES: 2}
 _SYMBOL = {b: symbol for symbol, b in _OPERATORS.items()}
@@ -313,7 +321,7 @@ def _parse_error(
     """The error at token ``index``, by default naming its first character.
     The offset comes from scanning ``src`` again, which only a failing parse
     pays for."""
-    if index == len(tokens) - 1:  # the end-of-input sentinel
+    if not tokens[index]:  # the end-of-input sentinel
         offset = len(src)
     else:
         offset = next(islice(_TOKEN.finditer(src), index, None)).start()
@@ -327,12 +335,18 @@ def parse_exp(src: str) -> Exp:
     factor := NAT | '(' expr ')'``; operators are left-associative and ``*``
     binds tighter.
 
-    The text is split into tokens by one regular expression, then an
+    The text up to its first character outside the grammar is split into
+    tokens by padding ``( ) + - *`` with spaces and calling ``split()``; that
+    character, which the parse cannot get past, is the last token.  Then an
     operator-precedence loop with explicit stacks builds the tree, so any
     nesting depth is fine.  Leaves with the same numeral share one
     :class:`Const`.  A numeral too long for ``int`` is a :class:`ParseError`."""
-    tokens = _TOKEN.findall(src)
-    tokens.append("")  # end of input
+    foreign = _FOREIGN.search(src)
+    end = foreign.start() if foreign else len(src)
+    text = src[:end].replace("(", " ( ").replace(")", " ) ").replace("+", " + ")
+    tokens = text.replace("-", " - ").replace("*", " * ").split()
+    # That character is one token, even a "\xa0" that split() drops; "" if none.
+    tokens += (src[end : end + 1], "")
     consts: dict[str, Const] = {}
     operands: list[Exp] = []
     pop_operand = operands.pop

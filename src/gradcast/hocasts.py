@@ -46,11 +46,13 @@ class IList(record("length", "items")):
 def _show_ilist(value: IList) -> str:
     # Constructor notation interleaves the tail's length index with the
     # element: an IList of two zeros prints "Cons 1 0 (Cons 0 0 Nil)".
-    text = "Nil"
-    for index, item in enumerate(reversed(value.items)):
-        tail = text if text == "Nil" else f"({text})"
-        text = f"Cons {index} {show_value(item)} {tail}"
-    return text
+    items = value.items
+    if not items:
+        return "Nil"
+    last = len(items) - 1
+    parts = [f"Cons {last - i} {show_value(x)} (" for i, x in enumerate(items[:last])]
+    parts += (f"Cons 0 {show_value(items[last])} Nil", ")" * last)
+    return "".join(parts)
 
 
 def build_list(n: int) -> IList:

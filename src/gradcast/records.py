@@ -8,8 +8,8 @@ three fields build in about 0.3 µs against 0.9 µs for a frozen dataclass, at
 ``__setattr__`` read faster, but cost ``casts`` 2.7% in op_p50_us, broke copy
 and pickle, and needed a second layout.  Only the public names are read-only:
 the private slots stay writable, so ``r.value._top = 10`` succeeds.
-``compiler``'s loops read the private slots of ``Const``, ``BinOp``, ``IConst``
-and ``IBinop``, so a subclass overriding a field property is not consulted there.
+``compiler``'s loops and renderers read the private slots of ``Const``, ``BinOp``,
+``IConst`` and ``IBinop``, so a subclass overriding a field property is ignored there.
 """
 
 from __future__ import annotations

@@ -33,7 +33,8 @@ def _show_seq(value: Iterable[Any]) -> str:
     for x in value:
         show = renderers.get(x.__class__)
         if show is None:
-            show = renderers[x.__class__] = show_value.dispatch(x.__class__)
+            show = show_value.dispatch(x.__class__)  # default-rendered: str
+            show = renderers[x.__class__] = str if show is show_value.registry[object] else show
         parts.append(show(x))
     parts.append("nil")
     return " :: ".join(parts)

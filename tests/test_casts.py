@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -13,6 +15,7 @@ from gradcast.casts import (
     proj2,
     try_cast,
 )
+from gradcast.compiler import ParseError, parse_exp
 from gradcast.instances import (
     eq_list,
     eq_nat,
@@ -182,3 +185,36 @@ def test_attested_renders_prop_text_only_when_read():
     assert renders == []
     assert refined.prop_text == "5 is small"
     assert renders == [5]
+
+
+def _raised_parse_error():
+    with pytest.raises(ParseError) as info:
+        parse_exp("1 +")
+    return info.value
+
+
+def _raised_cast_fault():
+    with pytest.raises(CastFault) as info:
+        proj1(cast(LT10, 15))
+    return info.value
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: CastFault("15", "16 <= 10"),
+        lambda: ParseError("expected a number", 3),
+        lambda: try_cast(LT10, 15),
+        _raised_cast_fault,
+        _raised_parse_error,
+    ],
+    ids=["cast-fault", "parse-error", "try-cast", "raised-cast-fault", "raised-parse-error"],
+)
+def test_faults_survive_copy_deepcopy_and_pickle(make):
+    fault = make()
+    fields = ("message", "value_text", "prop_text", "reason", "offset")
+    shown = [getattr(fault, name, None) for name in fields]
+    for twin in (copy.copy(fault), copy.deepcopy(fault), pickle.loads(pickle.dumps(fault))):
+        assert type(twin) is type(fault)
+        assert str(twin) == str(fault) and twin.args == fault.args
+        assert [getattr(twin, name, None) for name in fields] == shown

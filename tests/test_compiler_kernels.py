@@ -1,6 +1,6 @@
-"""The compiler's parse, compile, evaluate and run loops against the
-straightforward loops they replaced, kept here (``check_nat`` in ``spec``)
-as references.
+"""The compiler's parse, compile, evaluate and run loops and its instruction
+renderers against the straightforward code they replaced, kept here
+(``check_nat`` in ``spec``) as references.
 
 The references scan the text one character at a time, build a new leaf per
 numeral, dispatch operations through Enum-keyed tables and check every
@@ -11,6 +11,7 @@ same program, the same value, or the same exception with the same message
 
 from typing import Optional
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradcast.compiler import (
@@ -26,6 +27,7 @@ from gradcast.compiler import (
     parse_exp,
     run_prog,
 )
+from gradcast.render import show_value
 from spec import check_nat as ref_check_nat
 
 
@@ -223,6 +225,24 @@ def test_parse_exp_matches_reference_on_near_valid_text(text, cut, suffix):
     assert outcome(parse_exp, src) == outcome(ref_parse_exp, src)
 
 
+# Numerals split by each ASCII whitespace character, and text whose first
+# character outside the grammar is followed by text that would parse
+# differently (or fail elsewhere) if it were tokenised too.
+_SPLIT_TEXTS = [f"12{space}34" for space in " \t\r\n\f\v"] + [
+    f"1+2{space}*3" for space in " \t\r\n\f\v"
+]
+_FOREIGN_TEXTS = [
+    text
+    for ch in ("\x1c", "\xa0", "٣", "\0", "x")
+    for text in (f"1+2{ch})+(3", f"(1{ch}", f"{ch}", f"7{ch}8", f"(1+2{ch}", f"1+{ch}2 2")
+]
+
+
+@pytest.mark.parametrize("src", _SPLIT_TEXTS + _FOREIGN_TEXTS + [""])
+def test_parse_exp_matches_reference_on_split_and_foreign_text(src):
+    assert outcome(parse_exp, src) == outcome(ref_parse_exp, src)
+
+
 def test_parse_exp_shares_one_leaf_per_numeral_text():
     e = parse_exp("(7 + 7) * 07")
     assert e.left.left is e.left.right
@@ -320,3 +340,35 @@ def test_run_prog_of_compiled_trees_matches_reference(e):
         except Exception:  # noqa: BLE001 - compile parity is tested above
             continue
         assert outcome(run_prog, p, []) == outcome(ref_run_prog, p, [])
+
+
+# ------------------------------------------------------------ rendering
+
+
+def ref_show_instr(instr):
+    """The instruction renderers as they read the public fields."""
+    if isinstance(instr, IConst):
+        return f"iConst {instr.value}"
+    return f"iBinop {instr.op.value}"
+
+
+def ref_show_prog(p):
+    return " :: ".join([ref_show_instr(instr) for instr in p] + ["nil"])
+
+
+@given(trees)
+def test_show_value_of_compiled_programs_matches_reference(e):
+    for compile_exp in (compile_buggy, compile_fixed):
+        try:
+            p = compile_exp(e)
+        except Exception:  # noqa: BLE001 - compile parity is tested above
+            continue
+        assert outcome(show_value, p) == outcome(ref_show_prog, p)
+        assert outcome(show_value, tuple(p)) == outcome(ref_show_prog, p)
+
+
+@pytest.mark.parametrize("op", ["Plus", [1], None, 1, *Binop])
+def test_show_value_of_an_ibinop_matches_reference(op):
+    instr = IBinop(op)
+    assert outcome(show_value, instr) == outcome(ref_show_instr, instr)
+    assert outcome(show_value, [instr]) == outcome(ref_show_prog, [instr])

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from gradcast.casts import Attested, CastFault, FailedCast, FailureMode, proj1
 from gradcast.hocasts import (
@@ -181,3 +182,25 @@ def test_ilist_rendering_interleaves_index_and_element():
     assert show_value(build_list(1)) == "Cons 0 0 Nil"
     assert show_value(build_list(2)) == "Cons 1 0 (Cons 0 0 Nil)"
     assert show_value(IList(2, (7, 9))) == "Cons 1 7 (Cons 0 9 Nil)"
+
+
+def ref_show_ilist(value):
+    """The renderer before it went linear: rebuilds the nested text per element."""
+    text = "Nil"
+    for index, item in enumerate(reversed(value.items)):
+        tail = text if text == "Nil" else f"({text})"
+        text = f"Cons {index} {show_value(item)} {tail}"
+    return text
+
+
+@pytest.mark.parametrize("n", range(41))
+def test_ilist_rendering_matches_reference_by_length(n):
+    items = tuple(range(n, 0, -1))
+    assert show_value(IList(n, items)) == ref_show_ilist(IList(n, items))
+    assert show_value(build_list(n)) == ref_show_ilist(build_list(n))
+
+
+@given(st.lists(st.integers(min_value=0, max_value=10**30), max_size=60).map(tuple))
+def test_ilist_rendering_matches_reference_on_items(items):
+    value = IList(len(items), items)
+    assert show_value(value) == ref_show_ilist(value)
