@@ -48,10 +48,13 @@ def dec_le(x: Nat, y: Nat) -> Decision:
 def pred_lt_const(k: Nat) -> Pred[Nat]:
     """The property ``n < k``, rendered in successor form ``(n+1) <= k``."""
     check_nat(k)
-    return Pred(
-        decide=lambda n: dec_le(n + 1, k),
-        render=lambda n: f"{n + 1} <= {k}",
-    )
+
+    def decide(n: Nat) -> Decision:
+        if not (type(n) is int and n >= 0):  # before n + 1, which -1 and True survive
+            check_nat(n)
+        return dec_le(n + 1, k)
+
+    return Pred(decide=decide, render=lambda n: f"{n + 1} <= {k}")
 
 
 def pred_gt_const(k: Nat) -> Pred[Nat]:

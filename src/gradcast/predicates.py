@@ -245,6 +245,8 @@ def p_forall_bounded(k: int, family: Callable[[int], Pred[int]]) -> Pred[None]:
     Decidable by exhaustion; the refutation names the least counterexample.
     The input of the resulting predicate is ignored (pass ``None``).
     """
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise TypeError(f"bound must be a natural, got {k!r}")
     if k < 0:
         raise ValueError(f"bound must be a natural, got {k}")
 

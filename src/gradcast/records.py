@@ -10,6 +10,8 @@ and pickle, and needed a second layout.  Only the public names are read-only:
 the private slots stay writable, so ``r.value._top = 10`` succeeds.
 ``compiler``'s loops and renderers read the private slots of ``Const``, ``BinOp``,
 ``IConst`` and ``IBinop``, so a subclass overriding a field property is ignored there.
+``Rat.__init__`` stores its own slots and ``AttestedRat`` reads ``_value._top`` and
+the like, so making the private slots read-only must update them too.
 """
 
 from __future__ import annotations

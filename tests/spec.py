@@ -42,7 +42,12 @@ def dec_le(x, y):
 
 def pred_lt_const(k):
     check_nat(k)
-    return Pred(decide=lambda n: dec_le(n + 1, k), render=lambda n: f"{n + 1} <= {k}")
+
+    def decide(n):
+        check_nat(n)
+        return dec_le(n + 1, k)
+
+    return Pred(decide=decide, render=lambda n: f"{n + 1} <= {k}")
 
 
 def pred_gt_const(k):
@@ -178,6 +183,8 @@ def p_equivalent(substitute, render_override, justification):
 
 
 def p_forall_bounded(k, family):
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise TypeError(f"bound must be a natural, got {k!r}")
     if k < 0:
         raise ValueError(f"bound must be a natural, got {k}")
 

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from gradcast.casts import FailureMode, cast
 from gradcast.instances import (
     check_nat,
     dec_le,
@@ -54,6 +55,34 @@ def test_pred_lt_const_examples():
     assert not holds(lt10.decide(15))
     assert lt10.render(15) == "16 <= 10"
     assert lt10.render(5) == "6 <= 10"
+
+
+class NatSubclass(int):
+    pass
+
+
+@pytest.mark.parametrize(
+    "value, error, text",
+    [
+        (-1, ValueError, "natural number expected, got -1"),
+        (True, TypeError, "natural number expected, got True"),
+        (2.5, TypeError, "natural number expected, got 2.5"),
+        ("3", TypeError, "natural number expected, got '3'"),
+    ],
+)
+@pytest.mark.parametrize("mode", list(FailureMode))
+@pytest.mark.parametrize("make", [pred_lt_const, pred_ge_const, pred_gt_const])
+def test_order_predicates_reject_non_naturals_before_any_arithmetic(make, mode, value, error, text):
+    # Checked before the successor is taken: -1 + 1 and True + 1 are naturals,
+    # and 2.5 + 1 would be named in place of 2.5.
+    with pytest.raises(error) as raised:
+        cast(make(10), value, mode)
+    assert str(raised.value) == text
+
+
+def test_pred_lt_const_accepts_an_int_subclass():
+    assert holds(pred_lt_const(10).decide(NatSubclass(7)))
+    assert not holds(pred_lt_const(10).decide(NatSubclass(10)))
 
 
 def test_pred_gt_const_renders_successor_form():

@@ -162,6 +162,23 @@ def test_p_forall_bounded_matches_brute_force():
             assert holds(p_forall_bounded(k, family).decide(None)) == brute
 
 
+@pytest.mark.parametrize(
+    "k, error, text",
+    [
+        (True, TypeError, "bound must be a natural, got True"),
+        (2.5, TypeError, "bound must be a natural, got 2.5"),
+        ("3", TypeError, "bound must be a natural, got '3'"),
+        (None, TypeError, "bound must be a natural, got None"),
+        (-1, ValueError, "bound must be a natural, got -1"),
+    ],
+)
+def test_p_forall_bounded_rejects_a_bound_that_is_not_a_natural(k, error, text):
+    # Checked when built: range() takes True as 1, and rejects 2.5 only when decided.
+    with pytest.raises(error) as raised:
+        p_forall_bounded(k, lambda n: p_true())
+    assert str(raised.value) == text
+
+
 def test_p_is_true():
     assert holds(p_is_true(True).decide(None))
     assert not holds(p_is_true(False).decide(None))

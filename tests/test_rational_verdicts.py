@@ -8,10 +8,14 @@ only.  Both must give the same result type and fields, the same lazy failure
 texts, or the same exception with the same message.
 """
 
+import copy
+import math
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradcast.casts import CastFault, FailureMode
+from gradcast.casts import CastFault, FailureMode, check_choice
 from gradcast.instances import check_nat
 from gradcast.predicates import Decision, Holds, Pred, Refutes
 from gradcast.rationals import (
@@ -215,3 +219,120 @@ def test_int_subclass_overriding_mod_is_decided_by_its_value():
     refined = cast_rat(True, top, 6)
     assert isinstance(refined, AttestedRat)
     assert refined.top is top
+
+
+# A reference ``cast_rat`` that validates each natural through ``check_nat``
+# (in ``gcd`` too), builds ``Rat`` through the record's own ``__init__`` and is
+# read through ``value``, not through the ``Rat``'s private slots.
+_RECORD_INIT = Rat.__mro__[1].__init__
+
+
+def old_rat(sign, top, bottom):
+    rat = object.__new__(Rat)
+    _RECORD_INIT(rat, sign, top, bottom)
+    return rat
+
+
+def old_gcd(a, b):
+    check_nat(a)
+    check_nat(b)
+    return math.gcd(a, b)
+
+
+OLD_IRRED_DECIDERS = {
+    IrredStrategy.BOUNDED: lambda t, b: isinstance(irreducible_bounded(t, b, PEANO_ARITH), Holds),
+    IrredStrategy.BINARY_BOUNDED: lambda t, b: isinstance(
+        irreducible_bounded(t, b, MACHINE_ARITH), Holds
+    ),
+    IrredStrategy.GCD: lambda t, b: old_gcd(t, b) == 1,
+}
+
+
+def old_cast_rat(sign, top, bottom, strategy, mode):
+    if type(strategy) is not IrredStrategy:
+        check_choice("strategy", strategy, IrredStrategy)
+    if type(mode) is not FailureMode:
+        check_choice("mode", mode, FailureMode)
+    check_nat(top)
+    check_nat(bottom)
+    if not isinstance(sign, bool):
+        raise TypeError(f"sign must be a bool, got {sign!r}")
+    if bottom != 0 and OLD_IRRED_DECIDERS[strategy](top, bottom):
+        return AttestedRat(old_rat(sign, top, bottom), RAT_INVARIANTS, _RATIONAL_EVIDENCE)
+    value_text = f"mkRat {show_value(sign)} {top} {bottom}"
+    violated = f"0 <> {bottom}" if bottom == 0 else ref_irreducibility_text(top, bottom)
+    if mode is FailureMode.EAGER:
+        raise CastFault(value_text, violated)
+    return FailedCastRat(value_text, violated)
+
+
+def raised(fn, *args):
+    try:
+        fn(*args)
+    except Exception as err:  # noqa: BLE001 - compared, not handled
+        return type(err), str(err)
+    return None
+
+
+@st.composite
+def rat_arguments(draw):
+    strategy = draw(st.sampled_from([*IrredStrategy, "gcd", None]))
+    mode = draw(st.sampled_from([*FailureMode, "eager"]))
+    bound = 12 if strategy in (IrredStrategy.BOUNDED, IrredStrategy.BINARY_BOUNDED) else 10**18
+    naturals = st.integers(0, bound)
+    field = st.one_of(
+        naturals,
+        st.just(0),
+        st.booleans(),
+        st.integers(-(10**18), -1),
+        naturals.map(PlainInt),
+        st.floats(allow_nan=True),
+        st.none(),
+    )
+    sign = draw(st.sampled_from([True, False, 1, 0, None, "+"]))
+    return sign, draw(field), draw(field), strategy, mode
+
+
+@settings(max_examples=800, deadline=None)
+@given(rat_arguments())
+def test_cast_rat_is_the_cast_built_the_old_way(args):
+    try:
+        want = old_cast_rat(*args)
+    except Exception as err:  # noqa: BLE001 - compared, not handled
+        with pytest.raises(type(err)) as got:
+            cast_rat(*args)
+        assert type(got.value) is type(err) and str(got.value) == str(err)
+        if isinstance(err, CastFault):
+            assert (got.value.value_text, got.value.prop_text) == (err.value_text, err.prop_text)
+        return
+    got = cast_rat(*args)
+    assert type(got) is type(want)
+    assert repr(got) == repr(want)
+    assert got == want and hash(got) == hash(want)
+    assert got.prop_text == want.prop_text
+    if isinstance(want, FailedCastRat):
+        assert got.value_text == want.value_text
+        for name in ("sign", "top", "bottom"):
+            assert raised(getattr, got, name) == raised(getattr, want, name) is not None
+        return
+    assert type(got.value) is Rat and got.value == want.value
+    for name in ("sign", "top", "bottom"):
+        assert getattr(got, name) is getattr(want.value, name)
+        assert getattr(got.value, name) is getattr(want.value, name)
+
+
+def test_rat_built_by_key_positionally_or_by_keyword_is_the_same_record():
+    assert Rat(True, 1, 2, _RAT_KEY) == Rat(True, 1, 2, _key=_RAT_KEY) == old_rat(True, 1, 2)
+
+
+@pytest.mark.parametrize("top, bottom", [(5, 6), (0, 1), (10**18, 10**18 - 1), (PlainInt(3), 4)])
+def test_rats_and_attested_rats_survive_copy_deepcopy_and_pickle(top, bottom):
+    refined = cast_rat(False, top, bottom)
+    assert isinstance(refined, AttestedRat)
+    for value in (refined.value, refined):
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(twin) is type(value)
+            assert twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
+            assert (twin.sign, twin.top, twin.bottom) == (False, top, bottom)
+    twin = pickle.loads(pickle.dumps(refined))
+    assert twin.pred == RAT_INVARIANTS and twin.evidence == _RATIONAL_EVIDENCE

@@ -145,6 +145,11 @@ def test_attested_rats_satisfy_both_invariants():
 def test_rat_cannot_be_constructed_directly():
     with pytest.raises(TypeError):
         Rat(True, 1, 2)
+    for key in (object(), None):
+        with pytest.raises(TypeError, match="^Rat cannot be constructed directly; use cast_rat$"):
+            Rat(True, 1, 2, key)
+        with pytest.raises(TypeError, match="^Rat cannot be constructed directly; use cast_rat$"):
+            Rat(True, 1, 2, _key=key)
 
 
 def test_peano_roundtrip():
