@@ -106,7 +106,7 @@ def cast(p: Pred[A], a: A, mode: FailureMode = FailureMode.LAZY) -> Refined:
         check_choice("mode", mode, FailureMode)
     verdict = p.decide(a)
     if isinstance(verdict, Holds):
-        return Attested(a, p, verdict.evidence)
+        return Attested(a, p, verdict._evidence)
     if mode is FailureMode.EAGER:
         raise CastFault(show_value(a), p.render(a))
     return FailedCast(value_text=show_value(a), prop_text=p.render(a))

@@ -15,10 +15,10 @@ buggy compiler observably wrong on subtraction while agreeing on sums and
 products.
 
 Parsing, compiling, evaluating and running each walk their input once with
-an explicit stack, so they take linear time and accept any nesting depth.
-The record ``==``, ``hash`` and ``repr`` of a tree do not: they recurse once
-per level, so they raise ``RecursionError`` near the interpreter's recursion
-limit (at depth 1000 under the default limit; depth 300 works).
+an explicit stack, so they take linear time and accept any nesting depth;
+so do the ``==``, ``hash`` and ``repr`` of a tree.  ``copy.deepcopy`` and
+``pickle`` still recurse once per level (under the default recursion limit
+they fail at depths 150 and 300).
 Each node costs only its own work: the parser splits the text with ``str``
 methods up to its first character outside the grammar, leaves with the same
 numeral share one ``Const`` within a parse and equal ``int`` constants share
@@ -55,8 +55,72 @@ class Const(record("value")):
     __slots__ = ()
 
 
+class _Hashed:
+    """Stands in for an object whose hash was taken: hashes to that value."""
+
+    __slots__ = ("_hash",)
+
+    def __init__(self, value: int) -> None:
+        self._hash = value
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
 class BinOp(record("op", "left", "right")):
+    """An operation node.  ``==``, ``hash`` and ``repr`` walk the tree with an
+    explicit stack, so any depth works, and give the record's results: fields
+    in order, the left subtree before the right."""
+
     __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            x, y = todo.pop()
+            if x is y:
+                continue
+            if x.__class__ is y.__class__ and isinstance(x, BinOp):
+                if not (x._op is y._op or x._op == y._op):
+                    return False
+                todo += ((x._right, y._right), (x._left, y._left))
+            elif not x == y:
+                return False
+        return True
+
+    def __hash__(self) -> int:
+        # hash((op, left, right)), with each hashed subtree standing in for
+        # itself on an explicit stack of operands.
+        operands: list = []
+        todo: list = [self]
+        while todo:
+            node = todo.pop()
+            if node is _OPERANDS_DONE:
+                right = operands.pop()
+                operands[-1] = _Hashed(hash((todo.pop()._op, operands[-1], right)))
+            elif isinstance(node, BinOp):
+                todo += (node, _OPERANDS_DONE, node._right, node._left)
+            else:
+                operands.append(node)
+        return hash(operands[0])
+
+    def __repr__(self) -> str:
+        # Text still to emit, last item first: literal strings and 1-tuples
+        # holding a field value.
+        parts: list[str] = []
+        todo: list = [(self,)]
+        while todo:
+            item = todo.pop()
+            if item.__class__ is str:
+                parts.append(item)
+            elif isinstance(node := item[0], BinOp):
+                head = f"{type(node).__qualname__}(op={node._op!r}, left="
+                todo += (")", (node._right,), ", right=", (node._left,), head)
+            else:
+                parts.append(repr(node))
+        return "".join(parts)
 
 
 Exp = Union[Const, BinOp]

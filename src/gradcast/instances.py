@@ -6,6 +6,13 @@ integers are unbounded there is no wraparound, so the only arithmetic faults
 are the explicit validation errors below.  Strict comparisons render in
 successor form ("n < k" prints as "(n+1) <= k") so that reported propositions
 match the conventional presentation of < as <= on the successor.
+
+Each natural is tested inline (``type(x) is int and x >= 0``); only a value
+that fails the test reaches ``check_nat``, which raises or accepts an ``int``
+subclass.  The order predicates render only the values they decide.  A list
+equality over ``eq_nat``'s decider compares each pair of plain naturals inline
+and sends any other pair to the decider, so verdicts, texts and exceptions are
+those of the element-wise derivation.
 """
 
 from __future__ import annotations
@@ -35,8 +42,10 @@ def check_nat(value: object) -> int:
 
 def dec_le(x: Nat, y: Nat) -> Decision:
     """Decide ``x <= y`` over naturals."""
-    check_nat(x)
-    check_nat(y)
+    if not (type(x) is int and x >= 0):
+        check_nat(x)
+    if not (type(y) is int and y >= 0):
+        check_nat(y)
     holds = x <= y
     if type(x) is not int or type(y) is not int:  # an int subclass is shown now
         x, y = format(x), format(y)
@@ -54,25 +63,36 @@ def pred_lt_const(k: Nat) -> Pred[Nat]:
             check_nat(n)
         return dec_le(n + 1, k)
 
-    return Pred(decide=decide, render=lambda n: f"{n + 1} <= {k}")
+    def render(n: Nat) -> str:
+        if not (type(n) is int and n >= 0):
+            check_nat(n)
+        return f"{n + 1} <= {k}"
+
+    return Pred(decide=decide, render=render)
 
 
 def pred_gt_const(k: Nat) -> Pred[Nat]:
     """The property ``n > k``, rendered in successor form ``(k+1) <= n``."""
     check_nat(k)
-    return Pred(
-        decide=lambda n: dec_le(k + 1, n),
-        render=lambda n: f"{k + 1} <= {n}",
-    )
+
+    def render(n: Nat) -> str:
+        if not (type(n) is int and n >= 0):
+            check_nat(n)
+        return f"{k + 1} <= {n}"
+
+    return Pred(decide=lambda n: dec_le(k + 1, n), render=render)
 
 
 def pred_ge_const(k: Nat) -> Pred[Nat]:
     """The property ``k <= n``."""
     check_nat(k)
-    return Pred(
-        decide=lambda n: dec_le(k, n),
-        render=lambda n: f"{k} <= {n}",
-    )
+
+    def render(n: Nat) -> str:
+        if not (type(n) is int and n >= 0):
+            check_nat(n)
+        return f"{k} <= {n}"
+
+    return Pred(decide=lambda n: dec_le(k, n), render=render)
 
 
 class EqDec(record("eq_decide", "render_value"), Generic[A]):
@@ -89,17 +109,20 @@ class EqDec(record("eq_decide", "render_value"), Generic[A]):
         return f"{self.render_value(a)} = {self.render_value(b)}"
 
 
-def eq_nat() -> EqDec[Nat]:
-    def decide(a: Nat, b: Nat) -> Decision:
+def _eq_nat_decide(a: Nat, b: Nat) -> Decision:
+    if not (type(a) is int and a >= 0):
         check_nat(a)
+    if not (type(b) is int and b >= 0):
         check_nat(b)
-        if a == b:
-            return _EQ_REFL
-        if type(a) is not int or type(b) is not int:  # an int subclass is shown now
-            a, b = format(a), format(b)
-        return _refutes("{} <> {}", a, b)
+    if a == b:
+        return _EQ_REFL
+    if type(a) is not int or type(b) is not int:  # an int subclass is shown now
+        a, b = format(a), format(b)
+    return _refutes("{} <> {}", a, b)
 
-    return EqDec(eq_decide=decide, render_value=show_value)
+
+def eq_nat() -> EqDec[Nat]:
+    return EqDec(eq_decide=_eq_nat_decide, render_value=show_value)
 
 
 def eq_bool() -> EqDec[bool]:
@@ -115,16 +138,22 @@ def eq_list(elem: EqDec[A]) -> EqDec[Sequence[A]]:
     """Equality of sequences, derived element-wise from ``elem``.
 
     A refutation reports the whole-list equation, not the mismatch index.
+    Over ``eq_nat``'s decider, a pair of plain naturals is compared inline;
+    any other pair goes through the decider.
     """
     elem_decide = elem.eq_decide  # a field read is a property call: once, not per element
+    naturals = elem_decide is _eq_nat_decide
 
     def decide(xs: Sequence[A], ys: Sequence[A]) -> Decision:
         if len(xs) != len(ys):
             return _refutes("lengths differ: {} <> {}", len(xs), len(ys))
         for x, y in zip(xs, ys):
-            verdict = elem_decide(x, y)
-            if isinstance(verdict, Refutes):
-                return _refutes("elements differ: {}", _later(elem.render_eq, x, y))
+            if naturals and type(x) is int and type(y) is int and x >= 0 and y >= 0:
+                if x == y:
+                    continue
+            elif not isinstance(elem_decide(x, y), Refutes):
+                continue
+            return _refutes("elements differ: {}", _later(elem.render_eq, x, y))
         return _EQ_REFL
 
     return EqDec(eq_decide=decide, render_value=show_sequence(elem.render_value))

@@ -8,8 +8,9 @@ three fields build in about 0.3 µs against 0.9 µs for a frozen dataclass, at
 ``__setattr__`` read faster, but cost ``casts`` 2.7% in op_p50_us, broke copy
 and pickle, and needed a second layout.  Only the public names are read-only:
 the private slots stay writable, so ``r.value._top = 10`` succeeds.
-``compiler``'s loops and renderers read the private slots of ``Const``, ``BinOp``,
-``IConst`` and ``IBinop``, so a subclass overriding a field property is ignored there.
+``compiler``'s loops, its renderers and ``BinOp``'s ``==``, ``hash`` and ``repr`` read
+the private slots of ``Const``, ``BinOp``, ``IConst`` and ``IBinop``, so a subclass
+overriding a field property is ignored there.
 ``Rat.__init__`` stores its own slots and ``AttestedRat`` reads ``_value._top`` and
 the like, so making the private slots read-only must update them too.
 """

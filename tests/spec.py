@@ -47,17 +47,21 @@ def pred_lt_const(k):
         check_nat(n)
         return dec_le(n + 1, k)
 
-    return Pred(decide=decide, render=lambda n: f"{n + 1} <= {k}")
+    def render(n):
+        check_nat(n)
+        return f"{n + 1} <= {k}"
+
+    return Pred(decide=decide, render=render)
 
 
 def pred_gt_const(k):
     check_nat(k)
-    return Pred(decide=lambda n: dec_le(k + 1, n), render=lambda n: f"{k + 1} <= {n}")
+    return Pred(decide=lambda n: dec_le(k + 1, n), render=lambda n: f"{k + 1} <= {check_nat(n)}")
 
 
 def pred_ge_const(k):
     check_nat(k)
-    return Pred(decide=lambda n: dec_le(k, n), render=lambda n: f"{k} <= {n}")
+    return Pred(decide=lambda n: dec_le(k, n), render=lambda n: f"{k} <= {check_nat(n)}")
 
 
 def eq_nat():

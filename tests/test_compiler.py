@@ -25,6 +25,7 @@ from gradcast.compiler import (
 )
 from gradcast.hocasts import cast_fun_range
 from gradcast.predicates import Holds, Pred, p_true
+from gradcast.records import record
 from gradcast.render import show_value
 from test_compiler_kernels import ref_eval_binop
 
@@ -210,12 +211,59 @@ def test_parse_exp_numeral_over_int_digit_limit_is_a_parse_error():
 
 def test_format_parse_roundtrip_at_depth_ten_thousand():
     # Canonical text: every subtraction nests to the right, so each level
-    # needs parentheses.  Compare text, since record == recurses.
+    # needs parentheses.
     depth = 10_000
     text = "1 - (" * depth + "1 - 2" + ")" * depth
     assert format_exp(parse_exp(text)) == text
     left_nested = " - ".join(["1"] * depth)
     assert format_exp(parse_exp(left_nested)) == left_nested
+
+
+@pytest.mark.parametrize("depth", [1000, 10_000])
+def test_deep_trees_compare_hash_and_print(depth):
+    text = "1 - (" * depth + "1 - 2" + ")" * depth
+    e, same = parse_exp(text), parse_exp(text)
+    other = parse_exp("1 - (" * depth + "1 - 3" + ")" * depth)
+    assert e == same and not e != same
+    assert e != other and not e == other
+    assert hash(e) == hash(same)
+    assert len({e, same, other}) == 2
+    level = "BinOp(op=<Binop.MINUS: 'Minus'>, left=Const(value=1), right="
+    assert repr(e) == level * (depth + 1) + "Const(value=2)" + ")" * (depth + 1)
+
+
+class RecordBinOp(record("op", "left", "right")):
+    """``BinOp`` with the record's recursive ``==``, ``hash`` and ``repr``."""
+
+    __slots__ = ()
+
+
+def as_record(e):
+    if isinstance(e, BinOp):
+        return RecordBinOp(e.op, as_record(e.left), as_record(e.right))
+    return e
+
+
+def test_tree_eq_hash_and_repr_match_the_record_on_random_trees():
+    rng = random.Random(20)
+    leaves = [Const(0), Const(1), Const(1.0), Const(float("nan")), 0, "x"]
+    trees = []
+    for _ in range(300):
+        e = random_exp(rng, max_depth=5, max_const=1)
+        if rng.random() < 0.3:  # odd leaves and shared subtrees
+            e = BinOp(rng.choice(ALL_OPS), rng.choice(leaves), rng.choice(trees or [e]))
+        trees.append(e)
+    records = [as_record(e) for e in trees]
+    for e, r in zip(trees, records):
+        assert repr(e) == repr(r).replace("RecordBinOp(", "BinOp(")
+        assert hash(e) == hash(r)
+        if isinstance(e, BinOp):
+            assert e != (e.op, e.left, e.right) and e != Const(1)
+    for i, j in zip(rng.choices(range(300), k=3000), rng.choices(range(300), k=3000)):
+        a, b = trees[i], trees[j]
+        assert (a == b, a != b) == (records[i] == records[j], records[i] != records[j])
+        if a == b:
+            assert hash(a) == hash(b)
 
 
 def test_deep_expressions_compile_evaluate_and_run():

@@ -3,13 +3,16 @@ straightforward implementations they replaced, kept here (or, where shared,
 in ``spec``) as references.
 
 The references build a fresh verdict per element comparison, run the full
-natural-number checks and dispatch ``show_value`` once per element; the
-library must give the same arm, the same summary text, the same exception
-and the same rendering.
+natural-number checks and dispatch ``show_value`` once per element.  The
+library compares a pair of plain naturals inline, sends every other pair to
+the element decider, and finds renderers in a class -> renderer table; it must
+give the same arm, the same summary text, the same exception and the same
+rendering.
 """
 
 import abc
 
+import pytest
 from hypothesis import given, strategies as st
 
 from gradcast.compiler import Binop, IBinop, IConst
@@ -103,9 +106,9 @@ elements = st.one_of(
 
 
 @st.composite
-def list_pairs(draw, elem=elements):
-    xs = draw(st.lists(elem, max_size=12))
-    edit = draw(st.sampled_from(["same", "swap", "drop", "append", "other"]))
+def list_pairs(draw, elem=elements, long=st.lists(naturals, min_size=64, max_size=64)):
+    xs = draw(st.lists(elem, max_size=12) | long)
+    edit = draw(st.sampled_from(["same", "swap", "drop", "append", "other", "invalid"]))
     ys = list(xs)
     if edit == "swap" and ys:
         ys[draw(st.integers(0, len(ys) - 1))] = draw(elem)
@@ -115,6 +118,14 @@ def list_pairs(draw, elem=elements):
         ys.append(draw(elem))
     elif edit == "other":
         ys = draw(st.lists(elem, max_size=12))
+    elif edit == "invalid" and ys:
+        # A mismatch at one index, and an element eq_nat rejects or takes
+        # the slow path for on either side, before, at or after it.
+        ys[draw(st.integers(0, len(ys) - 1))] = 31
+        side = draw(st.sampled_from([xs, ys]))
+        side[draw(st.integers(0, len(side) - 1))] = draw(st.sampled_from([-1, True, Small(3)]))
+    if draw(st.booleans()):
+        ys = tuple(ys)  # a list compared with a tuple
     return xs, ys
 
 
@@ -142,15 +153,34 @@ def test_eq_list_matches_reference(pair):
     xs, ys = pair
     fast, ref = eq_list(eq_nat()), ref_eq_list(ref_eq_nat())
     assert outcome(fast.eq_decide, xs, ys) == outcome(ref.eq_decide, xs, ys)
-    assert fast.render_eq(xs, ys) == ref.render_eq(xs, ys)
+    assert outcome(fast.render_eq, xs, ys) == outcome(ref.render_eq, xs, ys)
 
 
-@given(list_pairs(elem=st.lists(elements, max_size=4)))
+def show_bracketed(value):
+    return f"<{value}>"
+
+
+@given(list_pairs())
+def test_eq_list_over_eq_nat_decide_with_another_renderer_matches_reference(pair):
+    # eq_nat's own decider under another renderer: still compared inline.
+    xs, ys = pair
+    fast = eq_list(EqDec(eq_decide=eq_nat().eq_decide, render_value=show_bracketed))
+    ref = ref_eq_list(EqDec(eq_decide=ref_eq_nat().eq_decide, render_value=show_bracketed))
+    assert outcome(fast.eq_decide, xs, ys) == outcome(ref.eq_decide, xs, ys)
+    assert outcome(fast.render_eq, xs, ys) == outcome(ref.render_eq, xs, ys)
+
+
+@given(
+    list_pairs(
+        elem=st.lists(elements, max_size=4),
+        long=st.lists(st.lists(naturals, max_size=4), min_size=64, max_size=64),
+    )
+)
 def test_nested_eq_list_matches_reference(pair):
     xs, ys = pair
     fast, ref = eq_list(eq_list(eq_nat())), ref_eq_list(ref_eq_list(ref_eq_nat()))
     assert outcome(fast.eq_decide, xs, ys) == outcome(ref.eq_decide, xs, ys)
-    assert fast.render_eq(xs, ys) == ref.render_eq(xs, ys)
+    assert outcome(fast.render_eq, xs, ys) == outcome(ref.render_eq, xs, ys)
 
 
 @given(list_pairs(), st.booleans(), st.booleans())
@@ -160,7 +190,7 @@ def test_eq_option_matches_reference(pair, left_none, right_none):
     fast = eq_option(eq_list(eq_nat()))
     ref = ref_eq_option(ref_eq_list(ref_eq_nat()))
     assert outcome(fast.eq_decide, a, b) == outcome(ref.eq_decide, a, b)
-    assert fast.render_eq(a, b) == ref.render_eq(a, b)
+    assert outcome(fast.render_eq, a, b) == outcome(ref.render_eq, a, b)
 
 
 renderable = st.recursive(
@@ -211,3 +241,62 @@ def test_abc_registration_after_a_first_render_applies_to_later_list_renders():
     assert show_value([Virtual()]) == "virtual-default :: nil"
     Marker.register(Virtual)
     assert show_value([Virtual()]) == "marker :: nil"
+
+
+@pytest.mark.parametrize("form", ["call", "decorator", "annotation"])
+def test_registration_after_a_first_direct_render_applies_to_the_next_render(form):
+    class Late:
+        def __str__(self):
+            return "late-default"
+
+    def show_late(_value: Late) -> str:
+        return "late-registered"
+
+    assert show_value(Late()) == "late-default"
+    if form == "call":
+        assert show_value.register(Late, show_late) is show_late
+    elif form == "decorator":
+        assert show_value.register(Late)(show_late) is show_late
+    else:
+        assert show_value.register(show_late) is show_late
+    assert show_value(Late()) == "late-registered"
+    assert show_value.dispatch(Late) is show_late
+
+
+def test_abc_registration_after_a_first_direct_render_applies_to_the_next_render():
+    class Marker(abc.ABC):
+        pass
+
+    class Virtual:
+        def __str__(self):
+            return "virtual-default"
+
+    show_value.register(Marker, lambda _value: "marker")
+    assert show_value(Virtual()) == "virtual-default"
+    Marker.register(Virtual)
+    assert show_value(Virtual()) == "marker"
+    assert show_value((Virtual(),)) == "marker :: nil"
+
+
+def test_an_int_subclass_with_its_own_renderer_keeps_it():
+    class Tagged(int):
+        pass
+
+    show_value.register(Tagged, lambda value: f"tagged {int(value)}")
+    assert show_value(Tagged(3)) == "tagged 3"
+    assert show_value([Tagged(3), 3]) == "tagged 3 :: 3 :: nil"
+    assert show_value(3) == "3"
+    eq = eq_list(eq_nat())
+    assert outcome(eq.eq_decide, [Tagged(3), 1], [4, 1]) == (
+        "refutes", "elements differ: tagged 3 = 4"
+    )
+    assert eq.render_eq([Tagged(3)], [4]) == "tagged 3 :: nil = 4 :: nil"
+
+
+def test_show_value_dispatch_and_registry_are_the_registrys():
+    assert show_value.dispatch(bool)(True) == "true"
+    assert show_value.dispatch(list) is show_value.registry[list]
+    assert show_value.dispatch(IConst) is show_value.registry[IConst]
+    default = show_value.registry[object]
+    assert show_value.dispatch(complex) is default
+    assert default(2.5) == "2.5"

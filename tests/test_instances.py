@@ -80,9 +80,35 @@ def test_order_predicates_reject_non_naturals_before_any_arithmetic(make, mode, 
     assert str(raised.value) == text
 
 
+@pytest.mark.parametrize(
+    "value, error, text",
+    [
+        (-1, ValueError, "natural number expected, got -1"),
+        (-5, ValueError, "natural number expected, got -5"),
+        (True, TypeError, "natural number expected, got True"),
+        (2.5, TypeError, "natural number expected, got 2.5"),
+        ("3", TypeError, "natural number expected, got '3'"),
+    ],
+)
+@pytest.mark.parametrize("make", [pred_lt_const, pred_ge_const, pred_gt_const])
+def test_order_predicate_renders_reject_what_decide_rejects(make, value, error, text):
+    p = make(10)
+    for step in (p.decide, p.render):
+        with pytest.raises(error) as raised:
+            step(value)
+        assert str(raised.value) == text
+
+
 def test_pred_lt_const_accepts_an_int_subclass():
     assert holds(pred_lt_const(10).decide(NatSubclass(7)))
     assert not holds(pred_lt_const(10).decide(NatSubclass(10)))
+
+
+@pytest.mark.parametrize(
+    "make, text", [(pred_lt_const, "8 <= 10"), (pred_gt_const, "11 <= 7"), (pred_ge_const, "10 <= 7")]
+)
+def test_order_predicates_render_an_int_subclass(make, text):
+    assert make(10).render(NatSubclass(7)) == text
 
 
 def test_pred_gt_const_renders_successor_form():
