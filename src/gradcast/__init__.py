@@ -48,14 +48,11 @@ from .predicates import (
     Pred,
     PredFamily,
     Refutes,
-    RelateReport,
-    check_relate_spec,
     p_and,
     p_equivalent,
     p_false,
     p_forall_bounded,
     p_implies,
-    p_is_true,
     p_not,
     p_or,
     p_proven,

@@ -15,9 +15,9 @@ buggy compiler observably wrong on subtraction while agreeing on sums and
 products.
 
 Parsing, compiling, evaluating and running each walk their input once with
-an explicit stack, so they take linear time and accept any nesting depth;
-so do the ``==``, ``hash`` and ``repr`` of a tree.  ``copy.deepcopy`` and
-``pickle`` still recurse once per level (under the default recursion limit
+an explicit stack, so they take linear time and accept any nesting depth, as
+do a tree's ``==``, ``hash`` and ``repr`` (see ``records``).  ``copy.deepcopy``
+and ``pickle`` still recurse once per level (under the default recursion limit
 they fail at depths 150 and 300).
 Each node costs only its own work: the parser splits the text with ``str``
 methods up to its first character outside the grammar, leaves with the same
@@ -55,72 +55,8 @@ class Const(record("value")):
     __slots__ = ()
 
 
-class _Hashed:
-    """Stands in for an object whose hash was taken: hashes to that value."""
-
-    __slots__ = ("_hash",)
-
-    def __init__(self, value: int) -> None:
-        self._hash = value
-
-    def __hash__(self) -> int:
-        return self._hash
-
-
 class BinOp(record("op", "left", "right")):
-    """An operation node.  ``==``, ``hash`` and ``repr`` walk the tree with an
-    explicit stack, so any depth works, and give the record's results: fields
-    in order, the left subtree before the right."""
-
     __slots__ = ()
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        todo = [(self, other)]
-        while todo:
-            x, y = todo.pop()
-            if x is y:
-                continue
-            if x.__class__ is y.__class__ and isinstance(x, BinOp):
-                if not (x._op is y._op or x._op == y._op):
-                    return False
-                todo += ((x._right, y._right), (x._left, y._left))
-            elif not x == y:
-                return False
-        return True
-
-    def __hash__(self) -> int:
-        # hash((op, left, right)), with each hashed subtree standing in for
-        # itself on an explicit stack of operands.
-        operands: list = []
-        todo: list = [self]
-        while todo:
-            node = todo.pop()
-            if node is _OPERANDS_DONE:
-                right = operands.pop()
-                operands[-1] = _Hashed(hash((todo.pop()._op, operands[-1], right)))
-            elif isinstance(node, BinOp):
-                todo += (node, _OPERANDS_DONE, node._right, node._left)
-            else:
-                operands.append(node)
-        return hash(operands[0])
-
-    def __repr__(self) -> str:
-        # Text still to emit, last item first: literal strings and 1-tuples
-        # holding a field value.
-        parts: list[str] = []
-        todo: list = [(self,)]
-        while todo:
-            item = todo.pop()
-            if item.__class__ is str:
-                parts.append(item)
-            elif isinstance(node := item[0], BinOp):
-                head = f"{type(node).__qualname__}(op={node._op!r}, left="
-                todo += (")", (node._right,), ", right=", (node._left,), head)
-            else:
-                parts.append(repr(node))
-        return "".join(parts)
 
 
 Exp = Union[Const, BinOp]
@@ -372,11 +308,9 @@ _TOKEN = re.compile(r"[0-9]+|[^ \t\r\n\f\v]")
 # A character outside the grammar: the parse fails at or before the first one.
 _FOREIGN = re.compile(r"[^0-9+*()\- \t\r\n\f\v]")
 _OPERATORS = {"+": Binop.PLUS, "-": Binop.MINUS, "*": Binop.TIMES}
-_PRECEDENCE = {Binop.PLUS: 1, Binop.MINUS: 1, Binop.TIMES: 2}
-_SYMBOL = {b: symbol for symbol, b in _OPERATORS.items()}
 # Precedence of each symbol on the parser's operator stack; "(" marks an open
 # parenthesis and binds least.
-_BINDING = {"(": 0, **{symbol: _PRECEDENCE[b] for symbol, b in _OPERATORS.items()}}
+_BINDING = {"(": 0, "+": 1, "-": 1, "*": 2}
 
 
 def _parse_error(
@@ -467,31 +401,3 @@ def parse_exp(src: str) -> Exp:
             operands[-1] = BinOp(_OPERATORS[pop_pending()], operands[-1], right)
         push_pending(token)
         i += 1
-
-
-def format_exp(e: Exp) -> str:
-    """Render an expression in the grammar :func:`parse_exp` accepts;
-    round-trips through the parser.  Iterative, so any depth is fine."""
-    parts: list[str] = []
-    # Text still to emit, last item first: literal strings and
-    # (subexpression, least precedence that needs no parentheses) pairs.
-    todo: list = [(e, 0)]
-    while todo:
-        item = todo.pop()
-        if type(item) is str:
-            parts.append(item)
-            continue
-        node, min_prec = item
-        if isinstance(node, Const):
-            parts.append(str(node.value))
-        elif isinstance(node, BinOp):
-            prec = _PRECEDENCE[node.op]
-            parens = prec < min_prec
-            if parens:
-                todo.append(")")
-            todo += ((node.right, prec + 1), f" {_SYMBOL[node.op]} ", (node.left, prec))
-            if parens:
-                todo.append("(")
-        else:
-            raise TypeError(f"not an expression: {node!r}")
-    return "".join(parts)

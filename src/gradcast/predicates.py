@@ -26,10 +26,9 @@ of its input, so predicates can be shared freely across threads.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generic, Sequence, TypeVar
+from typing import Any, Callable, Generic, TypeVar
 
 from .records import record
-from .render import show_value
 
 A = TypeVar("A")
 B = TypeVar("B")
@@ -260,24 +259,10 @@ def p_forall_bounded(k: int, family: Callable[[int], Pred[int]]) -> Pred[None]:
     return Pred(decide=decide, render=lambda _unit: f"forall n <= {k}, P n")
 
 
-def p_is_true(b: bool) -> Pred[None]:
-    """The proposition reflected by a boolean: holds exactly when ``b`` is true."""
-    text = f"Is_true {show_value(b)}"
-
-    def decide(_unit: None) -> Decision:
-        if b:
-            return _holds("the boolean witness is true")
-        return _refutes("the boolean witness is false")
-
-    return Pred(decide=decide, render=lambda _unit: text)
-
-
 def p_relate(witness: Callable[[A], bool], render: Callable[[A], str]) -> Pred[A]:
     """Boolean reflection: the decision procedure *is* the boolean ``witness``.
 
-    The evidence records only which way the witness went; use
-    :func:`check_relate_spec` to sample-check a witness against a reference
-    decider when one exists.
+    The evidence records only which way the witness went.
     """
 
     def decide(a: A) -> Decision:
@@ -287,37 +272,3 @@ def p_relate(witness: Callable[[A], bool], render: Callable[[A], str]) -> Pred[A
 
     return Pred(decide=decide, render=render)
 
-
-class RelateDisagreement(record("value", "witness_says", "reference_holds"), Generic[A]):
-    __slots__ = ()
-
-
-class RelateReport(record("checked", "disagreements"), Generic[A]):
-    """Result of sampling a boolean witness against a reference decider.
-
-    An empty ``disagreements`` tuple means the witness respected the reference
-    on every sample.
-    """
-
-    __slots__ = ()
-
-    @property
-    def agrees(self) -> bool:
-        return not self.disagreements
-
-
-def check_relate_spec(
-    witness: Callable[[A], bool],
-    reference: Pred[A],
-    samples: Sequence[A],
-) -> RelateReport[A]:
-    """Report every sample on which ``witness`` disagrees with ``reference``."""
-    if not samples:
-        raise ValueError("samples must be nonempty")
-    found: list[RelateDisagreement[A]] = []
-    for a in samples:
-        w = bool(witness(a))
-        r = isinstance(reference.decide(a), Holds)
-        if w != r:
-            found.append(RelateDisagreement(value=a, witness_says=w, reference_holds=r))
-    return RelateReport(checked=len(samples), disagreements=tuple(found))

@@ -8,11 +8,13 @@ three fields build in about 0.3 µs against 0.9 µs for a frozen dataclass, at
 ``__setattr__`` read faster, but cost ``casts`` 2.7% in op_p50_us, broke copy
 and pickle, and needed a second layout.  Only the public names are read-only:
 the private slots stay writable, so ``r.value._top = 10`` succeeds.
-``compiler``'s loops, its renderers and ``BinOp``'s ``==``, ``hash`` and ``repr`` read
-the private slots of ``Const``, ``BinOp``, ``IConst`` and ``IBinop``, so a subclass
-overriding a field property is ignored there.
+``compiler``'s loops and renderers read the private slots of ``Const``,
+``BinOp``, ``IConst`` and ``IBinop``, so a subclass overriding a field
+property is ignored there.
 ``Rat.__init__`` stores its own slots and ``AttestedRat`` reads ``_value._top`` and
 the like, so making the private slots read-only must update them too.
+``==``, ``hash`` and ``repr`` live in ``_Record`` alone and walk nested records
+with an explicit stack, so records nested to any depth compare, hash and print.
 """
 
 from __future__ import annotations
@@ -20,23 +22,76 @@ from __future__ import annotations
 from operator import attrgetter
 
 
+class _Hashed(int):
+    """A hash standing in for the value it was taken from: hashes to itself."""
+
+    __slots__ = ()
+    __hash__ = int.__int__
+
+
 class _Record:
+    # ==, hash and repr give the results of the recursive definitions in their
+    # comments, reading fields in the same order, but open a field whose class
+    # keeps the method on an explicit stack; other fields get the operator.
     __slots__ = ()
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._shown])
 
     def __repr__(self) -> str:
-        shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._shown])
-        return f"{type(self).__qualname__}({shown})"
+        # f"{type(self).__qualname__}({name}={field!r}, ...)"
+        parts: list[str] = []
+        todo: list = [self]  # last first: text, records, (record, name, separator)
+        while todo:
+            item = todo.pop()
+            if type(item) is str:
+                parts.append(item)
+            elif type(item) is tuple:
+                node, name, sep = item
+                value = getattr(node, name)
+                if type(value).__repr__ is _Record.__repr__:
+                    parts.append(f"{sep}{name}=")
+                    todo.append(value)
+                else:
+                    parts.append(f"{sep}{name}={value!r}")
+            else:
+                parts.append(f"{type(item).__qualname__}(")
+                todo.append(")")
+                todo += reversed([(item, n, ", " if i else "") for i, n in enumerate(item._shown)])
+        return "".join(parts)
 
     def __eq__(self, other: object) -> bool:
+        # self._values() == other._values(), for two records of one class
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        todo = list(zip(reversed(self._values()), reversed(other._values())))
+        while todo:
+            x, y = todo.pop()
+            if x is y:
+                continue
+            if type(x) is type(y) and type(x).__eq__ is _Record.__eq__:
+                todo += zip(reversed(x._values()), reversed(y._values()))
+            elif not x == y:
+                return False
+        return True
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        # hash(self._values()): fields are hashed in order, a record field on
+        # the stack, and the tuple hashed holds each field's hash as a _Hashed
+        frames: list = [(self._values(), [])]
+        while True:
+            values, hashes = frames[-1]
+            for value in values[len(hashes) :]:
+                if type(value).__hash__ is _Record.__hash__:
+                    frames.append((value._values(), []))
+                    break
+                hashes.append(hash(value))
+            else:
+                frames.pop()
+                result = hash(tuple(map(_Hashed, hashes)))
+                if not frames:
+                    return result
+                frames[-1][1].append(result)
 
 
 def record(*fields: str) -> type:

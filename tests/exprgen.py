@@ -1,4 +1,5 @@
-"""Seeded random expression generators shared by the compiler tests."""
+"""Seeded random expression generators and a printer shared by the compiler
+tests."""
 
 from __future__ import annotations
 
@@ -8,6 +9,8 @@ from gradcast.compiler import BinOp, Binop, Const, Exp
 
 ALL_OPS = tuple(Binop)
 COMMUTATIVE_OPS = (Binop.PLUS, Binop.TIMES)
+SYMBOL = {Binop.PLUS: "+", Binop.MINUS: "-", Binop.TIMES: "*"}
+PRECEDENCE = {Binop.PLUS: 1, Binop.MINUS: 1, Binop.TIMES: 2}
 
 
 def random_exp(
@@ -63,3 +66,14 @@ def contains_op(e: Exp, op: Binop) -> bool:
         case BinOp(op=b, left=left, right=right):
             return b is op or contains_op(left, op) or contains_op(right, op)
     raise TypeError(f"not an expression: {e!r}")
+
+
+def exp_text(e: Exp, min_prec: int = 0) -> str:
+    """Source text for ``e`` with the fewest parentheses, for left-associative
+    operators where ``*`` binds tighter; ``parse_exp`` reads it back as ``e``.
+    Recursive, so for trees a few hundred levels deep at most."""
+    if isinstance(e, Const):
+        return str(e.value)
+    prec = PRECEDENCE[e.op]
+    text = f"{exp_text(e.left, prec)} {SYMBOL[e.op]} {exp_text(e.right, prec + 1)}"
+    return f"({text})" if prec < min_prec else text

@@ -400,15 +400,22 @@ def _mirrored(e):
     return BinOp(e.op, _mirrored(e.right), _mirrored(e.left))
 
 
-_TREES = st.recursive(
-    st.integers(0, 4400).map(lambda digits: Const(10**digits - 1 if digits else 0)),
-    lambda sub: st.builds(BinOp, st.sampled_from(list(Binop)), sub, sub),
-    max_leaves=12,
-)
+_LEAVES = st.integers(0, 4400).map(lambda digits: Const(10**digits - 1 if digits else 0))
+
+
+@st.composite
+def _trees(draw, budget=12):
+    """A tree of at most ``budget`` leaves, so at most ``budget - 1`` levels of
+    operations: a leaf, or an operation whose subtrees split the budget."""
+    if budget == 1 or draw(st.booleans()):
+        return draw(_LEAVES)
+    left = draw(st.integers(1, budget - 1))
+    op = draw(st.sampled_from(list(Binop)))
+    return BinOp(op, draw(_trees(left)), draw(_trees(budget - left)))
 
 
 @settings(max_examples=300, deadline=None)
-@given(_TREES)
+@given(_trees())
 def test_digit_bound_does_not_depend_on_operand_order(tree):
     # A compiler may run either operand order (the buggy one runs b-a for
     # a-b), so the refusal must not depend on it.

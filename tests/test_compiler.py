@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from exprgen import ALL_OPS, COMMUTATIVE_OPS, exprs_by_op_count, random_exp
+from exprgen import ALL_OPS, COMMUTATIVE_OPS, exp_text, exprs_by_op_count, random_exp
 from gradcast.casts import Attested, CastFault, FailedCast, FailureMode, proj1
 from gradcast.compiler import (
     COMPILERS,
@@ -18,16 +18,15 @@ from gradcast.compiler import (
     compile_fixed,
     correct_prog,
     eval_exp,
-    format_exp,
     parse_exp,
     run_prog,
     runc,
 )
 from gradcast.hocasts import cast_fun_range
 from gradcast.predicates import Holds, Pred, p_true
-from gradcast.records import record
 from gradcast.render import show_value
 from test_compiler_kernels import ref_eval_binop
+from test_records import eq_key, hash_key, ref_repr
 
 MINUS_2_1 = BinOp(Binop.MINUS, Const(2), Const(1))
 PLUS_2_2 = BinOp(Binop.PLUS, Const(2), Const(2))
@@ -121,7 +120,7 @@ def test_checked_fixed_is_attested_on_random_expressions():
     for _ in range(1000):
         e = random_exp(rng, max_depth=6)
         refined = checked(e)
-        assert isinstance(refined, Attested), format_exp(e)
+        assert isinstance(refined, Attested), exp_text(e)
         assert run_prog(refined.value, []) == [eval_exp(e)]
 
 
@@ -194,11 +193,11 @@ def test_parse_exp_error_offsets():
     assert excinfo.value.offset == 3
 
 
-def test_parse_format_roundtrip():
+def test_parse_print_roundtrip():
     rng = random.Random(31337)
     for _ in range(500):
         e = random_exp(rng, max_depth=6)
-        assert parse_exp(format_exp(e)) == e
+        assert parse_exp(exp_text(e)) == e
 
 
 def test_parse_exp_numeral_over_int_digit_limit_is_a_parse_error():
@@ -209,14 +208,21 @@ def test_parse_exp_numeral_over_int_digit_limit_is_a_parse_error():
     assert excinfo.value.reason == "numeral of 5000 digits is too long"
 
 
-def test_format_parse_roundtrip_at_depth_ten_thousand():
-    # Canonical text: every subtraction nests to the right, so each level
-    # needs parentheses.
-    depth = 10_000
+@pytest.mark.parametrize("depth", [100, 10_000])
+def test_parse_right_and_left_nested_text(depth):
+    # Every subtraction nests to the right, so each level needs parentheses.
+    right = BinOp(Binop.MINUS, Const(1), Const(2))
+    for _ in range(depth):
+        right = BinOp(Binop.MINUS, Const(1), right)
     text = "1 - (" * depth + "1 - 2" + ")" * depth
-    assert format_exp(parse_exp(text)) == text
+    assert parse_exp(text) == right
+    left = Const(1)
+    for _ in range(depth - 1):
+        left = BinOp(Binop.MINUS, left, Const(1))
     left_nested = " - ".join(["1"] * depth)
-    assert format_exp(parse_exp(left_nested)) == left_nested
+    assert parse_exp(left_nested) == left
+    if depth <= 100:  # the printer recurses
+        assert (exp_text(right), exp_text(left)) == (text, left_nested)
 
 
 @pytest.mark.parametrize("depth", [1000, 10_000])
@@ -232,19 +238,7 @@ def test_deep_trees_compare_hash_and_print(depth):
     assert repr(e) == level * (depth + 1) + "Const(value=2)" + ")" * (depth + 1)
 
 
-class RecordBinOp(record("op", "left", "right")):
-    """``BinOp`` with the record's recursive ``==``, ``hash`` and ``repr``."""
-
-    __slots__ = ()
-
-
-def as_record(e):
-    if isinstance(e, BinOp):
-        return RecordBinOp(e.op, as_record(e.left), as_record(e.right))
-    return e
-
-
-def test_tree_eq_hash_and_repr_match_the_record_on_random_trees():
+def test_tree_eq_hash_and_repr_match_the_tuple_reference_on_random_trees():
     rng = random.Random(20)
     leaves = [Const(0), Const(1), Const(1.0), Const(float("nan")), 0, "x"]
     trees = []
@@ -253,15 +247,15 @@ def test_tree_eq_hash_and_repr_match_the_record_on_random_trees():
         if rng.random() < 0.3:  # odd leaves and shared subtrees
             e = BinOp(rng.choice(ALL_OPS), rng.choice(leaves), rng.choice(trees or [e]))
         trees.append(e)
-    records = [as_record(e) for e in trees]
-    for e, r in zip(trees, records):
-        assert repr(e) == repr(r).replace("RecordBinOp(", "BinOp(")
-        assert hash(e) == hash(r)
+    keys = [eq_key(e) for e in trees]
+    for e in trees:
+        assert repr(e) == ref_repr(e)
+        assert hash(e) == hash(hash_key(e))
         if isinstance(e, BinOp):
             assert e != (e.op, e.left, e.right) and e != Const(1)
     for i, j in zip(rng.choices(range(300), k=3000), rng.choices(range(300), k=3000)):
         a, b = trees[i], trees[j]
-        assert (a == b, a != b) == (records[i] == records[j], records[i] != records[j])
+        assert (a == b, a != b) == (keys[i] == keys[j], keys[i] != keys[j])
         if a == b:
             assert hash(a) == hash(b)
 
@@ -275,7 +269,7 @@ def test_deep_expressions_compile_evaluate_and_run():
     assert parse_exp("(" * 3000 + "2" + ")" * 3000) == Const(2)
 
 
-def test_eval_compile_run_and_format_reject_invalid_input():
+def test_eval_compile_and_run_reject_invalid_input():
     with pytest.raises(ValueError):
         eval_exp(BinOp(Binop.PLUS, Const(1), Const(-1)))
     with pytest.raises(ValueError):
@@ -286,8 +280,6 @@ def test_eval_compile_run_and_format_reject_invalid_input():
         compile_fixed(BinOp(Binop.PLUS, 1, Const(2)))
     with pytest.raises(TypeError):
         run_prog([IConst(1), "iBinop Plus"], [])
-    with pytest.raises(TypeError):
-        format_exp(BinOp(Binop.PLUS, Const(1), None))
     assert run_prog([IConst(1), IBinop(Binop.PLUS)], []) is None
     assert run_prog([IBinop(Binop.MINUS)], [3, 5]) == [0]
     stack = [1, 2]

@@ -30,8 +30,6 @@ from gradcast.predicates import (
     Pred,
     PredFamily,
     Refutes,
-    RelateDisagreement,
-    RelateReport,
 )
 
 LIB, REF = gradcast, spec
@@ -403,17 +401,6 @@ def test_records_construct_match_print_compare_and_hash_like_dataclasses():
 VALUE_TYPES = [
     (Pred, (bool, str), "Pred(decide=<class 'bool'>, render=<class 'str'>)"),
     (PredFamily, (len,), "PredFamily(at=<built-in function len>)"),
-    (
-        RelateDisagreement,
-        (3, True, False),
-        "RelateDisagreement(value=3, witness_says=True, reference_holds=False)",
-    ),
-    (
-        RelateReport,
-        (2, (RelateDisagreement(3, True, False),)),
-        "RelateReport(checked=2, disagreements=(RelateDisagreement(value=3, "
-        "witness_says=True, reference_holds=False),))",
-    ),
     (EqDec, (divmod, str), "EqDec(eq_decide=<built-in function divmod>, render_value=<class 'str'>)"),
     (Const, (7,), "Const(value=7)"),
     (
@@ -433,10 +420,6 @@ def fields_by_keyword_pattern(value):
             return decide, render
         case PredFamily(at=at):
             return (at,)
-        case RelateDisagreement(value=v, witness_says=w, reference_holds=r):
-            return v, w, r
-        case RelateReport(checked=checked, disagreements=disagreements):
-            return checked, disagreements
         case EqDec(eq_decide=eq_decide, render_value=render_value):
             return eq_decide, render_value
         case Const(value=v) | IConst(value=v):

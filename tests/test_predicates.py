@@ -8,13 +8,11 @@ from gradcast.predicates import (
     Holds,
     Pred,
     Refutes,
-    check_relate_spec,
     p_and,
     p_equivalent,
     p_false,
     p_forall_bounded,
     p_implies,
-    p_is_true,
     p_not,
     p_or,
     p_proven,
@@ -179,47 +177,21 @@ def test_p_forall_bounded_rejects_a_bound_that_is_not_a_natural(k, error, text):
     assert str(raised.value) == text
 
 
-def test_p_is_true():
-    assert holds(p_is_true(True).decide(None))
-    assert not holds(p_is_true(False).decide(None))
-    assert p_is_true(False).render(None) == "Is_true false"
-    assert p_is_true(True).render(None) == "Is_true true"
-
-
 def test_p_relate_follows_witness():
     is_even = p_relate(lambda n: n % 2 == 0, lambda n: f"even({n})")
     assert holds(is_even.decide(4))
     assert not holds(is_even.decide(3))
     verdict = is_even.decide(4)
     assert verdict.evidence.summary == "witness = true"
+    bitwise = p_relate(lambda a: (a & 1) == 0, lambda a: f"{a} mod 2 = 0")
+    for a in range(101):
+        assert holds(bitwise.decide(a)) == holds(dec_le(a % 2, 0))
 
 
 def test_p_relate_const_true():
     p = p_relate(lambda _a: True, lambda a: f"anything({a})")
     for a in [0, 1, "x", None]:
         assert holds(p.decide(a))
-
-
-def test_check_relate_spec_agreeing_witness():
-    reference = Pred(
-        decide=lambda a: dec_le(a % 2, 0),
-        render=lambda a: f"{a} mod 2 = 0",
-    )
-    report = check_relate_spec(lambda a: (a & 1) == 0, reference, range(101))
-    assert report.agrees
-    assert report.checked == 101
-
-
-def test_check_relate_spec_reports_disagreements():
-    report = check_relate_spec(lambda _a: True, p_false(), [1])
-    assert not report.agrees
-    assert len(report.disagreements) == 1
-    assert report.disagreements[0].value == 1
-
-
-def test_check_relate_spec_rejects_empty_samples():
-    with pytest.raises(ValueError):
-        check_relate_spec(lambda _a: True, p_true(), [])
 
 
 def test_decide_is_deterministic():
