@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import enum
 import re
-from itertools import islice
 from operator import is_
 from typing import Callable, Optional, Union
 
@@ -77,12 +76,12 @@ Stack = list[Nat]
 _IBINOP_TEXT = {b: f"iBinop {b.value}" for b in Binop}
 
 
-@show_value.register
+@show_value.register(IConst)
 def _show_iconst(instr: IConst) -> str:
     return f"iConst {instr._value}"
 
 
-@show_value.register
+@show_value.register(IBinop)
 def _show_ibinop(instr: IBinop) -> str:
     op = instr._op
     return _IBINOP_TEXT[op] if type(op) is Binop else f"iBinop {op.value}"
@@ -302,9 +301,6 @@ class ParseError(Exception):
         return type(self), (self.reason, self.offset), self.__dict__
 
 
-# One token per numeral (ASCII digits) or per other character; the six ASCII
-# whitespace characters separate tokens.  Only an error's offset rescans with it.
-_TOKEN = re.compile(r"[0-9]+|[^ \t\r\n\f\v]")
 # A character outside the grammar: the parse fails at or before the first one.
 _FOREIGN = re.compile(r"[^0-9+*()\- \t\r\n\f\v]")
 _OPERATORS = {"+": Binop.PLUS, "-": Binop.MINUS, "*": Binop.TIMES}
@@ -317,12 +313,13 @@ def _parse_error(
     src: str, tokens: list[str], index: int, reason: Optional[str] = None
 ) -> ParseError:
     """The error at token ``index``, by default naming its first character.
-    The offset comes from scanning ``src`` again, which only a failing parse
-    pays for."""
-    if not tokens[index]:  # the end-of-input sentinel
-        offset = len(src)
-    else:
-        offset = next(islice(_TOKEN.finditer(src), index, None)).start()
+    The offset comes from finding the tokens in ``src`` one after another,
+    which only a failing parse pays for: before the first foreign character
+    only ASCII whitespace lies between them."""
+    offset = end = 0
+    for token in tokens[: index + 1]:  # "" is the end-of-input sentinel
+        offset = src.index(token, end) if token else len(src)
+        end = offset + len(token)
     if reason is None:
         reason = f"unexpected character {tokens[index][0]!r}"
     return ParseError(reason, offset + 1)

@@ -42,7 +42,7 @@ class IList(record("length", "items")):
         super().__init__(length, items)
 
 
-@show_value.register
+@show_value.register(IList)
 def _show_ilist(value: IList) -> str:
     # Constructor notation interleaves the tail's length index with the
     # element: an IList of two zeros prints "Cons 1 0 (Cons 0 0 Nil)".

@@ -5,71 +5,56 @@ so every type that can flow through a cast needs a deterministic rendering.
 Conventions: decimal naturals, lowercase booleans, cons notation
 ``x :: y :: nil`` for sequences and ``Some (...)`` / ``None`` for optionals.
 
-``show_value`` finds a value's renderer in a plain class -> renderer table,
-filled from a ``functools.singledispatch`` registry the first time each class
-is rendered, with ``str`` for a class the registry renders by default.  A
-registration through ``show_value.register`` drops the table, and so does any
-ABC registration (a change of ``abc.get_cache_token()``), so both apply to
-the next render.  Sequences read the same table once per element.
+``show_value`` finds a value's renderer in a class -> renderer table, which
+takes the renderer of the first registered class in the ``__mro__`` (``str``
+for ``object``).  ``show_value.register`` drops the table, so a registration
+applies from the next render.  Sequences read the table once per element.
 """
 
 from __future__ import annotations
 
-from abc import get_cache_token
-from functools import singledispatch
 from typing import Any, Callable, Iterable, Optional, TypeVar
 
 A = TypeVar("A")
 
-
-@singledispatch
-def _dispatch(value: Any) -> str:
-    return str(value)
-
-
+_registered: dict[type, Callable[[Any], str]] = {object: str}
 _renderers: dict[type, Callable[[Any], str]] = {}
-_abc_token = get_cache_token()  # the ABC registrations the table reflects
 
 
 def _renderer(cls: type) -> Callable[[Any], str]:
-    """The registered renderer of ``cls``, entered in the table."""
-    show = _dispatch.dispatch(cls)
-    show = _renderers[cls] = str if show is _dispatch.registry[object] else show
+    """The renderer of the nearest registered class in ``cls.__mro__``,
+    entered in the table."""
+    show = _renderers[cls] = next(_registered[c] for c in cls.__mro__ if c in _registered)
     return show
 
 
 def show_value(value: Any) -> str:
-    """Render a value for cast reports. Extend with ``show_value.register``;
-    ``show_value.dispatch`` and ``show_value.registry`` are the registry's.
+    """Render a value for cast reports. Extend with ``show_value.register``.
 
     The table keeps a strong reference to every class once it has been
-    rendered, until the next registration of a renderer or of an ABC."""
-    global _abc_token
-    token = get_cache_token()
-    if token != _abc_token:
-        _renderers.clear()
-        _abc_token = token
+    rendered, until the next registration."""
     show = _renderers.get(value.__class__)
     if show is None:
         show = _renderer(value.__class__)
     return show(value)
 
 
-def _register(cls: Any, func: Optional[Callable] = None) -> Callable:
-    """``singledispatch``'s ``register``, dropping the table once it applies."""
-    registered = _dispatch.register(cls, func)
-    if func is None and registered is not cls:  # register(cls) returns a decorator
+def _register(cls: type, func: Optional[Callable[[Any], str]] = None) -> Callable:
+    """Register ``func`` as the renderer of ``cls`` and of subclasses without
+    their own, and return it; without ``func``, a decorator doing that."""
+    if not isinstance(cls, type):
+        raise TypeError(f"show_value.register needs a class, not {cls!r}")
+    if func is None:
         return lambda f: _register(cls, f)
+    _registered[cls] = func
     _renderers.clear()
-    return registered
+    return func
 
 
 show_value.register = _register  # type: ignore[attr-defined]
-show_value.dispatch = _dispatch.dispatch  # type: ignore[attr-defined]
-show_value.registry = _dispatch.registry  # type: ignore[attr-defined]
 
 
-@show_value.register
+@show_value.register(bool)
 def _show_bool(value: bool) -> str:
     return "true" if value else "false"
 
@@ -77,11 +62,6 @@ def _show_bool(value: bool) -> str:
 @show_value.register(list)
 @show_value.register(tuple)
 def _show_seq(value: Iterable[Any]) -> str:
-    global _abc_token
-    token = get_cache_token()
-    if token != _abc_token:
-        _renderers.clear()
-        _abc_token = token
     parts = []
     for x in value:
         show = _renderers.get(x.__class__)
