@@ -241,22 +241,47 @@ def test_registration_after_a_first_render_applies_to_later_list_renders():
     assert show_value(LateChild()) == "late-registered"
 
 
-@pytest.mark.parametrize("form", ["call", "decorator"])
-def test_registration_after_a_first_direct_render_applies_to_the_next_render(form):
+@pytest.mark.parametrize(
+    "form, rendered",
+    [
+        ("call", "class"),
+        ("decorator", "class"),
+        ("call", "subclass"),
+        ("decorator", "subclass"),
+        ("call", "own"),
+        ("decorator", "own"),
+    ],
+    ids=["call", "decorator", "call-subclass", "decorator-subclass", "call-own", "decorator-own"],
+)
+def test_registration_after_a_first_direct_render_applies_to_the_next_render(form, rendered):
     class Late:
         def __str__(self):
             return "late-default"
 
+    class LateChild(Late):
+        pass
+
+    class LateOwn(Late):
+        pass
+
     def show_late(_value: Late) -> str:
         return "late-registered"
 
-    assert show_value(Late()) == "late-default"
+    show_value.register(LateOwn, lambda _value: "own")
+    # The value rendered before and after ``Late`` gets its renderer: the
+    # class itself, a subclass without a renderer, or one with its own.
+    value, before, after = {
+        "class": (Late(), "late-default", "late-registered"),
+        "subclass": (LateChild(), "late-default", "late-registered"),
+        "own": (LateOwn(), "own", "own"),
+    }[rendered]
+    assert show_value(value) == before
     if form == "call":
         assert show_value.register(Late, show_late) is show_late
     else:
         assert show_value.register(Late)(show_late) is show_late
-    assert show_value(Late()) == "late-registered"
-    assert show_value([Late()]) == "late-registered :: nil"
+    assert show_value(value) == after
+    assert show_value([value]) == f"{after} :: nil"
     # A renderer names its class: an annotated function alone is refused.
     with pytest.raises(TypeError, match="needs a class"):
         show_value.register(show_late)
