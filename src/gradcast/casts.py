@@ -21,9 +21,9 @@ formats evidence.  A ``Pred.render`` must therefore be pure: reading the text
 once, many times or never must not change anything.  A ``FailedCast``
 renders at the cast, since it may not keep the value to render later.
 
-Refined values are slotted, read-only records, safe to hand between threads;
-``cast`` is pure apart from fault raising.  Every entry that takes a ``mode``
-raises ``ValueError`` for anything but a :class:`FailureMode`.
+Refined values are slotted records; only their public fields refuse assignment
+(see ``records``).  ``cast`` is pure apart from fault raising.  Every entry
+that takes a ``mode`` raises ``ValueError`` for anything but a :class:`FailureMode`.
 """
 
 from __future__ import annotations

@@ -165,23 +165,14 @@ def cmd_rat(
     return status
 
 
-def cmd_demo_regimes(probe_value: int = 0) -> int:
-    """Run a function that ignores its argument through a domain cast at an
-    argument violating the precondition, once per failure regime."""
-    if probe_value < 0:
-        print(f"USAGE_ERROR --value must be a natural number, got {probe_value}")
-        return 2
-
-    def ignore_argument(_refined: object) -> int:
-        return 1
-
-    lazily = cast_fun_dom(pred_gt_const(0), ignore_argument, FailureMode.LAZY)
-    print(f"LAZY: {lazily(probe_value)}")
-    eagerly = cast_fun_dom(pred_gt_const(0), ignore_argument, FailureMode.EAGER)
-    try:
-        print(f"EAGER: {eagerly(probe_value)}")
-    except CastFault as fault:
-        print(f"EAGER: {fault.message}")
+def cmd_demo_regimes() -> int:
+    """Run a function that ignores its argument through a domain cast at 0,
+    which violates the precondition, once per failure regime."""
+    for mode in FailureMode:
+        try:
+            print(f"{mode.name}: {cast_fun_dom(pred_gt_const(0), lambda _: 1, mode)(0)}")
+        except CastFault as fault:
+            print(f"{mode.name}: {fault.message}")
     return 0
 
 
@@ -213,10 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also print median wall time per strategy",
     )
 
-    demo = sub.add_parser(
-        "demo-regimes", help="contrast lazy and eager failure on an ignored argument"
-    )
-    demo.add_argument("--value", type=int, default=0, help=argparse.SUPPRESS)
+    sub.add_parser("demo-regimes", help="contrast lazy and eager failure on an ignored argument")
 
     return parser
 
@@ -229,7 +217,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "rat":
             strategy, mode = IrredStrategy(args.strategy), FailureMode(args.mode)
             return cmd_rat(args.sign, args.top, args.bottom, strategy, mode, args.time_strategies)
-        return cmd_demo_regimes(args.value)
+        return cmd_demo_regimes()
     except CastFault as fault:
         print(_FAILED_CAST.format(fault))
         return 1

@@ -16,9 +16,8 @@ products.
 
 Parsing, compiling, evaluating and running each walk their input once with
 an explicit stack, so they take linear time and accept any nesting depth, as
-do a tree's ``==``, ``hash`` and ``repr`` (see ``records``).  ``copy.deepcopy``
-and ``pickle`` still recurse once per level (under the default recursion limit
-they fail at depths 150 and 300).
+do a tree's ``==``, ``hash``, ``repr`` (see ``records``), ``copy``, ``deepcopy``
+and ``pickle``: a copy shares what the tree shares; copying a cycle raises ``ValueError``.
 Each node costs only its own work: the parser splits the text with ``str``
 methods up to its first character outside the grammar, leaves with the same
 numeral share one ``Const`` within a parse and equal ``int`` constants share
@@ -50,12 +49,43 @@ class Binop(enum.Enum):
     TIMES = "Times"
 
 
+# Marks, on an explicit traversal stack, that the operands of the BinOp
+# pushed just beneath it have been visited.
+_OPERANDS_DONE = object()
+
+
 class Const(record("value")):
     __slots__ = ()
 
 
 class BinOp(record("op", "left", "right")):
     __slots__ = ()
+
+    def __reduce__(self) -> tuple:
+        # copy, deepcopy and pickle get an entry per node, operands first, with an
+        # operand node as its entry's number: any depth works and a node met twice
+        # is one entry.  index maps a node's id to its entry, None while open.
+        entries, index, todo = [], {}, [self]
+        while todo:
+            if (node := todo.pop()) is _OPERANDS_DONE:
+                node = todo.pop()
+                index[id(node)] = len(entries)  # no leaf's id is a key: keys are live nodes'
+                refs = isinstance(node._left, BinOp) | isinstance(node._right, BinOp) << 1
+                entries.append((type(node), node._op, index.get(id(node._left), node._left),
+                                index.get(id(node._right), node._right), refs))
+            elif isinstance(node, BinOp) and id(node) not in index:
+                index[id(node)] = None
+                todo += (node, _OPERANDS_DONE, node._right, node._left)
+            elif isinstance(node, BinOp) and index[id(node)] is None:  # below itself
+                raise ValueError("cannot copy a cyclic expression tree")
+        return _rebuild_tree, (entries,)
+
+
+def _rebuild_tree(nodes: list) -> BinOp:
+    # BinOp.__reduce__'s entries, each replaced by its node in turn.
+    for i, (cls, op, left, right, refs) in enumerate(nodes):
+        nodes[i] = cls(op, nodes[left] if refs & 1 else left, nodes[right] if refs & 2 else right)
+    return nodes[-1]
 
 
 Exp = Union[Const, BinOp]
@@ -88,10 +118,6 @@ def _show_ibinop(instr: IBinop) -> str:
 
 
 _PLUS, _MINUS, _TIMES = Binop.PLUS, Binop.MINUS, Binop.TIMES
-
-# Marks, on an explicit traversal stack, that the operands of the BinOp
-# pushed just beneath it have been visited.
-_OPERANDS_DONE = object()
 
 # The loops below apply x OP y inline: an operand that is not a plain int >= 0
 # goes through check_nat, x first; the op is picked by identity, subtraction

@@ -11,7 +11,7 @@ Dependent result shapes are modelled by runtime-indexed data: an
 :class:`IList` carries its own length, and that index is validated as a data
 invariant at construction.  The type-level bridge that would realign a
 result index after a domain cast erases to the identity at runtime, which is
-why :func:`cast_forall_dom` behaves exactly like :func:`cast_fun_dom`.
+why :func:`cast_forall_dom` is :func:`cast_fun_dom` itself.
 """
 
 from __future__ import annotations
@@ -108,12 +108,4 @@ def cast_forall_range(
     return wrapped
 
 
-def cast_forall_dom(
-    p: Pred[A],
-    f: Callable[[Refined], B],
-    mode: FailureMode = FailureMode.LAZY,
-) -> Callable[[A], B]:
-    """Weaken the domain of a function whose result shape depends on the
-    argument.  The index-realigning bridge is the identity at runtime, so this
-    is observably :func:`cast_fun_dom`."""
-    return cast_fun_dom(p, f, mode)
+cast_forall_dom = cast_fun_dom  # its index bridge is the identity at runtime

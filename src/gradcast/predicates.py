@@ -20,8 +20,9 @@ rendered while deciding, so mutating a value never changes its evidence.  A
 read raises what formatting raises: ``pred_lt_const(10**5000)`` holds at 5,
 and only reading the summary hits the int-string digit limit (``ValueError``).
 
-All predicates are immutable once built and ``decide`` must be a pure function
-of its input, so predicates can be shared freely across threads.
+A predicate's public fields refuse assignment, and ``decide`` must give the
+same arm for the same input.  ``compiler.correct_prog``'s predicate keeps its
+last run, reused while a program holds the very instructions that ran.
 """
 
 from __future__ import annotations

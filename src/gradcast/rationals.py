@@ -31,7 +31,6 @@ from __future__ import annotations
 import enum
 import math
 from operator import attrgetter, eq, mul
-from typing import Callable
 
 from .casts import Attested, CastFault, FailedCast, FailureMode, check_choice, proj1
 from .instances import Nat, check_nat
@@ -198,20 +197,6 @@ def irreducible_bounded(top: Nat, bottom: Nat, arith: NatArith) -> Decision:
     return _holds(f"every divisor triple bounded by {bound} forces x = 1")
 
 
-# cast_rat's verdict per strategy, looking the deciders up as module attributes
-# at each call.  The gcd entry must call this module's gcd, not math.gcd: the
-# traced benchmark rebinds gcd on the module to time the decider on its own.
-_IRRED_DECIDERS: dict[IrredStrategy, Callable[[Nat, Nat], bool]] = {
-    IrredStrategy.BOUNDED: lambda t, b: isinstance(
-        irreducible_bounded(t, b, PEANO_ARITH), Holds
-    ),
-    IrredStrategy.BINARY_BOUNDED: lambda t, b: isinstance(
-        irreducible_bounded(t, b, MACHINE_ARITH), Holds
-    ),
-    IrredStrategy.GCD: lambda t, b: gcd(t, b) == 1,
-}
-
-
 # The verdict of every fraction that holds; its evidence is every AttestedRat's.
 _RATIONAL = _holds("the bottom is nonzero and the fraction is irreducible")
 _RATIONAL_EVIDENCE = _RATIONAL.evidence
@@ -256,7 +241,13 @@ def cast_rat(
     if not isinstance(sign, bool):
         raise TypeError(f"sign must be a bool, got {sign!r}")
     # Not casts.cast, which builds a Rat before deciding and adds a Pred call.
-    if bottom != 0 and _IRRED_DECIDERS[strategy](top, bottom):
+    # The deciders are module globals, which the traced benchmark rebinds.
+    if strategy is IrredStrategy.GCD:
+        irreducible = bottom != 0 and gcd(top, bottom) == 1
+    else:
+        arith = PEANO_ARITH if strategy is IrredStrategy.BOUNDED else MACHINE_ARITH
+        irreducible = bottom != 0 and isinstance(irreducible_bounded(top, bottom, arith), Holds)
+    if irreducible:
         return AttestedRat(Rat(sign, top, bottom, _RAT_KEY), RAT_INVARIANTS, _RATIONAL_EVIDENCE)
     value_text = f"mkRat {_SIGN_TEXT[sign]} {top} {bottom}"
     if mode is FailureMode.EAGER:

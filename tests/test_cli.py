@@ -128,12 +128,6 @@ def test_demo_regimes_golden_lines(capsys):
     assert lines == ["LAZY: 1", "EAGER: Cast has failed"]
 
 
-def test_demo_regimes_valid_argument(capsys):
-    status, lines = run_cli(capsys, "demo-regimes", "--value", "1")
-    assert status == 0
-    assert lines == ["LAZY: 1", "EAGER: 1"]
-
-
 def test_cli_subprocess_roundtrip():
     proc = subprocess.run(
         [sys.executable, "-m", "gradcast", "check", "2-1"],
@@ -145,9 +139,11 @@ def test_cli_subprocess_roundtrip():
 
 
 def test_cli_rejects_unknown_strategy():
-    with pytest.raises(SystemExit) as excinfo:
-        main(["rat", "+", "1", "2", "--strategy", "magic"])
-    assert excinfo.value.code == 2
+    # argparse refuses an unknown choice and an unknown option alike
+    for argv in (["rat", "+", "1", "2", "--strategy", "magic"], ["demo-regimes", "--value", "1"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
 
 
 def test_check_numeral_over_int_digit_limit_is_a_parse_error(capsys):
@@ -160,12 +156,6 @@ def test_rat_numeral_over_int_digit_limit_is_a_usage_error(capsys):
     status, lines = run_cli(capsys, "rat", "+", "9" * 5000, "1")
     assert status == 2
     assert lines == ["USAGE_ERROR top or bottom exceeds the integer digit limit"]
-
-
-def test_demo_regimes_negative_value_is_a_usage_error(capsys):
-    status, lines = run_cli(capsys, "demo-regimes", "--value", "-1")
-    assert status == 2
-    assert lines == ["USAGE_ERROR --value must be a natural number, got -1"]
 
 
 def test_check_accepts_deeply_nested_parentheses(capsys):

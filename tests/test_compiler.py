@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -236,6 +238,42 @@ def test_deep_trees_compare_hash_and_print(depth):
     assert len({e, same, other}) == 2
     level = "BinOp(op=<Binop.MINUS: 'Minus'>, left=Const(value=1), right="
     assert repr(e) == level * (depth + 1) + "Const(value=2)" + ")" * (depth + 1)
+
+
+def copies(value):
+    return copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))
+
+
+@pytest.mark.parametrize("depth", [1000, 10_000])
+def test_deep_trees_survive_copy_deepcopy_and_pickle(depth):
+    text = "1 - (" * depth + "1 - 2" + ")" * depth
+    e = parse_exp(text)
+    for twin in copies(e):
+        assert type(twin) is BinOp and twin is not e
+        assert twin == e
+    left_nested = parse_exp(" - ".join(["1"] * depth))
+    assert all(twin == left_nested for twin in copies(left_nested))
+
+
+def test_tree_copies_share_what_the_tree_shares():
+    e = parse_exp("1 - 1 - 1")  # one Const for the numeral 1
+    tree = BinOp(Binop.PLUS, e, e)
+    shallow, deep, unpickled = copies(tree)
+    for twin in (shallow, deep, unpickled):
+        assert twin == tree and twin.left is twin.right and twin.left is not e
+        ones = twin.left.left.left, twin.left.left.right, twin.left.right
+        assert ones[0] is ones[1] is ones[2]
+    assert shallow.left.right is e.right  # a shallow copy keeps the leaves
+    assert deep.left.right is not e.right and unpickled.left.right is not e.right
+
+
+def test_copying_a_cyclic_tree_raises():
+    for store in ("_left", "_right"):
+        e = parse_exp("1 - (2 - 3)")
+        setattr(e.right, store, e)  # a private slot accepts the store
+        for copier in (copy.copy, copy.deepcopy, pickle.dumps):
+            with pytest.raises(ValueError, match="^cannot copy a cyclic expression tree$"):
+                copier(e)
 
 
 def test_tree_eq_hash_and_repr_match_the_tuple_reference_on_random_trees():

@@ -144,6 +144,8 @@ def test_constant_family_equals_plain_range_cast():
 
 
 def test_forall_dom_extensionally_equals_fun_dom():
+    assert cast_forall_dom is cast_fun_dom
+
     def body(refined):
         return proj1(refined) * 2
 

@@ -100,18 +100,32 @@ def test_cast_rat_zero_bottom_fails_first_guard():
 
 
 def test_cast_rat_zero_bottom_never_runs_irreducibility(monkeypatch):
+    # cast_rat looks both deciders up on the module, so the traced benchmark
+    # can rebind them; so does this test.
     calls = []
 
-    def counting_decider(top, bottom):
-        calls.append((top, bottom))
-        return True
+    def counting(name, decider):
+        def counted(*args):
+            calls.append((name, *args))
+            return decider(*args)
 
-    counted = {strategy: counting_decider for strategy in IrredStrategy}
-    monkeypatch.setattr(rationals, "_IRRED_DECIDERS", counted)
-    cast_rat(True, 1, 0, strategy=IrredStrategy.BOUNDED)
-    assert calls == []
-    cast_rat(True, 5, 6, strategy=IrredStrategy.BOUNDED)
-    assert calls == [(5, 6)]
+        return counted
+
+    monkeypatch.setattr(rationals, "gcd", counting("gcd", gcd))
+    monkeypatch.setattr(
+        rationals, "irreducible_bounded", counting("irreducible_bounded", irreducible_bounded)
+    )
+    expected = {
+        IrredStrategy.GCD: ("gcd", 5, 6),
+        IrredStrategy.BINARY_BOUNDED: ("irreducible_bounded", 5, 6, MACHINE_ARITH),
+        IrredStrategy.BOUNDED: ("irreducible_bounded", 5, 6, PEANO_ARITH),
+    }
+    for strategy in IrredStrategy:
+        calls.clear()
+        assert isinstance(cast_rat(True, 1, 0, strategy=strategy), FailedCastRat)
+        assert calls == []
+        assert isinstance(cast_rat(True, 5, 6, strategy=strategy), AttestedRat)
+        assert calls == [expected[strategy]]
 
 
 def test_cast_rat_eager_raises():
