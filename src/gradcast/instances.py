@@ -64,8 +64,7 @@ def pred_lt_const(k: Nat) -> Pred[Nat]:
         return dec_le(n + 1, k)
 
     def render(n: Nat) -> str:
-        if not (type(n) is int and n >= 0):
-            check_nat(n)
+        check_nat(n)
         return f"{n + 1} <= {k}"
 
     return Pred(decide=decide, render=render)
@@ -76,8 +75,7 @@ def pred_gt_const(k: Nat) -> Pred[Nat]:
     check_nat(k)
 
     def render(n: Nat) -> str:
-        if not (type(n) is int and n >= 0):
-            check_nat(n)
+        check_nat(n)
         return f"{k + 1} <= {n}"
 
     return Pred(decide=lambda n: dec_le(k + 1, n), render=render)
@@ -88,8 +86,7 @@ def pred_ge_const(k: Nat) -> Pred[Nat]:
     check_nat(k)
 
     def render(n: Nat) -> str:
-        if not (type(n) is int and n >= 0):
-            check_nat(n)
+        check_nat(n)
         return f"{k} <= {n}"
 
     return Pred(decide=lambda n: dec_le(k, n), render=render)

@@ -9,11 +9,11 @@ equivalent to the real thing only under that assumption.
 
 Three interchangeable irreducibility deciders are provided.  The two bounded
 ones enumerate candidate divisor triples up to max(top, bottom); they differ
-only in the number representation used for the multiplications and
-comparisons (:class:`Peano` unary naturals versus machine integers), which is
-exactly what separates their running times.  The gcd strategy replaces the
-enumeration with ``gcd(top, bottom) == 1``, which is equivalent to
-irreducibility for a nonzero denominator.
+only in the arithmetic used for the multiplications and comparisons (unary,
+one successor step at a time, versus machine integers), which is exactly what
+separates their running times.  The gcd strategy replaces the enumeration with
+``gcd(top, bottom) == 1``, which is equivalent to irreducibility for a nonzero
+denominator.
 
 :func:`cast_rat` reads only the arm of each decision.  Its results are the
 cast core's records, so ``proj1``, ``proj2`` and ``==`` apply: an
@@ -46,7 +46,8 @@ class Rat(record("sign", "top", "bottom")):
     """An irreducible fraction with a nonzero denominator.
 
     Instances cannot be constructed directly; :func:`cast_rat` builds one
-    exactly when both invariant checks hold.  Its fields are read-only.
+    exactly when both invariant checks hold.  Only its public field names
+    refuse assignment (see ``records``).
     """
 
     __slots__ = ()
@@ -88,53 +89,32 @@ class IrredStrategy(enum.Enum):
     GCD = "gcd"
 
 
-def _walk_add(a: int, b: int) -> int:
-    # One loop step per successor constructor of b.
-    total = a
-    for _ in range(b):
-        total += 1
+def _unary_mul(a: int, b: int) -> int:
+    # a rows of b successor steps each: a * b loop steps in all.
+    total = 0
+    for _ in range(a):
+        for _ in range(b):
+            total += 1
     return total
 
 
-class Peano:
-    """A unary natural: the count of successor constructors.
-
-    Every operation walks the chain one constructor at a time, so the cost of
-    arithmetic is proportional to the magnitudes involved.  This is the
-    representation whose cost profile the BOUNDED strategy measures.
-    """
-
-    __slots__ = ("count",)
-
-    def __init__(self, count: int = 0) -> None:
-        self.count = check_nat(count)
-
-    def mul(self, other: "Peano") -> "Peano":
-        total = 0
-        for _ in range(self.count):
-            total = _walk_add(total, other.count)
-        return Peano(total)
-
-    def equals(self, other: "Peano") -> bool:
-        x, y = self.count, other.count
-        while x > 0 and y > 0:
-            x -= 1
-            y -= 1
-        return x == 0 and y == 0
-
-    def __repr__(self) -> str:
-        return f"Peano({self.count})"
+def _unary_equal(a: int, b: int) -> bool:
+    # Strip one successor from each side until either side reaches zero.
+    while a > 0 and b > 0:
+        a -= 1
+        b -= 1
+    return a == b
 
 
-class NatArith(record("name", "lift", "mul", "equal")):
-    """The arithmetic a bounded enumeration runs on: a name, the lift from
-    ``int`` and the multiplication and equality on lifted values."""
+class NatArith(record("name", "mul", "equal")):
+    """The arithmetic a bounded enumeration runs on: a name and the
+    multiplication and equality on naturals."""
 
     __slots__ = ()
 
 
-PEANO_ARITH = NatArith(name="peano", lift=Peano, mul=Peano.mul, equal=Peano.equals)
-MACHINE_ARITH = NatArith(name="machine", lift=lambda n: n, mul=mul, equal=eq)
+PEANO_ARITH = NatArith(name="peano", mul=_unary_mul, equal=_unary_equal)
+MACHINE_ARITH = NatArith(name="machine", mul=mul, equal=eq)
 
 
 def gcd(a: Nat, b: Nat) -> Nat:
@@ -179,17 +159,13 @@ def irreducible_bounded(top: Nat, bottom: Nat, arith: NatArith) -> Decision:
     check_nat(bottom)
     _require_nonzero_bottom(bottom)
     bound = max(top, bottom)
-    lifted = [arith.lift(v) for v in range(bound + 1)]
     mul, equal = arith.mul, arith.equal
-    top_l = arith.lift(top)
-    bottom_l = arith.lift(bottom)
     for x in range(bound + 1):
-        x_l = lifted[x]
         for y in range(bound + 1):
-            if not equal(mul(lifted[y], x_l), top_l):
+            if not equal(mul(y, x), top):
                 continue
             for z in range(bound + 1):
-                if equal(mul(lifted[z], x_l), bottom_l) and x != 1:
+                if equal(mul(z, x), bottom) and x != 1:
                     return _refutes(
                         f"counterexample x={x}, y={y}, z={z}: "
                         f"{y} * {x} = {top} and {z} * {x} = {bottom} with 1 <> {x}"

@@ -1,9 +1,12 @@
 """Seeded random expression generators and a printer shared by the compiler
-tests."""
+tests, and a guard for the tests that build very deep values."""
 
 from __future__ import annotations
 
+import functools
 import random
+
+import pytest
 
 from gradcast.compiler import BinOp, Binop, Const, Exp
 
@@ -11,6 +14,26 @@ ALL_OPS = tuple(Binop)
 COMMUTATIVE_OPS = (Binop.PLUS, Binop.TIMES)
 SYMBOL = {Binop.PLUS: "+", Binop.MINUS: "-", Binop.TIMES: "*"}
 PRECEDENCE = {Binop.PLUS: 1, Binop.MINUS: 1, Binop.TIMES: 2}
+
+
+def recursion_fails_fast(f):
+    """``f``, except that a ``RecursionError`` fails the test at once.
+
+    A ``RecursionError`` reaching pytest makes it compare the locals of each
+    traceback frame with those of earlier frames by ``==``, which walks every
+    deep value held there and can take minutes.  So the test fails after the
+    ``except`` block, with no exception chained, and without a traceback.
+    """
+
+    @functools.wraps(f)
+    def guarded(*args, **kwargs):
+        try:
+            return f(*args, **kwargs)
+        except RecursionError as error:
+            message = f"{f.__qualname__} hit the recursion limit: {error}"
+        pytest.fail(message, pytrace=False)
+
+    return guarded
 
 
 def random_exp(

@@ -5,7 +5,14 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from exprgen import ALL_OPS, COMMUTATIVE_OPS, exp_text, exprs_by_op_count, random_exp
+from exprgen import (
+    ALL_OPS,
+    COMMUTATIVE_OPS,
+    exp_text,
+    exprs_by_op_count,
+    random_exp,
+    recursion_fails_fast,
+)
 from gradcast.casts import Attested, CastFault, FailedCast, FailureMode, proj1
 from gradcast.compiler import (
     COMPILERS,
@@ -211,6 +218,7 @@ def test_parse_exp_numeral_over_int_digit_limit_is_a_parse_error():
 
 
 @pytest.mark.parametrize("depth", [100, 10_000])
+@recursion_fails_fast
 def test_parse_right_and_left_nested_text(depth):
     # Every subtraction nests to the right, so each level needs parentheses.
     right = BinOp(Binop.MINUS, Const(1), Const(2))
@@ -228,6 +236,7 @@ def test_parse_right_and_left_nested_text(depth):
 
 
 @pytest.mark.parametrize("depth", [1000, 10_000])
+@recursion_fails_fast
 def test_deep_trees_compare_hash_and_print(depth):
     text = "1 - (" * depth + "1 - 2" + ")" * depth
     e, same = parse_exp(text), parse_exp(text)
@@ -240,6 +249,7 @@ def test_deep_trees_compare_hash_and_print(depth):
     assert repr(e) == level * (depth + 1) + "Const(value=2)" + ")" * (depth + 1)
 
 
+@recursion_fails_fast
 def copies(value):
     return copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))
 
@@ -298,6 +308,7 @@ def test_tree_eq_hash_and_repr_match_the_tuple_reference_on_random_trees():
             assert hash(a) == hash(b)
 
 
+@recursion_fails_fast
 def test_deep_expressions_compile_evaluate_and_run():
     depth = 5000
     e = parse_exp("+".join(["1"] * depth))

@@ -10,7 +10,6 @@ from gradcast.rationals import (
     AttestedRat,
     FailedCastRat,
     IrredStrategy,
-    Peano,
     Rat,
     cast_rat,
     gcd,
@@ -66,6 +65,8 @@ def test_irreducible_bounded_refutation_names_least_triple():
 def test_irreducible_bounded_requires_nonzero_bottom():
     with pytest.raises(ValueError):
         irreducible_bounded(5, 0, MACHINE_ARITH)
+    with pytest.raises(ValueError):
+        irreducible_bounded(-1, 1, PEANO_ARITH)
 
 
 def test_both_bounded_representations_agree():
@@ -166,21 +167,12 @@ def test_rat_cannot_be_constructed_directly():
             Rat(True, 1, 2, _key=key)
 
 
-def test_peano_roundtrip():
-    for n in range(10_001):
-        assert Peano(n).count == n
-
-
-def test_peano_arithmetic_matches_integers():
+@pytest.mark.parametrize("arith", [PEANO_ARITH, MACHINE_ARITH], ids=lambda a: a.name)
+def test_peano_arithmetic_matches_integers(arith):
     for a in range(0, 12):
         for b in range(0, 12):
-            assert Peano(a).mul(Peano(b)).count == a * b
-            assert Peano(a).equals(Peano(b)) == (a == b)
-
-
-def test_peano_rejects_negative():
-    with pytest.raises(ValueError):
-        Peano(-1)
+            assert arith.mul(a, b) == a * b
+            assert arith.equal(a, b) == (a == b)
 
 
 def test_bench_strategies_reports_all_medians():

@@ -12,6 +12,7 @@ from unittest import mock
 
 import pytest
 
+from exprgen import recursion_fails_fast
 from gradcast.compiler import parse_exp
 from gradcast.records import record
 
@@ -78,6 +79,7 @@ CASES = {
 
 @pytest.mark.parametrize("depth", [5, 10_000])
 @pytest.mark.parametrize("case", list(CASES))
+@recursion_fails_fast
 def test_deep_records_compare_hash_and_print(case, depth):
     value, same, other, shown = CASES[case](depth)
     assert value == same and not value != same
