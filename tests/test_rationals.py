@@ -65,8 +65,6 @@ def test_irreducible_bounded_refutation_names_least_triple():
 def test_irreducible_bounded_requires_nonzero_bottom():
     with pytest.raises(ValueError):
         irreducible_bounded(5, 0, MACHINE_ARITH)
-    with pytest.raises(ValueError):
-        irreducible_bounded(-1, 1, PEANO_ARITH)
 
 
 def test_both_bounded_representations_agree():
@@ -167,12 +165,29 @@ def test_rat_cannot_be_constructed_directly():
             Rat(True, 1, 2, _key=key)
 
 
+def test_peano_roundtrip():
+    # n successor steps read back as n, at magnitudes the 12x12 grid never reaches.
+    for n in range(0, 10_001, 97):
+        assert PEANO_ARITH.mul(1, n) == n
+        assert PEANO_ARITH.mul(n, 1) == n
+        assert PEANO_ARITH.equal(n, n)
+        assert not PEANO_ARITH.equal(n, n + 1)
+        assert not PEANO_ARITH.equal(n + 1, n)
+
+
 @pytest.mark.parametrize("arith", [PEANO_ARITH, MACHINE_ARITH], ids=lambda a: a.name)
 def test_peano_arithmetic_matches_integers(arith):
     for a in range(0, 12):
         for b in range(0, 12):
             assert arith.mul(a, b) == a * b
             assert arith.equal(a, b) == (a == b)
+
+
+def test_peano_rejects_negative():
+    # The unary functions take naturals; the bounded decider checks them first.
+    for top, bottom in ((-1, 1), (1, -1)):
+        with pytest.raises(ValueError):
+            irreducible_bounded(top, bottom, PEANO_ARITH)
 
 
 def test_bench_strategies_reports_all_medians():
