@@ -21,8 +21,9 @@ and ``pickle``: a copy shares what the tree shares; copying a cycle raises ``Val
 Each node costs only its own work: the parser splits the text with ``str``
 methods up to its first character outside the grammar, leaves with the same
 numeral share one ``Const`` within a parse and equal ``int`` constants share
-one ``IConst`` within a compile, operations are picked by identity, and an
-operand is checked inline, reaching ``check_nat`` only when not a plain natural.
+one ``IConst`` within a compile.  One operation function serves the interpreter
+and the machine, checking operands inline (``check_nat`` only for a non-natural),
+and ``Binop`` is hashed by identity, so an op's instruction is one dict lookup.
 The loops and instruction renderers read each field once, from its private
 slot.  The correctness check runs each program once: rendering a failed
 check and :func:`runc` on an attested one reuse the stack the decision saw.
@@ -48,9 +49,11 @@ class Binop(enum.Enum):
     MINUS = "Minus"
     TIMES = "Times"
 
+    __hash__ = object.__hash__  # members are singletons, compared by identity
 
-# Marks, on an explicit traversal stack, that the operands of the BinOp
-# pushed just beneath it have been visited.
+
+# Marks, on an explicit traversal stack, that the operands of what lies just
+# beneath it (a BinOp, or in eval_exp and _compile its operation) are visited.
 _OPERANDS_DONE = object()
 
 
@@ -117,11 +120,25 @@ def _show_ibinop(instr: IBinop) -> str:
     return _IBINOP_TEXT[op] if type(op) is Binop else f"iBinop {op.value}"
 
 
-_PLUS, _MINUS, _TIMES = Binop.PLUS, Binop.MINUS, Binop.TIMES
+_PLUS, _MINUS = Binop.PLUS, Binop.MINUS
 
-# The loops below apply x OP y inline: an operand that is not a plain int >= 0
-# goes through check_nat, x first; the op is picked by identity, subtraction
-# truncates at zero, and any op other than PLUS or MINUS multiplies.
+# The loops below apply every operation through _denote, x OP y for the
+# interpreter and the machine alike: an operand that is not a plain int >= 0
+# goes through check_nat, x first; subtraction truncates at zero, and any op
+# other than PLUS or MINUS multiplies.  Binop is hashed by identity, so
+# _compile finds an operation's IBinop with one dict lookup.
+
+
+def _denote(op: Binop, x: Nat, y: Nat) -> Nat:
+    if not (type(x) is int and x >= 0):
+        check_nat(x)
+    if not (type(y) is int and y >= 0):
+        check_nat(y)
+    if op is _PLUS:
+        return x + y
+    if op is _MINUS:
+        return x - y if x >= y else 0
+    return x * y
 
 
 def eval_exp(e: Exp) -> Nat:
@@ -131,27 +148,16 @@ def eval_exp(e: Exp) -> Nat:
     push, pop_value = values.append, values.pop
     todo: list = [e]
     pop = todo.pop
+    denote = _denote
     while todo:
         node = pop()
         if node is _OPERANDS_DONE:
-            op = pop()._op
-            y = pop_value()
-            x = values[-1]
-            if not (type(x) is int and x >= 0):
-                check_nat(x)
-            if not (type(y) is int and y >= 0):
-                check_nat(y)
-            if op is _PLUS:
-                values[-1] = x + y
-            elif op is _MINUS:
-                values[-1] = x - y if x >= y else 0
-            else:
-                values[-1] = x * y
+            values[-1] = denote(pop(), values[-2], pop_value())  # y popped; x's slot gets x OP y
         elif isinstance(node, Const):
             value = node._value
             push(value if type(value) is int and value >= 0 else check_nat(value))
         elif isinstance(node, BinOp):
-            todo += (node, _OPERANDS_DONE, node._right, node._left)
+            todo += (node._op, _OPERANDS_DONE, node._right, node._left)
         else:
             raise TypeError(f"not an expression: {node!r}")
     return values[0]
@@ -166,25 +172,14 @@ def run_prog(p: Prog, s: Stack) -> Optional[Stack]:
     stack = list(s)
     stack.reverse()
     push, pop = stack.append, stack.pop
+    denote = _denote
     for instr in p:
         if isinstance(instr, IConst):
             push(instr._value)
         elif isinstance(instr, IBinop):
             if len(stack) < 2:
                 return None
-            op = instr._op
-            x = pop()
-            y = stack[-1]
-            if not (type(x) is int and x >= 0):
-                check_nat(x)
-            if not (type(y) is int and y >= 0):
-                check_nat(y)
-            if op is _PLUS:
-                stack[-1] = x + y
-            elif op is _MINUS:
-                stack[-1] = x - y if x >= y else 0
-            else:
-                stack[-1] = x * y
+            stack[-1] = denote(instr._op, pop(), stack[-1])  # x popped; y's slot gets x OP y
         else:
             raise TypeError(f"not an instruction: {instr!r}")
     stack.reverse()
@@ -193,7 +188,6 @@ def run_prog(p: Prog, s: Stack) -> Optional[Stack]:
 
 # Instructions are immutable, so one IBinop per operation serves every program.
 _IBINOP = {b: IBinop(b) for b in Binop}
-_IPLUS, _IMINUS, _ITIMES = _IBINOP[_PLUS], _IBINOP[_MINUS], _IBINOP[_TIMES]
 
 
 def _compile(e: Exp, left_first: bool) -> Prog:
@@ -207,11 +201,7 @@ def _compile(e: Exp, left_first: bool) -> Prog:
     while todo:
         node = pop()
         if node is _OPERANDS_DONE:
-            op = pop()._op
-            emit(
-                _IPLUS if op is _PLUS else _IMINUS if op is _MINUS
-                else _ITIMES if op is _TIMES else _IBINOP[op]
-            )
+            emit(_IBINOP[pop()])
         elif isinstance(node, Const):
             value = node._value
             if type(value) is int:
@@ -223,9 +213,9 @@ def _compile(e: Exp, left_first: bool) -> Prog:
                 emit(IConst(value))
         elif isinstance(node, BinOp):
             if left_first:
-                todo += (node, _OPERANDS_DONE, node._right, node._left)
+                todo += (node._op, _OPERANDS_DONE, node._right, node._left)
             else:
-                todo += (node, _OPERANDS_DONE, node._left, node._right)
+                todo += (node._op, _OPERANDS_DONE, node._left, node._right)
         else:
             raise TypeError(f"not an expression: {node!r}")
     return prog

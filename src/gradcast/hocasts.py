@@ -5,7 +5,8 @@ wrapper does.  Wrapping checks only ``mode``, raising ``ValueError`` for
 anything but a :class:`FailureMode`.  ``cast_fun_range`` strengthens what a
 function promises about its results, ``cast_fun_dom`` weakens what it demands
 of its arguments.  The ``forall`` variants cover the dependent cases, where
-the checked property (or the shape of the result) varies with the argument.
+the checked property (or the shape of the result) varies with the argument;
+:func:`cast_fun_range` is :func:`cast_forall_range` over a constant family.
 
 Dependent result shapes are modelled by runtime-indexed data: an
 :class:`IList` carries its own length, and that index is validated as a data
@@ -67,12 +68,7 @@ def cast_fun_range(
     mode: FailureMode = FailureMode.LAZY,
 ) -> Callable[[A], Refined]:
     """Strengthen a function's range: every result is cast against ``p``."""
-    check_choice("mode", mode, FailureMode)
-
-    def wrapped(a: A) -> Refined:
-        return cast(p, f(a), mode)
-
-    return wrapped
+    return cast_forall_range(PredFamily(at=lambda _a: p), f, mode)
 
 
 def cast_fun_dom(

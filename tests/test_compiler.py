@@ -46,10 +46,11 @@ def holds(decision):
 
 
 def test_eval_binop():
-    assert ref_eval_binop(Binop.MINUS, 1, 2) == 0  # natural subtraction truncates
-    assert ref_eval_binop(Binop.PLUS, 2, 2) == 4
-    assert ref_eval_binop(Binop.TIMES, 3, 0) == 0
-    assert ref_eval_binop(Binop.MINUS, 5, 3) == 2
+    # The interpreter applies each operation to its operands' values.
+    assert eval_exp(BinOp(Binop.MINUS, Const(1), Const(2))) == 0  # natural subtraction truncates
+    assert eval_exp(BinOp(Binop.PLUS, Const(2), Const(2))) == 4
+    assert eval_exp(BinOp(Binop.TIMES, Const(3), Const(0))) == 0
+    assert eval_exp(BinOp(Binop.MINUS, Const(5), Const(3))) == 2
     # The machine applies the same operation to its top two entries.
     assert run_prog([IBinop(Binop.MINUS)], [1, 2]) == [0]
     assert run_prog([IBinop(Binop.PLUS)], [2, 2]) == [4]

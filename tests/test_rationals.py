@@ -291,10 +291,10 @@ def test_rational_results_match_class_patterns_and_repr():
 
 
 @pytest.mark.parametrize("strategy", list(IrredStrategy))
-def test_rat_invariants_agree_with_cast_rat(strategy):
+def test_rat_invariants_agree_with_cast_rat(strategy, rat_grid):
     for top in range(41):
         for bottom in range(41):
-            refined = cast_rat(bool(top % 2), top, bottom, strategy=strategy)
+            refined = rat_grid.casts[strategy, top, bottom]
             candidate = Rat(bool(top % 2), top, bottom, _key=_RAT_KEY)
             verdict = RAT_INVARIANTS.decide(candidate)
             assert isinstance(verdict, Holds) == isinstance(refined, AttestedRat), (top, bottom)
