@@ -21,9 +21,11 @@ formats evidence.  A ``Pred.render`` must therefore be pure: reading the text
 once, many times or never must not change anything.  A ``FailedCast``
 renders at the cast, since it may not keep the value to render later.
 
-Refined values are slotted records; only their public fields refuse assignment
-(see ``records``).  ``cast`` is pure apart from fault raising.  Every entry
-that takes a ``mode`` raises ``ValueError`` for anything but a :class:`FailureMode`.
+Refined values are slotted records (see ``records``), built by ``cast`` and
+``rationals.cast_rat`` only in ``_attested`` and ``_failed``, with no ``__init__``
+call; only their public fields refuse assignment.  ``cast`` is pure apart from
+fault raising; a ``decide`` returning no decision raises ``TypeError``, and every
+entry taking a ``mode`` raises ``ValueError`` for anything but a :class:`FailureMode`.
 """
 
 from __future__ import annotations
@@ -31,11 +33,12 @@ from __future__ import annotations
 import enum
 from typing import Generic, Sequence, TypeVar
 
-from .predicates import Evidence, Holds, Pred
+from .predicates import Evidence, Holds, Pred, Refutes, _new
 from .records import record
 from .render import show_value
 
 A = TypeVar("A")
+_NOT_A_DECISION = "decide returned {}, not Holds or Refutes; wrap a boolean decider in p_relate"
 
 
 class FailureMode(enum.Enum):
@@ -95,40 +98,52 @@ class FailedCast(record("value_text", "prop_text")):
 Refined = Attested | FailedCast
 
 
+def _attested(cls: type, value: object, pred: Pred, evidence: Evidence) -> Attested:
+    r = _new(cls)
+    r._value, r._pred, r._evidence = value, pred, evidence
+    return r
+
+
+def _failed(cls: type, value_text: str, prop_text: str, mode: FailureMode) -> FailedCast:
+    if mode is FailureMode.EAGER:
+        raise CastFault(value_text, prop_text)
+    r = _new(cls)
+    r._value_text, r._prop_text = value_text, prop_text
+    return r
+
+
 def cast(p: Pred[A], a: A, mode: FailureMode = FailureMode.LAZY) -> Refined:
     """Check ``p`` against ``a`` and wrap the outcome.
 
     Returns ``Attested`` exactly when ``p.decide(a)`` holds.  In EAGER mode a
-    refuted property raises :class:`CastFault` instead of returning.  A
-    ``mode`` that is not a :class:`FailureMode` raises ``ValueError``.
+    refuted property raises :class:`CastFault` instead of returning.  A bad
+    ``mode`` raises ``ValueError``, and a verdict that is no decision ``TypeError``.
     """
     if type(mode) is not FailureMode:
         check_choice("mode", mode, FailureMode)
     verdict = p.decide(a)
     if isinstance(verdict, Holds):
-        return Attested(a, p, verdict._evidence)
-    if mode is FailureMode.EAGER:
-        raise CastFault(show_value(a), p.render(a))
-    return FailedCast(value_text=show_value(a), prop_text=p.render(a))
+        return _attested(Attested, a, p, verdict._evidence)
+    if not isinstance(verdict, Refutes):
+        raise TypeError(_NOT_A_DECISION.format(type(verdict).__qualname__))
+    return _failed(FailedCast, show_value(a), p.render(a), mode)
 
 
 def try_cast(p: Pred[A], a: A) -> Attested[A] | CastFault:
-    """Cast with failure as a value: never raises.
+    """Cast with failure as a value: never raises :class:`CastFault`.
 
     Returns the :class:`Attested` pair on success and an *unraised*
     :class:`CastFault` record on failure, for callers who prefer to branch
     locally instead of living with poisoned values.
     """
     r = cast(p, a)
-    if isinstance(r, Attested):
-        return r
-    return CastFault(r.value_text, r.prop_text)
+    return r if isinstance(r, Attested) else CastFault(r.value_text, r.prop_text)
 
 
 def proj1(r: Refined) -> A:
     """Project the value. Forcing a failed cast this way raises the fault."""
     if isinstance(r, Attested):
-        return r.value
+        return r._value
     raise CastFault(r.value_text, r.prop_text)
 
 
@@ -139,13 +154,11 @@ def proj2(r: Refined) -> Evidence:
     unobtainable, otherwise a failed cast could be laundered into a proof.
     """
     if isinstance(r, Attested):
-        return r.evidence
+        return r._evidence
     raise CastFault(r.value_text, r.prop_text)
 
 
-def map_cast(
-    p: Pred[A], xs: Sequence[A], mode: FailureMode = FailureMode.LAZY
-) -> list[Refined]:
+def map_cast(p: Pred[A], xs: Sequence[A], mode: FailureMode = FailureMode.LAZY) -> list[Refined]:
     """Cast every element of a sequence.
 
     In LAZY mode the result is a mixed list of attested and failed entries; in

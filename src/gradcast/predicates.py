@@ -11,6 +11,7 @@ Evidence is deliberately unforgeable: the only ways to obtain an
 way to conjure evidence for a proposition whose decision procedure refuted it.
 Evidence is immutable and may be shared: compare it with ``==``, not by identity.
 
+Decisions build verdicts and evidence with no ``__init__`` call (see ``records``).
 A cast reads only the arm of a decision, so evidence text is deferred: it is
 kept as a format string with immutable arguments (naturals, booleans, text,
 ``None``, child evidence, or a renderer call over such values) and joined on
@@ -35,6 +36,7 @@ A = TypeVar("A")
 B = TypeVar("B")
 
 _EVIDENCE_KEY = object()
+_new = object.__new__
 _IMMUTABLE = frozenset({int, bool, str, type(None)})
 
 
@@ -110,11 +112,17 @@ Decision = Holds | Refutes
 # ``text`` is a format string only when ``args`` are given: text from callers
 # is passed as an argument, never as ``text``.
 def _holds(text: str, *args: object) -> Holds:
-    return Holds(Evidence(text, args, _EVIDENCE_KEY))
+    verdict = _new(Holds)
+    verdict._evidence = evidence = _new(Evidence)
+    evidence._text = (text, args) if args else text
+    return verdict
 
 
 def _refutes(text: str, *args: object) -> Refutes:
-    return Refutes(Evidence(text, args, _EVIDENCE_KEY))
+    verdict = _new(Refutes)
+    verdict._refutation = evidence = _new(Evidence)
+    evidence._text = (text, args) if args else text
+    return verdict
 
 
 class Pred(record("decide", "render"), Generic[A]):

@@ -15,8 +15,8 @@ separates their running times.  The gcd strategy replaces the enumeration with
 ``gcd(top, bottom) == 1``, which is equivalent to irreducibility for a nonzero
 denominator.
 
-:func:`cast_rat` reads only the arm of each decision.  Its results are the
-cast core's records, so ``proj1``, ``proj2`` and ``==`` apply: an
+:func:`cast_rat` reads only the arm of each decision and ends in the cast
+core's builders, so ``proj1``, ``proj2`` and ``==`` apply to its records: an
 :class:`AttestedRat` holds one shared evidence for :data:`RAT_INVARIANTS`.
 A successful gcd cast does only what its verdict needs: :func:`cast_rat` and
 :func:`gcd` test each natural inline and call :func:`check_nat` only on failure,
@@ -32,7 +32,7 @@ import enum
 import math
 from operator import attrgetter, eq, mul
 
-from .casts import Attested, CastFault, FailedCast, FailureMode, check_choice, proj1
+from .casts import Attested, FailedCast, FailureMode, _attested, _failed, check_choice, proj1
 from .instances import Nat, check_nat
 from .predicates import Decision, Holds, Pred, _holds, _later, _refutes
 from .records import record
@@ -224,8 +224,7 @@ def cast_rat(
         arith = PEANO_ARITH if strategy is IrredStrategy.BOUNDED else MACHINE_ARITH
         irreducible = bottom != 0 and isinstance(irreducible_bounded(top, bottom, arith), Holds)
     if irreducible:
-        return AttestedRat(Rat(sign, top, bottom, _RAT_KEY), RAT_INVARIANTS, _RATIONAL_EVIDENCE)
+        rat = Rat(sign, top, bottom, _RAT_KEY)
+        return _attested(AttestedRat, rat, RAT_INVARIANTS, _RATIONAL_EVIDENCE)
     value_text = f"mkRat {_SIGN_TEXT[sign]} {top} {bottom}"
-    if mode is FailureMode.EAGER:
-        raise CastFault(value_text, _invariant_text(top, bottom))
-    return FailedCastRat(value_text, _invariant_text(top, bottom))
+    return _failed(FailedCastRat, value_text, _invariant_text(top, bottom), mode)

@@ -1,0 +1,344 @@
+"""The cast core's builders: records made without ``__init__``.
+
+``predicates._holds``/``_refutes`` and ``casts._attested``/``_failed`` make
+their records with ``object.__new__`` and the slot stores of the public
+constructors.  These tests check that each such record is indistinguishable
+from a twin made by its constructor, that no cast anywhere runs one of those
+constructors, that a ``decide`` returning something other than a decision is
+refused rather than taken for a refutation, and that no module of the
+package builds a refined value outside the two builders.
+"""
+
+import ast
+import copy
+import pickle
+from pathlib import Path
+
+import pytest
+
+import gradcast
+import spec
+from gradcast.casts import (
+    Attested,
+    CastFault,
+    FailedCast,
+    FailureMode,
+    cast,
+    map_cast,
+    proj1,
+    proj2,
+)
+from gradcast.compiler import checked_compile, parse_exp, runc
+from gradcast.hocasts import cast_forall_range, cast_fun_dom, cast_fun_range
+from gradcast.instances import eq_list, eq_nat, pred_equals, pred_gt_const, pred_lt_const
+from gradcast.predicates import (
+    Evidence,
+    Holds,
+    Pred,
+    PredFamily,
+    Refutes,
+    _holds,
+    _refutes,
+    p_and,
+    p_equivalent,
+    p_forall_bounded,
+    p_not,
+    p_or,
+    p_proven,
+    p_relate,
+)
+from gradcast.rationals import (
+    _RAT_KEY,
+    _RATIONAL_EVIDENCE,
+    RAT_INVARIANTS,
+    AttestedRat,
+    FailedCastRat,
+    IrredStrategy,
+    Rat,
+    cast_rat,
+)
+
+LT10 = pred_lt_const(10)
+EAGER = FailureMode.EAGER
+IRREDUCIBLE_5_6 = "forall x y z, y * x = 5 /\\ z * x = 6 -> 1 = x"
+IRREDUCIBLE_5_10 = "forall x y z, y * x = 5 /\\ z * x = 10 -> 1 = x"
+
+
+# --- builder-built verdicts against spec's constructor-built references ----
+
+VERDICTS = [
+    (_holds, spec._holds, ("trivially true",), "trivially true"),
+    (_holds, spec._holds, ("{} <= {} by arithmetic", 6, 10), "6 <= 10 by arithmetic"),
+    (_refutes, spec._refutes, ("{} <= {} is false: {} < {}", 16, 10, 10, 16), "16 <= 10 is false: 10 < 16"),
+    (_holds, spec._holds, ("{} and {}", _holds("a").evidence, _holds("{}", "b").evidence), "a and b"),
+    (_refutes, spec._refutes, ("{} <> {}", (format, 2), (format, True)), "2 <> True"),
+    (_holds, spec._holds, ("{}", "{not a field}"), "{not a field}"),
+    (_refutes, spec._refutes, ("text {} with braces",), "text {} with braces"),
+]
+
+
+@pytest.mark.parametrize("build, reference, args, summary", VERDICTS)
+def test_builder_verdicts_match_their_constructor_built_references(build, reference, args, summary):
+    ref = reference(summary)
+    # A fresh verdict per check, so each check is the first read of its text.
+    for check in (
+        lambda v: type(v) is type(ref),
+        lambda v: [e.summary for e in (getattr(v, "evidence", None), getattr(v, "refutation", None)) if e]
+        == [summary],
+        lambda v: v == ref and ref == v,
+        lambda v: hash(v) == hash(ref),
+        lambda v: repr(v) == repr(ref),
+    ):
+        assert check(build(*args))
+    match build(*args):
+        case Holds(evidence):
+            assert type(ref) is Holds and evidence == ref.evidence
+        case Refutes(refutation):
+            assert type(ref) is Refutes and refutation == ref.refutation
+
+
+# --- refined values from cast and cast_rat against constructor twins -------
+
+_RAT_5_6 = proj1(cast_rat(True, 5, 6))
+
+
+def _twin_rat():
+    return Rat(True, 5, 6, _key=_RAT_KEY)
+
+
+REFINED = {
+    "attested": (
+        lambda: cast(LT10, 5),
+        lambda: Attested(5, LT10, spec._holds("6 <= 10 by arithmetic").evidence),
+    ),
+    "attested-rat-pred": (
+        lambda: cast(RAT_INVARIANTS, _RAT_5_6),
+        lambda: Attested(_twin_rat(), RAT_INVARIANTS, spec._holds(_RATIONAL_EVIDENCE.summary).evidence),
+    ),
+    "failed": (
+        lambda: cast(LT10, 15),
+        lambda: FailedCast("15", "16 <= 10"),
+    ),
+    "attested-rat": (
+        lambda: cast_rat(True, 5, 6),
+        lambda: AttestedRat(_twin_rat(), RAT_INVARIANTS, _RATIONAL_EVIDENCE),
+    ),
+    "failed-rat": (
+        lambda: cast_rat(True, 5, 10, strategy=IrredStrategy.BINARY_BOUNDED),
+        lambda: FailedCastRat("mkRat true 5 10", IRREDUCIBLE_5_10),
+    ),
+}
+PICKLABLE = {"attested-rat-pred", "failed", "attested-rat", "failed-rat"}  # LT10 holds closures
+
+
+def _pattern(r):
+    match r:
+        case Attested(value, pred, evidence):
+            return "attested", value, pred, evidence
+        case FailedCast(value_text, prop_text):
+            return "failed", value_text, prop_text
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(REFINED))
+def test_refined_values_match_twins_built_by_their_constructors(name):
+    build, make_twin = REFINED[name]
+    twin = make_twin()
+    copies = [lambda r: r, copy.copy, copy.deepcopy]
+    if name in PICKLABLE:
+        copies.append(lambda r: pickle.loads(pickle.dumps(r)))
+    for made in copies:
+        value = made(build())
+        assert type(value) is type(twin)
+        assert value == twin and twin == value and not value != twin
+        assert hash(value) == hash(twin)
+        assert repr(value) == repr(twin)
+        assert _pattern(value) == _pattern(twin) is not None
+    built = build()
+    if isinstance(twin, Attested):
+        assert proj1(built) == proj1(twin) and proj2(built) == proj2(twin)
+        assert built.prop_text == twin.prop_text
+    else:
+        assert (built.value_text, built.prop_text) == (twin.value_text, twin.prop_text)
+
+
+def test_attested_rat_reads_its_fields_through_the_built_rat():
+    built = cast_rat(False, 3, 4)
+    assert (built.sign, built.top, built.bottom) == (False, 3, 4)
+    assert repr(cast_rat(True, 5, 6)).startswith(
+        f"AttestedRat(value=Rat(sign=True, top=5, bottom=6), prop_text={IRREDUCIBLE_5_6!r}"
+    )
+
+
+# --- no cast runs a record constructor --------------------------------------
+
+
+def _refuse(self, *args, **kwargs):
+    raise AssertionError(f"{type(self).__name__}.__init__ ran")
+
+
+def _outcome(run):
+    try:
+        result = run()
+    except CastFault as fault:
+        return ("fault", str(fault), fault.value_text, fault.prop_text)
+    return ("returned", result, repr(result))
+
+
+SCENARIOS = {
+    "single": lambda m: cast(LT10, 5, m),
+    "single-fails": lambda m: cast(LT10, 15, m),
+    "combinators": lambda m: [
+        cast(p_and(LT10, pred_gt_const(2)), 5, m),
+        cast(p_or(pred_gt_const(20), p_not(LT10)), 12, m),
+        cast(p_equivalent(LT10, lambda n: f"{n} < 10", "successor form"), 3, m),
+        cast(p_forall_bounded(3, pred_lt_const), None, m),
+        cast(p_proven("assumed"), 1, m),
+        cast(p_relate(lambda n: n % 2 == 0, lambda n: f"{n} even"), 4, m),
+    ],
+    "combinator-fails": lambda m: cast(p_and(LT10, pred_gt_const(2)), 1, m),
+    "forall-fails": lambda m: cast(p_forall_bounded(3, lambda n: pred_lt_const(2)), None, m),
+    "eq-list": lambda m: cast(pred_equals(eq_list(eq_nat()), [1, 2]), [1, 2], m),
+    "eq-list-fails": lambda m: cast(pred_equals(eq_list(eq_nat()), [1, 2]), [1, 3], m),
+    "map-cast": lambda m: map_cast(LT10, [1, 3, 9], m),
+    "map-cast-fails": lambda m: map_cast(LT10, [1, 12, 3], m),
+    "fun-range": lambda m: cast_fun_range(LT10, lambda n: n + 1, m)(3),
+    "fun-range-fails": lambda m: cast_fun_range(LT10, lambda n: n + 1, m)(20),
+    "fun-dom": lambda m: cast_fun_dom(LT10, proj1, m)(3),
+    "fun-dom-fails": lambda m: cast_fun_dom(LT10, lambda r: r, m)(20),
+    "fun-dom-ignored": lambda m: cast_fun_dom(LT10, lambda r: 1, m)(20),
+    "forall-range": lambda m: cast_forall_range(
+        PredFamily(at=pred_lt_const), lambda n: n - 1 if n % 2 else n, m
+    )(5),
+    "forall-range-fails": lambda m: cast_forall_range(PredFamily(at=pred_lt_const), lambda n: n, m)(4),
+    "runc-fixed": lambda m: runc(checked_compile("fixed", m), parse_exp("(3-1)*4+2")),
+    "runc-buggy": lambda m: runc(checked_compile("buggy", m), parse_exp("2-1")),
+    "checked-compile": lambda m: [checked_compile(v, m)(parse_exp("1+2")) for v in ("fixed", "buggy")],
+    **{
+        f"cast-rat-{s.value}": lambda m, s=s: [cast_rat(True, 5, 6, s, m), cast_rat(False, 0, 1, s, m)]
+        for s in IrredStrategy
+    },
+    **{f"cast-rat-{s.value}-fails": lambda m, s=s: cast_rat(True, 5, 10, s, m) for s in IrredStrategy},
+    **{f"cast-rat-{s.value}-zero": lambda m, s=s: cast_rat(False, 1, 0, s, m) for s in IrredStrategy},
+}
+
+
+@pytest.mark.parametrize("mode", list(FailureMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_casts_return_the_same_without_any_record_constructor(name, mode, monkeypatch):
+    run = SCENARIOS[name]
+    expected = _outcome(lambda: run(mode))
+    for cls in (Evidence, Holds, Refutes, Attested, FailedCast):
+        monkeypatch.setattr(cls, "__init__", _refuse)
+    with pytest.raises(AssertionError, match="Holds.__init__ ran"):
+        Holds(None)  # the patch is in place
+    with pytest.raises(AssertionError, match="AttestedRat.__init__ ran"):
+        AttestedRat(None, None, None)  # and reaches the subclasses
+    assert _outcome(lambda: run(mode)) == expected
+
+
+# --- a decide that returns no decision --------------------------------------
+
+BOOLEAN = Pred(decide=lambda a: True, render=lambda a: f"{a} ok")
+NOTHING = Pred(decide=lambda a: None, render=lambda a: f"{a} ok")
+NOT_A_DECISION = r"^decide returned {}, not Holds or Refutes; wrap a boolean decider in p_relate$"
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda p: cast(p, 3),
+        lambda p: cast(p, 3, EAGER),
+        lambda p: map_cast(p, [3]),
+        lambda p: map_cast(p, [3], EAGER),
+        lambda p: cast_fun_range(p, lambda n: n)(3),
+        lambda p: cast_fun_dom(p, proj1, EAGER)(3),
+    ],
+    ids=["lazy", "eager", "map-cast", "map-cast-eager", "fun-range", "fun-dom-eager"],
+)
+@pytest.mark.parametrize("pred, kind", [(BOOLEAN, "bool"), (NOTHING, "NoneType")], ids=["bool", "none"])
+def test_a_decide_returning_no_decision_raises_type_error(run, pred, kind):
+    with pytest.raises(TypeError, match=NOT_A_DECISION.format(kind)):
+        run(pred)
+
+
+def test_p_relate_turns_a_boolean_decider_into_a_decision():
+    assert proj1(cast(p_relate(BOOLEAN.decide, BOOLEAN.render), 3)) == 3
+    failed = cast(p_relate(lambda a: False, BOOLEAN.render), 3)
+    assert failed == FailedCast("3", "3 ok")
+
+
+# --- refined values are built only by the cast core's builders ------------
+
+SOURCE = Path(gradcast.__file__).parent
+BUILDERS = {"_attested", "_failed"}  # in casts.py
+REFINED_CLASSES = {"Attested", "AttestedRat", "FailedCast", "FailedCastRat"}
+TAKERS = {"isinstance", "issubclass"} | BUILDERS  # may take a refined class as an argument
+
+
+def _names_refined(node):
+    return any(
+        (isinstance(n, ast.Name) and n.id in REFINED_CLASSES)
+        or (isinstance(n, ast.Attribute) and n.attr in REFINED_CLASSES)
+        for n in ast.walk(node)
+    )
+
+
+def _builds_outside_the_builders(path):
+    """``(line, text)`` of every call in ``path`` that calls a refined class,
+    or hands one to anything but a builder or a class test, outside the two
+    builders."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            function = getattr(node, "name", "<lambda>")
+        if isinstance(node, ast.Call) and not (path.name == "casts.py" and function in BUILDERS):
+            callee = node.func.id if isinstance(node.func, ast.Name) else None
+            handed = [a for a in [*node.args, *(k.value for k in node.keywords)] if _direct(a)]
+            if _names_refined(node.func) or (handed and callee not in TAKERS):
+                found.append((node.lineno, ast.unparse(node)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), None)
+    return found
+
+
+def _direct(arg):
+    # A refined class passed as it is, or in a tuple (``isinstance``'s form).
+    if isinstance(arg, ast.Tuple):
+        return any(_direct(item) for item in arg.elts)
+    return isinstance(arg, (ast.Name, ast.Attribute)) and _names_refined(arg)
+
+
+def test_refined_values_are_built_only_by_the_cast_core_builders():
+    paths = sorted(SOURCE.glob("*.py"))
+    assert {"casts.py", "rationals.py"} <= {p.name for p in paths}
+    offenders = {p.name: found for p in paths if (found := _builds_outside_the_builders(p))}
+    assert offenders == {}
+
+
+def test_the_ast_check_catches_builds_outside_the_builders(tmp_path):
+    bad = tmp_path / "casts.py"
+    bad.write_text(
+        "def cast(p, a):\n"
+        "    return Attested(a, p, None)\n"
+        "def forge():\n"
+        "    return _new(FailedCastRat), object.__new__(AttestedRat), casts.FailedCast('1', '2')\n"
+        "def _attested(cls, value, pred, evidence):\n"
+        "    return _new(cls), Attested(value, pred, evidence)\n"
+        "def fine(r):\n"
+        "    return isinstance(r, (Attested, FailedCast)), _failed(FailedCastRat, '', '', None)\n"
+    )
+    assert [line for line, _ in _builds_outside_the_builders(bad)] == [2, 4, 4, 4]
+
+
+@pytest.mark.parametrize("module, function", [("casts.py", "cast"), ("rationals.py", "cast_rat")])
+def test_cast_and_cast_rat_end_in_the_builders(module, function):
+    tree = ast.parse((SOURCE / module).read_text())
+    (body,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function]
+    called = {n.func.id for n in ast.walk(body) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+    assert BUILDERS <= called
+    last = body.body[-1]
+    assert isinstance(last, ast.Return) and last.value.func.id == "_failed"
