@@ -23,9 +23,11 @@ renders at the cast, since it may not keep the value to render later.
 
 Refined values are slotted records (see ``records``), built by ``cast`` and
 ``rationals.cast_rat`` only in ``_attested`` and ``_failed``, with no ``__init__``
-call; only their public fields refuse assignment.  ``cast`` is pure apart from
-fault raising; a ``decide`` returning no decision raises ``TypeError``, and every
-entry taking a ``mode`` raises ``ValueError`` for anything but a :class:`FailureMode`.
+call; only their public fields refuse assignment.  ``Attested(...)`` refuses
+every call, so only a cast issues one; a ``FailedCast`` carries no evidence and
+stays constructible.  ``cast`` is pure apart from fault raising; a ``decide``
+returning no decision raises ``TypeError``, and every entry taking a ``mode``
+raises ``ValueError`` for anything but a :class:`FailureMode`.
 """
 
 from __future__ import annotations
@@ -33,12 +35,11 @@ from __future__ import annotations
 import enum
 from typing import Generic, Sequence, TypeVar
 
-from .predicates import Evidence, Holds, Pred, Refutes, _new
+from .predicates import Evidence, Holds, Pred, _new, _refuted
 from .records import record
 from .render import show_value
 
 A = TypeVar("A")
-_NOT_A_DECISION = "decide returned {}, not Holds or Refutes; wrap a boolean decider in p_relate"
 
 
 class FailureMode(enum.Enum):
@@ -83,6 +84,9 @@ class Attested(record("value", "pred", "evidence"), Generic[A]):
     __slots__ = ()
     _shown = ("value", "prop_text", "evidence")
 
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        raise TypeError(f"{type(self).__name__} cannot be constructed directly; a cast issues it")
+
     @property
     def prop_text(self) -> str:
         return self.pred.render(self.value)
@@ -122,10 +126,8 @@ def cast(p: Pred[A], a: A, mode: FailureMode = FailureMode.LAZY) -> Refined:
     if type(mode) is not FailureMode:
         check_choice("mode", mode, FailureMode)
     verdict = p.decide(a)
-    if isinstance(verdict, Holds):
+    if isinstance(verdict, Holds) or not _refuted(verdict):
         return _attested(Attested, a, p, verdict._evidence)
-    if not isinstance(verdict, Refutes):
-        raise TypeError(_NOT_A_DECISION.format(type(verdict).__qualname__))
     return _failed(FailedCast, show_value(a), p.render(a), mode)
 
 

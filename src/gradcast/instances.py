@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Generic, Optional, Sequence, TypeVar
 
-from .predicates import Decision, Pred, Refutes, _holds, _later, _refutes
+from .predicates import Decision, Holds, Pred, _holds, _later, _refuted, _refutes
 from .records import record
 from .render import show_optional, show_sequence, show_value
 
@@ -71,14 +71,9 @@ def pred_lt_const(k: Nat) -> Pred[Nat]:
 
 
 def pred_gt_const(k: Nat) -> Pred[Nat]:
-    """The property ``n > k``, rendered in successor form ``(k+1) <= n``."""
+    """The property ``n > k``: ``k + 1 <= n``, rendered in that successor form."""
     check_nat(k)
-
-    def render(n: Nat) -> str:
-        check_nat(n)
-        return f"{k + 1} <= {n}"
-
-    return Pred(decide=lambda n: dec_le(k + 1, n), render=render)
+    return pred_ge_const(k + 1)
 
 
 def pred_ge_const(k: Nat) -> Pred[Nat]:
@@ -148,7 +143,7 @@ def eq_list(elem: EqDec[A]) -> EqDec[Sequence[A]]:
             if naturals and type(x) is int and type(y) is int and x >= 0 and y >= 0:
                 if x == y:
                     continue
-            elif not isinstance(elem_decide(x, y), Refutes):
+            elif isinstance(verdict := elem_decide(x, y), Holds) or not _refuted(verdict):
                 continue
             return _refutes("elements differ: {}", _later(elem.render_eq, x, y))
         return _EQ_REFL

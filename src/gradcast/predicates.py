@@ -11,7 +11,8 @@ Evidence is deliberately unforgeable: the only ways to obtain an
 way to conjure evidence for a proposition whose decision procedure refuted it.
 Evidence is immutable and may be shared: compare it with ``==``, not by identity.
 
-Decisions build verdicts and evidence with no ``__init__`` call (see ``records``).
+``Evidence(...)`` refuses every call; decisions build evidence with no ``__init__``
+call (see ``records``).  A child verdict that is no decision raises ``TypeError``.
 A cast reads only the arm of a decision, so evidence text is deferred: it is
 kept as a format string with immutable arguments (naturals, booleans, text,
 ``None``, child evidence, or a renderer call over such values) and joined on
@@ -35,7 +36,6 @@ from .records import record
 A = TypeVar("A")
 B = TypeVar("B")
 
-_EVIDENCE_KEY = object()
 _new = object.__new__
 _IMMUTABLE = frozenset({int, bool, str, type(None)})
 
@@ -67,16 +67,13 @@ class Evidence:
     Cannot be constructed directly; decision procedures issue it.
     """
 
-    __slots__ = ("_text",)
+    __slots__ = ("_text",)  # pending: (format string, arguments); joined: the text
 
-    def __init__(self, text: str, args: tuple = (), _key: object = None) -> None:
-        if _key is not _EVIDENCE_KEY:
-            raise TypeError(
-                "Evidence cannot be constructed directly; it is only issued by "
-                "decision procedures (or by p_proven, an explicit trust step)"
-            )
-        # Pending: (format string, arguments).  Joined: the text itself.
-        self._text = (text, args) if args else text
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        raise TypeError(
+            "Evidence cannot be constructed directly; it is only issued by "
+            "decision procedures (or by p_proven, an explicit trust step)"
+        )
 
     summary = property(_join, doc="Read-only justification text, joined on first read.")
 
@@ -107,6 +104,14 @@ class Refutes(record("refutation")):
 
 
 Decision = Holds | Refutes
+_NOT_A_DECISION = "decide returned {}, not Holds or Refutes; wrap a boolean decider in p_relate"
+
+
+def _refuted(verdict: object) -> bool:
+    """Whether a verdict off the common arm refutes; ``TypeError`` for no decision."""
+    if isinstance(verdict, (Holds, Refutes)):
+        return isinstance(verdict, Refutes)
+    raise TypeError(_NOT_A_DECISION.format(type(verdict).__qualname__))
 
 
 # ``text`` is a format string only when ``args`` are given: text from callers
@@ -158,10 +163,10 @@ def p_and(p: Pred[A], q: Pred[A]) -> Pred[A]:
 
     def decide(a: A) -> Decision:
         left = p.decide(a)
-        if isinstance(left, Refutes):
+        if not isinstance(left, Holds) and _refuted(left):
             return _refutes("left conjunct refuted: {}", _later(p.render, a))
         right = q.decide(a)
-        if isinstance(right, Refutes):
+        if not isinstance(right, Holds) and _refuted(right):
             return _refutes("right conjunct refuted: {}", _later(q.render, a))
         return _holds("{} and {}", left.evidence, right.evidence)
 
@@ -173,10 +178,10 @@ def p_or(p: Pred[A], q: Pred[A]) -> Pred[A]:
 
     def decide(a: A) -> Decision:
         left = p.decide(a)
-        if isinstance(left, Holds):
+        if isinstance(left, Holds) or not _refuted(left):
             return _holds("left disjunct holds: {}", left.evidence)
         right = q.decide(a)
-        if isinstance(right, Holds):
+        if isinstance(right, Holds) or not _refuted(right):
             return _holds("right disjunct holds: {}", right.evidence)
         return _refutes("both disjuncts refuted")
 
@@ -188,7 +193,7 @@ def p_not(p: Pred[A]) -> Pred[A]:
 
     def decide(a: A) -> Decision:
         inner = p.decide(a)
-        if isinstance(inner, Refutes):
+        if not isinstance(inner, Holds) and _refuted(inner):
             return _holds("negated proposition refuted: {}", inner.refutation)
         return _refutes("negated proposition holds: {}", _later(p.render, a))
 
@@ -200,10 +205,10 @@ def p_implies(p: Pred[A], q: Pred[A]) -> Pred[A]:
 
     def decide(a: A) -> Decision:
         antecedent = p.decide(a)
-        if isinstance(antecedent, Refutes):
+        if not isinstance(antecedent, Holds) and _refuted(antecedent):
             return _holds("vacuously true: antecedent refuted")
         consequent = q.decide(a)
-        if isinstance(consequent, Holds):
+        if isinstance(consequent, Holds) or not _refuted(consequent):
             return _holds("consequent holds: {}", consequent.evidence)
         return _refutes("antecedent holds but consequent refuted: {}", _later(q.render, a))
 
@@ -240,7 +245,7 @@ def p_equivalent(
 
     def decide(a: A) -> Decision:
         inner = substitute.decide(a)
-        if isinstance(inner, Holds):
+        if isinstance(inner, Holds) or not _refuted(inner):
             return _holds("{} (via equivalence: {})", inner.evidence, why)
         return _refutes("{} (via equivalence: {})", inner.refutation, why)
 
@@ -261,7 +266,7 @@ def p_forall_bounded(k: int, family: Callable[[int], Pred[int]]) -> Pred[None]:
     def decide(_unit: None) -> Decision:
         for n in range(k + 1):
             verdict = family(n).decide(n)
-            if isinstance(verdict, Refutes):
+            if not isinstance(verdict, Holds) and _refuted(verdict):
                 return _refutes("counterexample at n = {}: {}", n, _later(family(n).render, n))
         return _holds("holds for every n in 0..{}", _later(format, k))
 

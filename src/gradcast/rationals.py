@@ -20,7 +20,7 @@ core's builders, so ``proj1``, ``proj2`` and ``==`` apply to its records: an
 :class:`AttestedRat` holds one shared evidence for :data:`RAT_INVARIANTS`.
 A successful gcd cast does only what its verdict needs: :func:`cast_rat` and
 :func:`gcd` test each natural inline and call :func:`check_nat` only on failure,
-:class:`Rat` stores its own slots in one frame, and :class:`AttestedRat` reads
+``cast_rat`` stores its :class:`Rat`'s slots itself, and :class:`AttestedRat` reads
 each field from the ``Rat``'s slot in one step.
 :func:`irreducible_bounded` returns the evidence-bearing :class:`Decision`,
 whose refutation names the least counterexample triple.
@@ -34,11 +34,10 @@ from operator import attrgetter, eq, mul
 
 from .casts import Attested, FailedCast, FailureMode, _attested, _failed, check_choice, proj1
 from .instances import Nat, check_nat
-from .predicates import Decision, Holds, Pred, _holds, _later, _refutes
+from .predicates import Decision, Holds, Pred, _holds, _later, _new, _refutes
 from .records import record
 from .render import show_value
 
-_RAT_KEY = object()
 _SIGN_TEXT = {sign: show_value(sign) for sign in (True, False)}  # no dispatch per cast
 
 
@@ -52,12 +51,8 @@ class Rat(record("sign", "top", "bottom")):
 
     __slots__ = ()
 
-    def __init__(self, sign: bool, top: Nat, bottom: Nat, _key: object = None) -> None:
-        if _key is not _RAT_KEY:
-            raise TypeError("Rat cannot be constructed directly; use cast_rat")
-        self._sign = sign
-        self._top = top
-        self._bottom = bottom
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        raise TypeError("Rat cannot be constructed directly; use cast_rat")
 
 
 class AttestedRat(Attested):
@@ -224,7 +219,8 @@ def cast_rat(
         arith = PEANO_ARITH if strategy is IrredStrategy.BOUNDED else MACHINE_ARITH
         irreducible = bottom != 0 and isinstance(irreducible_bounded(top, bottom, arith), Holds)
     if irreducible:
-        rat = Rat(sign, top, bottom, _RAT_KEY)
+        rat = _new(Rat)
+        rat._sign, rat._top, rat._bottom = sign, top, bottom
         return _attested(AttestedRat, rat, RAT_INVARIANTS, _RATIONAL_EVIDENCE)
     value_text = f"mkRat {_SIGN_TEXT[sign]} {top} {bottom}"
     return _failed(FailedCastRat, value_text, _invariant_text(top, bottom), mode)

@@ -6,19 +6,36 @@ children's summaries and renders while deciding, and a refuted list equation
 renders both elements.  Decisions are the library's ``Holds``/``Refutes``
 around a literal summary, so the library and this reference can be compared
 on arm, summary text, render and exception.
+
+``issued`` makes the records whose constructors refuse every call (evidence,
+rationals, refined values) as the library's builders make them, so tests can
+build reference values of those types.
 """
 
 from gradcast.instances import EqDec
-from gradcast.predicates import _EVIDENCE_KEY, Evidence, Holds, Pred, Refutes
+from gradcast.predicates import Evidence, Holds, Pred, Refutes
+from gradcast.records import _Record
 from gradcast.render import show_optional, show_sequence, show_value
 
 
+def issued(cls, *args, **kwargs):
+    """A ``cls`` made by ``object.__new__`` and, for a record, the generated
+    ``__init__`` of its record base; an ``Evidence`` takes its summary."""
+    made = object.__new__(cls)
+    if cls is Evidence:
+        (made._text,) = args
+    else:
+        base = next(c for c in cls.__mro__ if _Record in c.__bases__)
+        base.__init__(made, *args, **kwargs)
+    return made
+
+
 def _holds(summary):
-    return Holds(Evidence(summary, _key=_EVIDENCE_KEY))
+    return Holds(issued(Evidence, summary))
 
 
 def _refutes(summary):
-    return Refutes(Evidence(summary, _key=_EVIDENCE_KEY))
+    return Refutes(issued(Evidence, summary))
 
 
 _EQ_REFL = _holds("eq_refl")

@@ -264,6 +264,11 @@ def test_criterion_6_evidence_unforgeability():
     except TypeError:
         pass
     try:
+        Attested(15, pred_lt_const(10), proj2(cast(p_true(), 0)))
+        problems.append("Attested constructible directly from borrowed evidence")
+    except TypeError:
+        pass
+    try:
         proj2(cast(p_false(), 0))
         problems.append("proj2 of failed cast returned evidence")
     except CastFault:

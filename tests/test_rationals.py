@@ -3,7 +3,6 @@ import pytest
 from gradcast.casts import Attested, CastFault, FailedCast, FailureMode, proj1, proj2
 from gradcast.predicates import Holds, Refutes
 from gradcast.rationals import (
-    _RAT_KEY,
     MACHINE_ARITH,
     PEANO_ARITH,
     RAT_INVARIANTS,
@@ -17,6 +16,7 @@ from gradcast.rationals import (
 )
 import gradcast.rationals as rationals
 from gradcast.cli import bench_strategies
+from spec import issued
 
 
 def holds(decision):
@@ -295,7 +295,7 @@ def test_rat_invariants_agree_with_cast_rat(strategy, rat_grid):
     for top in range(41):
         for bottom in range(41):
             refined = rat_grid.casts[strategy, top, bottom]
-            candidate = Rat(bool(top % 2), top, bottom, _key=_RAT_KEY)
+            candidate = issued(Rat, bool(top % 2), top, bottom)
             verdict = RAT_INVARIANTS.decide(candidate)
             assert isinstance(verdict, Holds) == isinstance(refined, AttestedRat), (top, bottom)
             assert RAT_INVARIANTS.render(candidate) == refined.prop_text
