@@ -18,10 +18,10 @@ Parsing, compiling, evaluating and running each walk their input once with
 an explicit stack, so they take linear time and accept any nesting depth, as
 do a tree's ``==``, ``hash``, ``repr`` (see ``records``), ``copy``, ``deepcopy``
 and ``pickle``: a copy shares what the tree shares; copying a cycle raises ``ValueError``.
-Each node costs only its own work: the parser splits the text with ``str``
-methods up to its first character outside the grammar, leaves with the same
-numeral share one ``Const`` within a parse and equal ``int`` constants share
-one ``IConst`` within a compile.  One operation function serves the interpreter
+Each node costs only its own work: the parser splits the text with ``str`` methods
+up to its first character outside the grammar, and process-wide immutable tables,
+like the one ``IBinop`` per operation, hold one ``Const`` per numeral "0"-"255" and
+one ``IConst`` per natural 0-255.  One operation function serves the interpreter
 and the machine, checking operands inline (``check_nat`` only for a non-natural),
 and ``Binop`` is hashed by identity, so an op's instruction is one dict lookup.
 The loops and instruction renderers read each field once, from its private
@@ -186,16 +186,16 @@ def run_prog(p: Prog, s: Stack) -> Optional[Stack]:
     return stack
 
 
-# Instructions are immutable, so one IBinop per operation serves every program.
+# Instructions are immutable, so these tables, built once, serve every program.
 _IBINOP = {b: IBinop(b) for b in Binop}
+_ICONST = tuple(map(IConst, range(256)))  # one per natural below 256
 
 
 def _compile(e: Exp, left_first: bool) -> Prog:
     """Post-order code for ``e``: both operands' code, then the operation.
-    One IConst serves every leaf with the same ``int`` value."""
+    A leaf whose value is a plain ``int`` from 0 to 255 gets that value's shared IConst."""
     prog: Prog = []
     emit = prog.append
-    iconsts: dict[int, IConst] = {}
     todo: list = [e]
     pop = todo.pop
     while todo:
@@ -204,13 +204,7 @@ def _compile(e: Exp, left_first: bool) -> Prog:
             emit(_IBINOP[pop()])
         elif isinstance(node, Const):
             value = node._value
-            if type(value) is int:
-                instr = iconsts.get(value)
-                if instr is None:
-                    instr = iconsts[value] = IConst(value)
-                emit(instr)
-            else:
-                emit(IConst(value))
+            emit(_ICONST[value] if type(value) is int and 0 <= value < 256 else IConst(value))
         elif isinstance(node, BinOp):
             if left_first:
                 todo += (node._op, _OPERANDS_DONE, node._right, node._left)
@@ -323,6 +317,8 @@ _OPERATORS = {"+": Binop.PLUS, "-": Binop.MINUS, "*": Binop.TIMES}
 # Precedence of each symbol on the parser's operator stack; "(" marks an open
 # parenthesis and binds least.
 _BINDING = {"(": 0, "+": 1, "-": 1, "*": 2}
+# Leaves are immutable, so one Const per numeral "0" to "255" serves every parse.
+_NUMERALS = {str(n): Const(n) for n in range(256)}
 
 
 def _parse_error(
@@ -350,7 +346,7 @@ def parse_exp(src: str) -> Exp:
     tokens by padding ``( ) + - *`` with spaces and calling ``split()``; that
     character, which the parse cannot get past, is the last token.  Then an
     operator-precedence loop with explicit stacks builds the tree, so any
-    nesting depth is fine.  Leaves with the same numeral share one
+    nesting depth is fine.  Each numeral "0" to "255" gives its one shared
     :class:`Const`.  A numeral too long for ``int`` is a :class:`ParseError`."""
     foreign = _FOREIGN.search(src)
     end = foreign.start() if foreign else len(src)
@@ -358,7 +354,6 @@ def parse_exp(src: str) -> Exp:
     tokens = text.replace("-", " - ").replace("*", " * ").split()
     # That character is one token, even a "\xa0" that split() drops; "" if none.
     tokens += (src[end : end + 1], "")
-    consts: dict[str, Const] = {}
     operands: list[Exp] = []
     pop_operand = operands.pop
     # Operator symbols waiting for their right operand, and "(" for each open
@@ -375,7 +370,7 @@ def parse_exp(src: str) -> Exp:
             open_parens += 1
             i += 1
             token = tokens[i]
-        const = consts.get(token)
+        const = _NUMERALS.get(token)
         if const is None:
             # A token is a numeral exactly when its first character is a digit.
             if not "0" <= token[:1] <= "9":
@@ -383,7 +378,7 @@ def parse_exp(src: str) -> Exp:
                     src, tokens, i, None if token else "expected a number or '('"
                 )
             try:
-                const = consts[token] = Const(int(token))
+                const = Const(int(token))
             except ValueError:
                 raise _parse_error(
                     src, tokens, i, f"numeral of {len(token)} digits is too long"

@@ -11,16 +11,17 @@ Evidence is deliberately unforgeable: the only ways to obtain an
 way to conjure evidence for a proposition whose decision procedure refuted it.
 Evidence is immutable and may be shared: compare it with ``==``, not by identity.
 
-``Evidence(...)`` refuses every call; decisions build evidence with no ``__init__``
-call (see ``records``).  A child verdict that is no decision raises ``TypeError``.
-A cast reads only the arm of a decision, so evidence text is deferred: it is
-kept as a format string with immutable arguments (naturals, booleans, text,
-``None``, child evidence, or a renderer call over such values) and joined on
-the first read of ``summary``, ``==``, ``hash`` or ``repr``, in one store, so
-concurrent readers get the same text.  Other values, such as lists, are
-rendered while deciding, so mutating a value never changes its evidence.  A
-read raises what formatting raises: ``pred_lt_const(10**5000)`` holds at 5,
-and only reading the summary hits the int-string digit limit (``ValueError``).
+``Evidence(...)`` refuses every call and ``Holds``/``Refutes`` take only an
+``Evidence``; decisions build both with no ``__init__`` call (see ``records``).
+A child verdict that is no decision raises ``TypeError``.  A cast reads only
+the arm of a decision, so evidence text is deferred: it is kept as a format
+string with immutable arguments (naturals, booleans, text, ``None``, child
+evidence, or a renderer call over such values) and joined on the first read
+of ``summary``, ``==``, ``hash`` or ``repr``, in one store, so concurrent
+readers get the same text.  Other values, such as lists, are rendered while
+deciding, so mutating a value never changes its evidence.  A read raises what
+formatting raises: ``pred_lt_const(10**5000)`` holds at 5, and only reading
+the summary hits the int-string digit limit (``ValueError``).
 
 A predicate's public fields refuse assignment, and ``decide`` must give the
 same arm for the same input.  ``compiler.correct_prog``'s predicate keeps its
@@ -95,12 +96,24 @@ def _later(render: Callable[..., str], *args: object) -> object:
     return (render, *args) if _IMMUTABLE.issuperset(map(type, args)) else render(*args)
 
 
+def _evidence_only(verdict: object, evidence: object) -> Evidence:
+    if type(evidence) is Evidence:
+        return evidence
+    raise TypeError(f"{type(verdict).__name__} takes an Evidence, not {type(evidence).__name__}")
+
+
 class Holds(record("evidence")):
     __slots__ = ()
+
+    def __init__(self, evidence: Evidence) -> None:
+        self._evidence = _evidence_only(self, evidence)
 
 
 class Refutes(record("refutation")):
     __slots__ = ()
+
+    def __init__(self, refutation: Evidence) -> None:
+        self._refutation = _evidence_only(self, refutation)
 
 
 Decision = Holds | Refutes

@@ -5,10 +5,10 @@
 These tests check that each such record is indistinguishable from a twin made
 by its record base's constructor (``spec.issued``), that no cast anywhere runs
 a record constructor, that ``Evidence``, ``Rat`` and ``Attested`` refuse every
-constructor call, that a ``decide`` returning something other than a decision
-is refused rather than taken for an arm, also under a combinator, and that no
-module of the package builds a refined value outside the two builders or calls
-a refusing constructor.
+constructor call, that ``Holds`` and ``Refutes`` take only an ``Evidence``, that
+a ``decide`` returning something other than a decision is refused rather than
+taken for an arm, also under a combinator, and that no module of the package
+builds a refined value outside the two builders or calls a refusing constructor.
 """
 
 import ast
@@ -364,6 +364,33 @@ def test_p_relate_turns_a_boolean_decider_into_a_decision():
     assert proj1(cast(p_relate(BOOLEAN.decide, BOOLEAN.render), 3)) == 3
     failed = cast(p_relate(lambda a: False, BOOLEAN.render), 3)
     assert failed == FailedCast("3", "3 ok")
+
+
+# --- a decision carries evidence or nothing ---------------------------------
+
+class _SubEvidence(Evidence):
+    __slots__ = ()
+
+
+# Not evidence: plain values, evidence's pending form, a verdict, and an
+# instance of an Evidence subclass.
+NOT_EVIDENCE = [None, "forged", True, 5, ("{}", ("x",)), _holds("x"), object.__new__(_SubEvidence)]
+
+
+@pytest.mark.parametrize("field", NOT_EVIDENCE, ids=lambda f: type(f).__name__)
+def test_holds_and_refutes_take_only_evidence(field):
+    for cls, name in ((Holds, "evidence"), (Refutes, "refutation")):
+        message = rf"^{cls.__name__} takes an Evidence, not {type(field).__name__}$"
+        for call in (lambda: cls(field), lambda: cls(**{name: field})):
+            with pytest.raises(TypeError, match=message):
+                call()
+    forged = Pred(decide=lambda a: Holds(field), render=str)
+    for run in (lambda: cast(forged, 3), lambda: cast(p_and(forged, p_true()), 3, EAGER)):
+        with pytest.raises(TypeError, match="^Holds takes an Evidence"):
+            run()
+    # Issued evidence still builds both verdicts, positionally and by keyword.
+    assert Holds(_EVIDENCE_5) == Holds(evidence=_EVIDENCE_5) == cast(LT10, 5).pred.decide(5)
+    assert Refutes(refutation=_EVIDENCE_5).refutation is _EVIDENCE_5
 
 
 # --- refined values are built only by the cast core's builders ------------

@@ -247,7 +247,42 @@ def test_parse_exp_shares_one_leaf_per_numeral_text():
     e = parse_exp("(7 + 7) * 07")
     assert e.left.left is e.left.right
     assert e.right == Const(7) and e.right is not e.left.left
-    assert parse_exp("7") is not parse_exp("7")  # nothing is shared across calls
+    # "0" to "255" share one leaf across calls; any other numeral is fresh.
+    assert parse_exp("7") is parse_exp("7") is e.left.left
+    assert parse_exp("255") is parse_exp("(255)")
+    for text, value in (("256", 256), ("07", 7)):
+        leaf = parse_exp(text)
+        assert leaf == Const(value) and leaf is not parse_exp(text)
+
+
+# Numerals on both sides of the table's edge, with leading zeros and without,
+# each after an operator, some of which open a parenthesis.
+_NUMERAL_TEXTS = st.one_of(
+    st.integers(0, 300).map(str),
+    st.builds("{}{}".format, st.sampled_from(["0", "00"]), st.integers(0, 300)),
+    st.sampled_from(["255", "256", "65536", "9" * 30]),
+)
+_AFTER_OPERATORS = st.lists(st.tuples(st.sampled_from(["+", "-", "*", " * ", "+("]), _NUMERAL_TEXTS))
+
+
+@given(_NUMERAL_TEXTS, _AFTER_OPERATORS)
+def test_parse_exp_takes_canonical_numerals_below_256_from_its_table(first, rest):
+    text = first + "".join(op + numeral for op, numeral in rest)
+    text += ")" * text.count("(")
+    numerals = [first] + [numeral for _, numeral in rest]
+    leaves, todo = [], [parse_exp(text)]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, BinOp):
+            todo += (node.right, node.left)
+        else:
+            leaves.append(node)
+    assert len(leaves) == len(numerals)
+    for leaf, numeral in zip(leaves, numerals):
+        if str(int(numeral)) == numeral and int(numeral) < 256:
+            assert leaf is parse_exp(numeral)
+        else:
+            assert leaf == Const(int(numeral)) and leaf is not parse_exp(numeral)
 
 
 # ------------------------------------------------- trees and programs
@@ -322,6 +357,11 @@ def test_compile_raises_key_error_for_an_op_that_is_not_a_binop():
 def test_compile_shares_one_iconst_per_int_value():
     prog = compile_buggy(parse_exp("3 * 3 + 1"))
     assert prog[0] is prog[1]
+    # Naturals below 256 share one instruction across compiles; 256 does not.
+    assert compile_fixed(BinOp(Binop.TIMES, Const(3), Const(255)))[1] is prog[0]
+    prog = compile_buggy(parse_exp("255 + 256"))
+    assert prog[:2] == [IConst(255), IConst(256)] and prog[0] is compile_fixed(Const(255))[0]
+    assert prog[1] is not compile_buggy(Const(256))[0]
     # Equal values of another type keep their own instruction.
     prog = compile_fixed(BinOp(Binop.PLUS, Const(1), Const(True)))
     assert [type(i.value) for i in prog[:2]] == [bool, int]
