@@ -14,19 +14,22 @@ Subtraction on naturals truncates at zero (1 - 2 = 0); that is what makes the
 buggy compiler observably wrong on subtraction while agreeing on sums and
 products.
 
-Parsing, compiling, evaluating and running each walk their input once with
-an explicit stack, so they take linear time and accept any nesting depth, as
-do a tree's ``==``, ``hash``, ``repr`` (see ``records``), ``copy``, ``deepcopy``
-and ``pickle``: a copy shares what the tree shares; copying a cycle raises ``ValueError``.
-Each node costs only its own work: the parser splits the text with ``str`` methods
-up to its first character outside the grammar, and process-wide immutable tables,
-like the one ``IBinop`` per operation, hold one ``Const`` per numeral "0"-"255" and
-one ``IConst`` per natural 0-255.  One operation function serves the interpreter
-and the machine, checking operands inline (``check_nat`` only for a non-natural),
-and ``Binop`` is hashed by identity, so an op's instruction is one dict lookup.
-The loops and instruction renderers read each field once, from its private
-slot.  The correctness check runs each program once: rendering a failed
-check and :func:`runc` on an attested one reuse the stack the decision saw.
+Parsing, compiling, evaluating and running each walk their input once with an
+explicit stack, so they take linear time and accept any nesting depth, as do a
+tree's ``==``, ``hash``, ``repr`` (see ``records``), ``copy``, ``deepcopy`` and
+``pickle``: a copy shares what the tree shares; copying a cycle raises ``ValueError``.
+Evaluating and compiling descend a node's first operand with the node as its
+frame, then hold one continuation for it while its second operand is walked.
+Each node costs only its own work: the parser splits the text with ``str`` methods up
+to its first character outside the grammar and builds each ``BinOp`` by slot stores,
+skipping ``__init__``; process-wide immutable tables, like the one ``IBinop`` per
+operation, hold one ``Const`` per numeral "0"-"255" and one ``IConst`` per natural
+0-255.  One operation function serves the interpreter and the machine, checking
+operands inline (``check_nat`` only for a non-natural), and ``Binop`` is hashed by
+identity, so an op's instruction is one dict lookup.  The loops and instruction
+renderers read each field once, from its private slot.  The correctness check runs
+each program once: rendering a failed check and :func:`runc` on an attested one
+reuse the stack the decision saw.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from typing import Callable, Optional, Union
 from .casts import FailureMode, Refined, proj1
 from .hocasts import cast_forall_range
 from .instances import Nat, check_nat, eq_list, eq_nat, eq_option
-from .predicates import Decision, Pred, PredFamily
+from .predicates import Decision, Pred, PredFamily, _new
 from .records import record
 from .render import show_value
 
@@ -52,8 +55,7 @@ class Binop(enum.Enum):
     __hash__ = object.__hash__  # members are singletons, compared by identity
 
 
-# Marks, on an explicit traversal stack, that the operands of what lies just
-# beneath it (a BinOp, or in eval_exp and _compile its operation) are visited.
+# Marks, on BinOp.__reduce__'s stack, that the BinOp beneath it has its operands visited.
 _OPERANDS_DONE = object()
 
 
@@ -143,24 +145,30 @@ def _denote(op: Binop, x: Nat, y: Nat) -> Nat:
 
 def eval_exp(e: Exp) -> Nat:
     """The interpreter: evaluates left operand, right operand, then the node,
-    with an explicit stack, so any nesting depth is fine."""
-    values: Stack = []
-    push, pop_value = values.append, values.pop
-    todo: list = [e]
-    pop = todo.pop
+    with an explicit stack, so any nesting depth is fine: a node is its own frame
+    while its left operand is evaluated, to ``x``, then ``(op, x)`` while its right is."""
+    todo: list = []
+    push, pop = todo.append, todo.pop
     denote = _denote
-    while todo:
-        node = pop()
-        if node is _OPERANDS_DONE:
-            values[-1] = denote(pop(), values[-2], pop_value())  # y popped; x's slot gets x OP y
-        elif isinstance(node, Const):
-            value = node._value
-            push(value if type(value) is int and value >= 0 else check_nat(value))
-        elif isinstance(node, BinOp):
-            todo += (node._op, _OPERANDS_DONE, node._right, node._left)
-        else:
+    node = e
+    while True:
+        while isinstance(node, BinOp):
+            push(node)
+            node = node._left
+        if not isinstance(node, Const):
             raise TypeError(f"not an expression: {node!r}")
-    return values[0]
+        value = node._value
+        x = value if type(value) is int and value >= 0 else check_nat(value)
+        while todo:
+            frame = pop()
+            if type(frame) is tuple:
+                x = denote(frame[0], frame[1], x)  # frame[1] is the left operand's value
+            else:
+                push((frame._op, x))
+                node = frame._right
+                break
+        else:
+            return x
 
 
 def run_prog(p: Prog, s: Stack) -> Optional[Stack]:
@@ -192,27 +200,32 @@ _ICONST = tuple(map(IConst, range(256)))  # one per natural below 256
 
 
 def _compile(e: Exp, left_first: bool) -> Prog:
-    """Post-order code for ``e``: both operands' code, then the operation.
-    A leaf whose value is a plain ``int`` from 0 to 255 gets that value's shared IConst."""
+    """Post-order code for ``e``: both operands' code, then the operation.  A node is
+    its own frame while its first operand is compiled, then ``(op,)`` while its second
+    is.  A leaf whose value is a plain ``int`` from 0 to 255 gets that value's shared IConst."""
     prog: Prog = []
     emit = prog.append
-    todo: list = [e]
-    pop = todo.pop
-    while todo:
-        node = pop()
-        if node is _OPERANDS_DONE:
-            emit(_IBINOP[pop()])
-        elif isinstance(node, Const):
-            value = node._value
-            emit(_ICONST[value] if type(value) is int and 0 <= value < 256 else IConst(value))
-        elif isinstance(node, BinOp):
-            if left_first:
-                todo += (node._op, _OPERANDS_DONE, node._right, node._left)
-            else:
-                todo += (node._op, _OPERANDS_DONE, node._left, node._right)
-        else:
+    todo: list = []
+    push, pop = todo.append, todo.pop
+    node = e
+    while True:
+        while isinstance(node, BinOp):
+            push(node)
+            node = node._left if left_first else node._right
+        if not isinstance(node, Const):
             raise TypeError(f"not an expression: {node!r}")
-    return prog
+        value = node._value
+        emit(_ICONST[value] if type(value) is int and 0 <= value < 256 else IConst(value))
+        while todo:
+            frame = pop()
+            if type(frame) is tuple:
+                emit(_IBINOP[frame[0]])
+            else:
+                push((frame._op,))
+                node = frame._right if left_first else frame._left
+                break
+        else:
+            return prog
 
 
 def compile_buggy(e: Exp) -> Prog:
@@ -396,8 +409,9 @@ def parse_exp(src: str) -> Exp:
                 raise _parse_error(src, tokens, i)
             symbol = pop_pending()
             while symbol != "(":
-                right = pop_operand()
-                operands[-1] = BinOp(_OPERATORS[symbol], operands[-1], right)
+                node = _new(BinOp)  # no __init__: as the cast core's builders do
+                node._op, node._right = _OPERATORS[symbol], pop_operand()
+                node._left, operands[-1] = operands[-1], node
                 symbol = pop_pending()
             if not token:
                 return operands[0]
@@ -405,7 +419,8 @@ def parse_exp(src: str) -> Exp:
             token = tokens[i]
         binding = _BINDING[token]
         while _BINDING[pending[-1]] >= binding:
-            right = pop_operand()
-            operands[-1] = BinOp(_OPERATORS[pop_pending()], operands[-1], right)
+            node = _new(BinOp)
+            node._op, node._right = _OPERATORS[pop_pending()], pop_operand()
+            node._left, operands[-1] = operands[-1], node
         push_pending(token)
         i += 1

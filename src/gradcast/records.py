@@ -3,17 +3,17 @@
 ``Pred``, ``EqDec``, ``BinOp``, ``IList``, ``Attested``, ``Rat`` and every other
 value type keep private slots behind read-only properties; ``copy``, ``deepcopy``
 and ``pickle`` work.  Records are built by the public ``__init__`` or, in the cast
-core (``predicates._holds``/``_refutes``, ``casts._attested``/``_failed``,
-``cast_rat``), by ``object.__new__`` and slot stores, which skip any ``__init__``;
+core (``predicates._holds``/``_refutes``, ``casts._attested``/``_failed``, ``cast_rat``)
+and ``compiler.parse_exp``, by ``object.__new__`` and slot stores, skipping ``__init__``;
 ``Attested`` and ``Rat``, like ``Evidence``, refuse every constructor call, so
 only the cast core issues them.  Three fields build in 220 ns the first way, 190 ns
 the second and 700 ns as a frozen dataclass; a field reads in 55 ns through its
 property, 12 ns from its slot (``timeit``, Python 3.11.7, 2-core x86).  Public
 slots refusing assignment in ``__setattr__`` read faster, but cost ``casts`` 2.7%
 in op_p50_us and broke copy and pickle.  The private slots stay writable
-(``r.value._top = 10`` succeeds).  The builders store them; ``compiler``'s loops
-and renderers (ignoring a subclass's field property), ``cast``, ``proj1``,
-``proj2`` and ``AttestedRat`` read them: sealing must follow.
+(``r.value._top = 10`` succeeds).  The builders and ``parse_exp`` store them; the
+compiler's loops and renderers (ignoring a subclass's field property), ``cast``,
+``proj1``, ``proj2`` and ``AttestedRat`` read them: sealing must follow both.
 ``==``, ``hash`` and ``repr`` live in ``_Record`` alone and walk nested records
 with an explicit stack, so records nested to any depth compare, hash and print.
 """

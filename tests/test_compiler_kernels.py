@@ -9,11 +9,16 @@ same program, the same value, or the same exception with the same message
 (for a :class:`ParseError`, the same reason and offset).
 """
 
+import ast
+import copy
+import pickle
+from pathlib import Path
 from typing import Optional
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from gradcast import compiler
 from gradcast.compiler import (
     BinOp,
     Binop,
@@ -255,6 +260,60 @@ def test_parse_exp_shares_one_leaf_per_numeral_text():
         assert leaf == Const(value) and leaf is not parse_exp(text)
 
 
+def assert_twins(tree, twin):
+    """``tree`` behaves exactly like ``twin``, built by ``BinOp(...)``."""
+    assert tree == twin and not tree != twin
+    assert hash(tree) == hash(twin)
+    assert repr(tree) == repr(twin)
+    for clone in copy.copy, copy.deepcopy, lambda e: pickle.loads(pickle.dumps(e)):
+        tree_clone, twin_clone = clone(tree), clone(twin)
+        assert type(tree_clone) is type(twin_clone) and tree_clone == twin_clone == twin
+    todo = [(tree, twin)]
+    while todo:  # class patterns, node by node
+        match todo.pop():
+            case (BinOp(op, left, right), BinOp(twin_op, twin_left, twin_right)):
+                assert op is twin_op
+                todo += ((left, twin_left), (right, twin_right))
+            case (Const(value), Const(twin_value)):
+                assert type(value) is int and value == twin_value
+            case pair:
+                pytest.fail(f"nodes of different classes: {pair!r}")
+
+
+@given(well_formed_text())
+def test_parsed_trees_behave_like_their_constructor_built_twins(text):
+    assert_twins(parse_exp(text), ref_parse_exp(text))
+
+
+@pytest.mark.parametrize(
+    "text", ["1 - (" * 10_000 + "1 - 2" + ")" * 10_000, "-".join(["9"] * 10_001)],
+    ids=["right-nested", "left-nested"],
+)
+def test_deep_parsed_trees_behave_like_their_constructor_built_twins(text):
+    assert_twins(parse_exp(text), ref_parse_exp(text))
+
+
+def test_parse_exp_alone_builds_binops_without_init():
+    # parse_exp builds each BinOp by object.__new__ and slot stores, so an
+    # __init__ that BinOp or Const defined would be skipped there silently.
+    package = Path(compiler.__file__).parent
+    sources = {path.name: ast.parse(path.read_text()) for path in package.glob("*.py")}
+    for module in sources.values():
+        for node in ast.walk(module):
+            if isinstance(node, ast.ClassDef) and node.name in ("BinOp", "Const"):
+                defined = [n.name for n in node.body if isinstance(n, ast.FunctionDef)]
+                defined += [ast.unparse(t) for n in node.body if isinstance(n, ast.Assign) for t in n.targets]
+                assert "__init__" not in defined, node.name
+    assert "__init__" not in vars(BinOp) and "__init__" not in vars(Const)
+
+    def new_binops(tree):
+        return [n for n in ast.walk(tree) if isinstance(n, ast.Call) and ast.unparse(n) == "_new(BinOp)"]
+
+    module = sources["compiler.py"]
+    (parse,) = [n for n in module.body if isinstance(n, ast.FunctionDef) and n.name == "parse_exp"]
+    assert 0 < len(new_binops(parse)) == len(new_binops(module))
+
+
 # Numerals on both sides of the table's edge, with leading zeros and without,
 # each after an operator, some of which open a parenthesis.
 _NUMERAL_TEXTS = st.one_of(
@@ -365,6 +424,40 @@ def test_compile_shares_one_iconst_per_int_value():
     # Equal values of another type keep their own instruction.
     prog = compile_fixed(BinOp(Binop.PLUS, Const(1), Const(True)))
     assert [type(i.value) for i in prog[:2]] == [bool, int]
+
+
+def chain(deepest, right_leaning, depth=10_000):
+    """``depth`` operators cycling through ``Binop``, each nesting the next in
+    its right or left operand beside a ``Const(1)``, down to ``deepest``."""
+    e, ops = deepest, tuple(Binop)
+    for i in range(depth):
+        op = ops[i % 3]
+        e = BinOp(op, Const(1), e) if right_leaning else BinOp(op, e, Const(1))
+    return e
+
+
+_DEEPEST = {"clean": Const(2), "non-node": "2", "negative": Const(-1)}
+
+
+@pytest.mark.parametrize("deepest", list(_DEEPEST))
+@pytest.mark.parametrize("leaning", ["right", "left"])
+def test_deep_chains_match_reference(leaning, deepest):
+    # A chain leaning away from the first operand pushes a continuation for
+    # every operator: right for eval_exp and compile_buggy, left for compile_fixed.
+    e = chain(_DEEPEST[deepest], leaning == "right")
+    assert outcome(eval_exp, e) == outcome(ref_eval_exp, e)
+    assert outcome(compile_buggy, e) == outcome(ref_compile, e, True)
+    assert outcome(compile_fixed, e) == outcome(ref_compile, e, False)
+    # Under a root whose op is not a Binop, the chain as second operand is
+    # walked before the op is looked up: a non-node's TypeError comes first.
+    clean = chain(Const(2), leaning == "right")
+    for compile_exp, left_first in ((compile_buggy, True), (compile_fixed, False)):
+        root = BinOp("Plus", clean, e) if left_first else BinOp("Plus", e, clean)
+        expected = outcome(ref_compile, root, left_first)
+        assert expected[1] is {"clean": KeyError, "non-node": TypeError, "negative": KeyError}[deepest]
+        assert outcome(compile_exp, root) == expected
+    root = BinOp("Plus", clean, e)
+    assert outcome(eval_exp, root) == outcome(ref_eval_exp, root)
 
 
 instructions = st.one_of(
