@@ -12,6 +12,7 @@ from .casts import (
     CastFault,
     FailedCast,
     FailureMode,
+    LimitError,
     Refined,
     cast,
     map_cast,

@@ -74,6 +74,10 @@ class CastFault(Exception):
         return type(self), (self.value_text, self.prop_text), self.__dict__
 
 
+class LimitError(ValueError):
+    """Input past a limit (``cast_rat``'s ceilings, ``parse_exp``'s digit limit)."""
+
+
 class Attested(record("value", "pred", "evidence"), Generic[A]):
     """A value paired with evidence that the property holds of it.
 

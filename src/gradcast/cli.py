@@ -10,12 +10,12 @@ Three subcommands:
   its (invalid) argument.
 
 Exit codes: 0 success, 1 cast failure, 2 usage, parse or limit error: a
-numeral or a ``check`` result longer than Python's integer digit limit, a
-``check`` operation whose bit-length bound passes that limit, or a ``rat``
-too large for the bounded strategy asked for.  Both regimes share one failure
-path: ``rat`` forces its cast with ``proj1``, so ``--time`` prints its ``TIME``
-lines after a failed cast, lazy or eager; a zero bottom times nothing, as the
-deciders need a nonzero one.  A ``CastFault`` reaching ``main`` from any
+numeral or a ``check`` result longer than Python's integer digit limit, or a
+``LimitError`` from the library, which holds the limits (``parse_exp``'s
+digit-limit bound, ``cast_rat``'s bounded ceilings).  Both regimes share one
+failure path: ``rat`` forces its cast with ``proj1``, so ``--time`` prints its
+``TIME`` lines after a failed cast, lazy or eager; a zero bottom times nothing,
+as the deciders need a nonzero one.  A ``CastFault`` reaching ``main`` from any
 command prints ``FAILED_CAST`` with exit 1.  Any other exception ends as a
 one-line ``INTERNAL_ERROR`` with exit 2; output is line-oriented ASCII.
 
@@ -27,25 +27,16 @@ written once, in :func:`build_parser`.
 from __future__ import annotations
 
 import argparse
-import math
-import sys
 import time
 from typing import Dict, Iterable, Optional
 
-from .casts import CastFault, FailureMode, proj1
-from .compiler import (
-    COMPILERS, BinOp, Binop, Const, Exp, ParseError, checked_compile, parse_exp, runc
-)
+from .casts import CastFault, FailureMode, LimitError, proj1
+from .compiler import COMPILERS, ParseError, checked_compile, parse_exp, runc
 from .hocasts import cast_fun_dom
 from .instances import Nat, check_nat, pred_gt_const
-from .rationals import IrredStrategy, _require_nonzero_bottom, cast_rat
+from .rationals import BOUNDED_CEILINGS, IrredStrategy, _require_nonzero_bottom, cast_rat
 
 _BENCH_REPETITIONS = 5
-# The largest top or bottom each bounded strategy accepts.  There the worst
-# case, an irreducible pair such as 89 90, runs `rat` in about 0.95 s (bounded)
-# or 0.5 s (binary) on Python 3.11.7, 2-core x86; the work grows as n^4 or n^2.
-BOUNDED_CEILINGS = {IrredStrategy.BOUNDED: 90, IrredStrategy.BINARY_BOUNDED: 2000}
-_LIMIT_ERROR = "LIMIT_ERROR result exceeds the integer digit limit"
 _FAILED_CAST = "FAILED_CAST value={0.value_text} prop={0.prop_text}"  # of a CastFault
 
 
@@ -74,49 +65,14 @@ def bench_strategies(
     return medians
 
 
-def exceeds_digit_limit(exp: Exp) -> bool:
-    """Whether an operation in ``exp`` may pass the int-string digit limit, in
-    one pass over bit-length bounds: a*b <= la+lb, a+b <= max(la, lb)+1 and
-    a-b <= max(la, lb).  Each bound is symmetric, so it holds whichever operand
-    order a compiler runs; the buggy one computes b-a."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()  # 3.10 has none
-    ceiling = int(limit * math.log2(10)) + 1 if limit else math.inf  # bits of 10**limit-1
-    bounds: list[int] = []
-    todo: list = [exp]
-    while todo:
-        node = todo.pop()
-        if isinstance(node, BinOp):
-            todo += (node.op, node.right, node.left)
-        elif isinstance(node, Const):
-            bounds.append(node.value.bit_length())
-        else:  # an operation: its operands' bounds are on top, the left one below
-            right, bound = bounds.pop(), bounds.pop()
-            if node is Binop.TIMES:
-                bound += right
-            elif node is Binop.PLUS:
-                bound = max(bound, right) + 1
-            else:
-                bound = max(bound, right)
-            if bound > ceiling:
-                return True
-            bounds.append(bound)
-    return False
-
-
 def cmd_check(expr_src: str, variant: str, mode: FailureMode) -> int:
-    try:
-        exp = parse_exp(expr_src)
+    try:  # a CastFault is main's to report
+        line = f"RESULT {runc(checked_compile(variant, mode), parse_exp(expr_src))[0]}"
     except ParseError as err:
         print(f"PARSE_ERROR offset={err.offset} {err.reason}")
         return 2
-    if exceeds_digit_limit(exp):
-        print(_LIMIT_ERROR)
-        return 2
-    compiler = checked_compile(variant, mode)
-    try:  # a CastFault is main's to report
-        line = f"RESULT {runc(compiler, exp)[0]}"
-    except ValueError:  # parsed input is natural: only int-to-text past the digit limit
-        print(_LIMIT_ERROR)
+    except ValueError:  # a LimitError, or int-to-text past the digit limit
+        print("LIMIT_ERROR result exceeds the integer digit limit")
         return 2
     print(line)
     return 0
@@ -141,13 +97,11 @@ def cmd_rat(
     except ValueError:
         print("USAGE_ERROR top or bottom exceeds the integer digit limit")
         return 2
-    size = max(top_n, bottom_n)
-    ceiling = BOUNDED_CEILINGS.get(strategy, size)
-    if size > ceiling:
-        print(f"LIMIT_ERROR strategy {strategy.value} takes top and bottom up to {ceiling}")
-        return 2
     try:  # both regimes fault here: eager at the cast, lazy at proj1
         rat = proj1(cast_rat(sign == "+", top_n, bottom_n, strategy, mode))
+    except LimitError as err:
+        print(f"LIMIT_ERROR {err}")
+        return 2
     except CastFault as fault:
         print(_FAILED_CAST.format(fault))
         status = 1
@@ -155,13 +109,13 @@ def cmd_rat(
         print(f"RAT sign={sign} top={rat.top} bottom={rat.bottom}")
         status = 0
     if time_strategies and bottom_n != 0:
-        timed = [st for st in IrredStrategy if size <= BOUNDED_CEILINGS.get(st, size)]
-        medians = bench_strategies(top_n, bottom_n, _BENCH_REPETITIONS, timed)
         for each in IrredStrategy:
-            if each in medians:
-                print(f"TIME {each.value} {medians[each]:.6f}")
-            else:
+            try:  # cast_rat checks the ceiling before the first timed cast does any work
+                median = bench_strategies(top_n, bottom_n, _BENCH_REPETITIONS, [each])[each]
+            except LimitError:
                 print(f"TIME {each.value} skipped: top or bottom exceeds {BOUNDED_CEILINGS[each]}")
+            else:
+                print(f"TIME {each.value} {median:.6f}")
     return status
 
 
@@ -184,9 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     modes = [mode.value for mode in FailureMode]
 
-    check = sub.add_parser(
-        "check", help="compile an expression with a checked compiler and run it"
-    )
+    check = sub.add_parser("check",
+                           help="compile an expression with a checked compiler and run it")
     check.add_argument("expr", help="arithmetic expression, e.g. '(2+2)*3'")
     check.add_argument("--compiler", choices=list(COMPILERS), default="buggy")
     check.add_argument("--mode", choices=modes, default="lazy")
@@ -197,12 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
     rat.add_argument("bottom", help="denominator (decimal natural)")
     rat.add_argument("--strategy", choices=sorted(s.value for s in IrredStrategy), default="gcd")
     rat.add_argument("--mode", choices=modes, default="lazy")
-    rat.add_argument(
-        "--time",
-        action="store_true",
-        dest="time_strategies",
-        help="also print median wall time per strategy",
-    )
+    rat.add_argument("--time", action="store_true", dest="time_strategies",
+                     help="also print median wall time per strategy")
 
     sub.add_parser("demo-regimes", help="contrast lazy and eager failure on an ignored argument")
 

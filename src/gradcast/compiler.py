@@ -21,8 +21,9 @@ tree's ``==``, ``hash``, ``repr`` (see ``records``), ``copy``, ``deepcopy`` and
 Evaluating and compiling descend a node's first operand with the node as its
 frame, then hold one continuation for it while its second operand is walked.
 Each node costs only its own work: the parser splits the text with ``str`` methods up
-to its first character outside the grammar and builds each ``BinOp`` by slot stores,
-skipping ``__init__``; process-wide immutable tables, like the one ``IBinop`` per
+to its first character outside the grammar, builds each ``BinOp`` by slot stores,
+skipping ``__init__``, and walks a tree for its digit-limit bound only past 491
+characters of text; process-wide immutable tables, like the one ``IBinop`` per
 operation, hold one ``Const`` per numeral "0"-"255" and one ``IConst`` per natural
 0-255.  One operation function serves the interpreter and the machine, checking
 operands inline (``check_nat`` only for a non-natural), and ``Binop`` is hashed by
@@ -35,11 +36,13 @@ reuse the stack the decision saw.
 from __future__ import annotations
 
 import enum
+import math
 import re
+import sys
 from operator import is_
 from typing import Callable, Optional, Union
 
-from .casts import FailureMode, Refined, proj1
+from .casts import FailureMode, LimitError, Refined, proj1
 from .hocasts import cast_forall_range
 from .instances import Nat, check_nat, eq_list, eq_nat, eq_option
 from .predicates import Decision, Pred, PredFamily, _new
@@ -141,6 +144,33 @@ def _denote(op: Binop, x: Nat, y: Nat) -> Nat:
     if op is _MINUS:
         return x - y if x >= y else 0
     return x * y
+
+
+def _exceeds_digit_limit(e: Exp, text_length: float = math.inf) -> bool:
+    """Whether a value ``e`` computes may pass the int-string digit limit, by bit-length
+    bounds under _denote's op rules: a+b <= max(la, lb)+1, a-b <= max(la, lb), else la+lb.
+    Each holds for either operand order (the buggy compiler runs b-a) and none is below an
+    operand's, so the root's covers every node.  Text gives at most 4.33 bits a character
+    (3.33d + 1 a d-digit numeral, 1 an operator): read from ``text_length``, ``e`` is walked
+    only if that passes the limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()  # 3.10 has none
+    ceiling = int(limit * math.log2(10)) + 1 if limit else math.inf  # bits of 10**limit-1
+    if 4.33 * text_length <= ceiling:
+        return False
+    bounds, todo = [], [e]  # bit-length bounds; nodes and operations to visit
+    while todo:
+        node = todo.pop()
+        if isinstance(node, BinOp):
+            todo += (node._op, node._right, node._left)
+        elif isinstance(node, Const):
+            bounds.append(node._value.bit_length())
+        else:  # an operation: its operands' bounds are on top, the left one below
+            right = bounds.pop()
+            if node is _PLUS or node is _MINUS:
+                bounds[-1] = max(bounds[-1], right) + (node is _PLUS)
+            else:
+                bounds[-1] += right
+    return bounds[0] > ceiling
 
 
 def eval_exp(e: Exp) -> Nat:
@@ -332,6 +362,7 @@ _OPERATORS = {"+": Binop.PLUS, "-": Binop.MINUS, "*": Binop.TIMES}
 _BINDING = {"(": 0, "+": 1, "-": 1, "*": 2}
 # Leaves are immutable, so one Const per numeral "0" to "255" serves every parse.
 _NUMERALS = {str(n): Const(n) for n in range(256)}
+_SHORT_TEXT = 491  # 4.33 bits a character: within 640 digits, the least nonzero limit
 
 
 def _parse_error(
@@ -360,7 +391,8 @@ def parse_exp(src: str) -> Exp:
     character, which the parse cannot get past, is the last token.  Then an
     operator-precedence loop with explicit stacks builds the tree, so any
     nesting depth is fine.  Each numeral "0" to "255" gives its one shared
-    :class:`Const`.  A numeral too long for ``int`` is a :class:`ParseError`."""
+    :class:`Const`.  A numeral too long for ``int`` is a :class:`ParseError`, and
+    a tree with a value that may pass the digit limit a :class:`LimitError`."""
     foreign = _FOREIGN.search(src)
     end = foreign.start() if foreign else len(src)
     text = src[:end].replace("(", " ( ").replace(")", " ) ").replace("+", " + ")
@@ -414,6 +446,8 @@ def parse_exp(src: str) -> Exp:
                 node._left, operands[-1] = operands[-1], node
                 symbol = pop_pending()
             if not token:
+                if len(src) > _SHORT_TEXT and _exceeds_digit_limit(operands[0], len(src)):
+                    raise LimitError("an intermediate value may exceed the integer digit limit")
                 return operands[0]
             i += 1
             token = tokens[i]

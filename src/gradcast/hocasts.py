@@ -30,7 +30,7 @@ B = TypeVar("B")
 
 
 class IList(record("length", "items")):
-    """A list of naturals carrying its own length index."""
+    """A list of naturals carrying its own length index, its items kept as a tuple."""
 
     __slots__ = ()
 
@@ -40,7 +40,7 @@ class IList(record("length", "items")):
             raise ValueError(f"length index {length} does not match {len(items)} items")
         for item in items:
             check_nat(item)
-        super().__init__(length, items)
+        super().__init__(length, tuple(items))
 
 
 @show_value.register(IList)

@@ -13,9 +13,9 @@ from hypothesis import given, settings, strategies as st
 import gradcast.cli as cli
 import gradcast.compiler as compiler
 from gradcast.casts import CastFault
-from gradcast.cli import BOUNDED_CEILINGS, bench_strategies, exceeds_digit_limit, main
-from gradcast.compiler import COMPILERS, BinOp, Binop, Const, parse_exp
-from gradcast.rationals import IrredStrategy
+from gradcast.cli import bench_strategies, main
+from gradcast.compiler import COMPILERS, BinOp, Binop, Const, _exceeds_digit_limit, parse_exp
+from gradcast.rationals import BOUNDED_CEILINGS, IrredStrategy
 
 
 def run_cli(capsys, *argv):
@@ -372,15 +372,18 @@ def test_check_computes_values_within_the_ceiling(capsys):
 
 
 def test_digit_bound_follows_the_interpreter_limit(monkeypatch):
-    product = parse_exp(f"{BIG}*{BIG}")
-    assert exceeds_digit_limit(product)
-    assert not exceeds_digit_limit(parse_exp(f"{BIG}+{BIG}-{BIG}"))
-    assert exceeds_digit_limit(parse_exp(f"(1-{BIG})*(1-{BIG})"))  # either operand order
+    # Built by hand: parse_exp refuses the trees the bound refuses.
+    big, one = Const(int(BIG)), Const(1)
+    product = BinOp(Binop.TIMES, big, big)
+    assert _exceeds_digit_limit(product)
+    assert not _exceeds_digit_limit(parse_exp(f"{BIG}+{BIG}-{BIG}"))
+    difference = BinOp(Binop.MINUS, one, big)
+    assert _exceeds_digit_limit(BinOp(Binop.TIMES, difference, difference))  # either order
     monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0, raising=False)
-    assert not exceeds_digit_limit(product)  # a limit of 0 bounds nothing
+    assert not _exceeds_digit_limit(product)  # a limit of 0 bounds nothing
     monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
-    assert exceeds_digit_limit(product)  # no limit to ask: CPython's default 4300
-    assert not exceeds_digit_limit(parse_exp("9" * 4300))
+    assert _exceeds_digit_limit(product)  # no limit to ask: CPython's default 4300
+    assert not _exceeds_digit_limit(parse_exp("9" * 4300))
 
 
 def _mirrored(e):
@@ -409,7 +412,7 @@ def _trees(draw, budget=12):
 def test_digit_bound_does_not_depend_on_operand_order(tree):
     # A compiler may run either operand order (the buggy one runs b-a for
     # a-b), so the refusal must not depend on it.
-    assert exceeds_digit_limit(tree) == exceeds_digit_limit(_mirrored(tree))
+    assert _exceeds_digit_limit(tree) == _exceeds_digit_limit(_mirrored(tree))
 
 
 @pytest.mark.parametrize("variant", list(COMPILERS))

@@ -161,6 +161,15 @@ def test_build_list_examples():
     assert build_list(1).length == 1
 
 
+def test_ilist_keeps_no_reference_to_the_callers_list():
+    items = [5]
+    ilist = IList(1, items)
+    items.append(7)
+    assert repr(ilist) == "IList(length=1, items=(5,))"
+    assert ilist == IList(1, (5,)) and hash(ilist) == hash(IList(1, (5,)))
+    assert show_value(ilist) == "Cons 0 5 Nil"
+
+
 def test_build_list_preserves_length_index():
     for n in range(0, 1001):
         made = build_list(n)
