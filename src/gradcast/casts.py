@@ -75,7 +75,7 @@ class CastFault(Exception):
 
 
 class LimitError(ValueError):
-    """Input past a limit (``cast_rat``'s ceilings, ``parse_exp``'s digit limit)."""
+    """Input past a limit (``cast_rat``'s ceilings, ``correct_prog``'s digit limit)."""
 
 
 class Attested(record("value", "pred", "evidence"), Generic[A]):

@@ -11,8 +11,8 @@ Three subcommands:
 
 Exit codes: 0 success, 1 cast failure, 2 usage, parse or limit error: a
 numeral or a ``check`` result longer than Python's integer digit limit, or a
-``LimitError`` from the library, which holds the limits (``parse_exp``'s
-digit-limit bound, ``cast_rat``'s bounded ceilings).  Both regimes share one
+``LimitError`` from the library, which holds the limits (a failed check's stack
+value past the digit limit, ``cast_rat``'s ceilings).  Both regimes share one
 failure path: ``rat`` forces its cast with ``proj1``, so ``--time`` prints its
 ``TIME`` lines after a failed cast, lazy or eager; a zero bottom times nothing,
 as the deciders need a nonzero one.  A ``CastFault`` reaching ``main`` from any

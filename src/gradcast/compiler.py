@@ -14,31 +14,29 @@ Subtraction on naturals truncates at zero (1 - 2 = 0); that is what makes the
 buggy compiler observably wrong on subtraction while agreeing on sums and
 products.
 
-Parsing, compiling, evaluating and running each walk their input once with an
-explicit stack, so they take linear time and accept any nesting depth, as do a
-tree's ``==``, ``hash``, ``repr`` (see ``records``), ``copy``, ``deepcopy`` and
-``pickle``: a copy shares what the tree shares; copying a cycle raises ``ValueError``.
-Evaluating and compiling descend a node's first operand with the node as its
-frame, then hold one continuation for it while its second operand is walked.
-Each node costs only its own work: the parser splits the text with ``str`` methods up
-to its first character outside the grammar, builds each ``BinOp`` by slot stores,
-skipping ``__init__``, and walks a tree for its digit-limit bound only past 491
-characters of text; process-wide immutable tables, like the one ``IBinop`` per
-operation, hold one ``Const`` per numeral "0"-"255" and one ``IConst`` per natural
-0-255.  One operation function serves the interpreter and the machine, checking
-operands inline (``check_nat`` only for a non-natural), and ``Binop`` is hashed by
-identity, so an op's instruction is one dict lookup.  The loops and instruction
-renderers read each field once, from its private slot.  The correctness check runs
-each program once: rendering a failed check and :func:`runc` on an attested one
-reuse the stack the decision saw.
+Parsing, compiling, evaluating and running each visit a node once with an explicit
+stack, so any nesting depth works, as it does for a tree's ``==``, ``hash``, ``repr``
+(see ``records``), ``copy``, ``deepcopy`` and ``pickle``: a copy shares what the tree
+shares; copying a cycle raises ``ValueError``.  Evaluating and compiling descend a
+node's first operand with the node as its frame, then hold one continuation for it
+while its second operand is walked.  The parser splits the text with ``str`` methods
+up to its first character outside the grammar and builds each ``BinOp`` by slot
+stores, skipping ``__init__``; process-wide immutable tables hold one ``IBinop`` per
+operation, one ``Const`` per numeral "0"-"255" and one ``IConst`` per natural 0-255.
+One operation function serves the interpreter and the machine, checking operands
+inline (``check_nat`` only for a non-natural), and ``Binop`` is hashed by identity, so
+an op's instruction is one dict lookup.  The loops and instruction renderers read
+each field once, from its private slot.  The correctness check runs each program
+once: rendering a failed check and :func:`runc` on an attested one reuse the stack
+the decision saw.  That render is the one place a computed value becomes text (a
+program shows only parsed leaves), so nothing is refused for size before evaluating:
+past the running interpreter's int-string digit limit it raises :class:`LimitError`.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 import re
-import sys
 from operator import is_
 from typing import Callable, Optional, Union
 
@@ -144,33 +142,6 @@ def _denote(op: Binop, x: Nat, y: Nat) -> Nat:
     if op is _MINUS:
         return x - y if x >= y else 0
     return x * y
-
-
-def _exceeds_digit_limit(e: Exp, text_length: float = math.inf) -> bool:
-    """Whether a value ``e`` computes may pass the int-string digit limit, by bit-length
-    bounds under _denote's op rules: a+b <= max(la, lb)+1, a-b <= max(la, lb), else la+lb.
-    Each holds for either operand order (the buggy compiler runs b-a) and none is below an
-    operand's, so the root's covers every node.  Text gives at most 4.33 bits a character
-    (3.33d + 1 a d-digit numeral, 1 an operator): read from ``text_length``, ``e`` is walked
-    only if that passes the limit."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()  # 3.10 has none
-    ceiling = int(limit * math.log2(10)) + 1 if limit else math.inf  # bits of 10**limit-1
-    if 4.33 * text_length <= ceiling:
-        return False
-    bounds, todo = [], [e]  # bit-length bounds; nodes and operations to visit
-    while todo:
-        node = todo.pop()
-        if isinstance(node, BinOp):
-            todo += (node._op, node._right, node._left)
-        elif isinstance(node, Const):
-            bounds.append(node._value.bit_length())
-        else:  # an operation: its operands' bounds are on top, the left one below
-            right = bounds.pop()
-            if node is _PLUS or node is _MINUS:
-                bounds[-1] = max(bounds[-1], right) + (node is _PLUS)
-            else:
-                bounds[-1] += right
-    return bounds[0] > ceiling
 
 
 def eval_exp(e: Exp) -> Nat:
@@ -295,17 +266,21 @@ class _ProgCheck:
         return _RESULT_EQ.eq_decide(stack, self.expected)
 
     def render(self, p: Prog) -> str:
-        return _RESULT_EQ.render_eq(self.run(p), self.expected)
+        stack = self.run(p)  # outside the try: a ValueError from running is no limit
+        try:
+            return _RESULT_EQ.render_eq(stack, self.expected)
+        except ValueError:  # int-to-text past the interpreter's digit limit
+            raise LimitError("a stack value exceeds the integer digit limit") from None
 
 
 def correct_prog(e: Exp) -> Pred[Prog]:
-    """The property of programs: running on an empty stack yields exactly the
-    interpreter's value for ``e``.  Decided by synthesized equality over
-    optional stacks.
+    """The property of programs: running on an empty stack yields exactly the interpreter's
+    value for ``e``.  Decided by synthesized equality over optional stacks.
 
-    Each decision keeps the stack its program ran to; ``render`` and
-    :func:`runc` reuse it while the program holds the instructions that ran,
-    so a checked program runs once.  A changed program is run again."""
+    Each decision keeps the stack its program ran to; ``render`` and :func:`runc`
+    reuse it while the program holds the instructions that ran, so a checked program
+    runs once, and a changed one again.  ``render`` raises :class:`LimitError` for a
+    stack value past the interpreter's int-string digit limit."""
     state = _ProgCheck([eval_exp(e)])
     return Pred(decide=state.decide, render=state.render)
 
@@ -347,8 +322,7 @@ class ParseError(Exception):
 
     def __init__(self, reason: str, offset: int) -> None:
         super().__init__(f"{reason} at offset {offset}")
-        self.reason = reason
-        self.offset = offset
+        self.reason, self.offset = reason, offset
 
     def __reduce__(self) -> tuple:  # rebuilt from its fields by copy and pickle
         return type(self), (self.reason, self.offset), self.__dict__
@@ -362,7 +336,6 @@ _OPERATORS = {"+": Binop.PLUS, "-": Binop.MINUS, "*": Binop.TIMES}
 _BINDING = {"(": 0, "+": 1, "-": 1, "*": 2}
 # Leaves are immutable, so one Const per numeral "0" to "255" serves every parse.
 _NUMERALS = {str(n): Const(n) for n in range(256)}
-_SHORT_TEXT = 491  # 4.33 bits a character: within 640 digits, the least nonzero limit
 
 
 def _parse_error(
@@ -386,13 +359,12 @@ def parse_exp(src: str) -> Exp:
     factor := NAT | '(' expr ')'``; operators are left-associative and ``*``
     binds tighter.
 
-    The text up to its first character outside the grammar is split into
-    tokens by padding ``( ) + - *`` with spaces and calling ``split()``; that
-    character, which the parse cannot get past, is the last token.  Then an
-    operator-precedence loop with explicit stacks builds the tree, so any
-    nesting depth is fine.  Each numeral "0" to "255" gives its one shared
-    :class:`Const`.  A numeral too long for ``int`` is a :class:`ParseError`, and
-    a tree with a value that may pass the digit limit a :class:`LimitError`."""
+    The text up to its first character outside the grammar is split into tokens by
+    padding ``( ) + - *`` with spaces and calling ``split()``; that character, which
+    the parse cannot get past, is the last token.  Then an operator-precedence loop
+    with explicit stacks builds the tree, so any nesting depth is fine.  Each numeral
+    "0" to "255" gives its one shared :class:`Const`.  Any error, a numeral too long
+    for ``int`` too, is a :class:`ParseError`: no value a tree computes is bounded."""
     foreign = _FOREIGN.search(src)
     end = foreign.start() if foreign else len(src)
     text = src[:end].replace("(", " ( ").replace(")", " ) ").replace("+", " + ")
@@ -446,8 +418,6 @@ def parse_exp(src: str) -> Exp:
                 node._left, operands[-1] = operands[-1], node
                 symbol = pop_pending()
             if not token:
-                if len(src) > _SHORT_TEXT and _exceeds_digit_limit(operands[0], len(src)):
-                    raise LimitError("an intermediate value may exceed the integer digit limit")
                 return operands[0]
             i += 1
             token = tokens[i]

@@ -1,13 +1,10 @@
 """Seeded random expression generators and a printer shared by the compiler
-tests, a reference for the digit-limit bound, and a guard for the tests that
-build very deep values."""
+tests, and a guard for the tests that build very deep values."""
 
 from __future__ import annotations
 
 import functools
-import math
 import random
-import sys
 
 import pytest
 
@@ -104,31 +101,3 @@ def exp_text(e: Exp, min_prec: int = 0) -> str:
     text = f"{exp_text(e.left, prec)} {SYMBOL[e.op]} {exp_text(e.right, prec + 1)}"
     return f"({text})" if prec < min_prec else text
 
-
-def exceeds_digit_limit(exp: Exp) -> bool:
-    """Reference for ``parse_exp``'s refusal: whether an operation in ``exp``
-    may pass the int-string digit limit, in one pass over bit-length bounds:
-    a*b <= la+lb, a+b <= max(la, lb)+1 and a-b <= max(la, lb), read through
-    the public fields."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()  # 3.10 has none
-    ceiling = int(limit * math.log2(10)) + 1 if limit else math.inf  # bits of 10**limit-1
-    bounds: list[int] = []
-    todo: list = [exp]
-    while todo:
-        node = todo.pop()
-        if isinstance(node, BinOp):
-            todo += (node.op, node.right, node.left)
-        elif isinstance(node, Const):
-            bounds.append(node.value.bit_length())
-        else:  # an operation: its operands' bounds are on top, the left one below
-            right, bound = bounds.pop(), bounds.pop()
-            if node is Binop.TIMES:
-                bound += right
-            elif node is Binop.PLUS:
-                bound = max(bound, right) + 1
-            else:
-                bound = max(bound, right)
-            if bound > ceiling:
-                return True
-            bounds.append(bound)
-    return False

@@ -18,9 +18,7 @@ from typing import Optional
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from exprgen import exceeds_digit_limit
 from gradcast import compiler
-from gradcast.casts import LimitError
 from gradcast.compiler import (
     BinOp,
     Binop,
@@ -164,8 +162,6 @@ def ref_parse_exp(src):
             if not open_parens:
                 if pos == end:
                     reduce(1)
-                    if exceeds_digit_limit(operands[0]):
-                        raise LimitError("an intermediate value may exceed the integer digit limit")
                     return operands[0]
                 raise ParseError(f"unexpected character {ch!r}", pos + 1)
             if ch != ")":

@@ -1,18 +1,31 @@
-"""The library's input limits: ``parse_exp`` refuses a tree whose bit-length
-bound passes the integer digit limit, and ``cast_rat`` refuses a top or bottom
-above a bounded strategy's ceiling, each with one ``LimitError``."""
+"""The library's input limits: a checked compile whose failed check renders a
+stack value past the interpreter's integer digit limit raises ``LimitError``,
+exactly then, and ``cast_rat`` refuses a top or bottom above a bounded
+strategy's ceiling with the same ``LimitError``."""
 
+import sys
 import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import gradcast
-from gradcast import compiler
-from gradcast.casts import LimitError
-from gradcast.compiler import ParseError, checked_compile, parse_exp
+from gradcast.casts import CastFault, FailureMode, LimitError
+from gradcast.compiler import (
+    COMPILERS,
+    Binop,
+    IBinop,
+    IConst,
+    checked_compile,
+    correct_prog,
+    parse_exp,
+    runc,
+)
 from gradcast.rationals import BOUNDED_CEILINGS, IrredStrategy, cast_rat
-from test_compiler_kernels import outcome, ref_parse_exp
+from gradcast.render import show_value
+from test_compiler_kernels import outcome, ref_compile, ref_eval_exp, ref_parse_exp, ref_run_prog
+
+_LIMIT_MESSAGE = "a stack value exceeds the integer digit limit"
 
 
 def test_limit_error_is_the_exported_value_error():
@@ -22,7 +35,7 @@ def test_limit_error_is_the_exported_value_error():
 
 # Numerals of 1 to 4,400 repeated digits, past the 4,300 the interpreter reads,
 # or short ones.  Lengths near 2,150 and 4,300 digits put products and sums of
-# nines at the bound.
+# nines at the limit.
 _DIGITS = st.integers(1, 4400) | st.integers(2140, 2160) | st.integers(4290, 4310)
 _LONG = st.builds(lambda digit, n: digit * n, st.sampled_from("01599"), _DIGITS)
 _NUMERAL = st.integers(0, 99).map(str) | _LONG | _LONG
@@ -38,46 +51,86 @@ def _long_text(draw, depth=3):
     return f"({text})" if draw(st.booleans()) else text
 
 
+def _checked_run(text, variant, mode):
+    """``runc`` of ``text``'s checked compile, each value in hex, which no digit limit
+    bounds, so that ``outcome`` can show a result past the limit."""
+    return list(map(hex, runc(checked_compile(variant, mode), parse_exp(text))))
+
+
+def _reference_run(text, variant):
+    """``_checked_run`` from plain Python ints: the result, or the failed check's
+    ``CastFault``, or ``LimitError`` exactly when ``str()`` of a stack value that
+    check renders raises."""
+    tree = ref_parse_exp(text)
+    prog = ref_compile(tree, variant == "buggy")
+    ran, expected = ref_run_prog(prog, []), ref_eval_exp(tree)
+    if ran == [expected]:
+        return list(map(hex, ran))
+    try:
+        shown = str(ran[0]), str(expected)
+    except ValueError:
+        raise LimitError(_LIMIT_MESSAGE) from None
+    raise CastFault(show_value(prog), "Some ({} :: nil) = Some ({} :: nil)".format(*shown))
+
+
+def _assert_matches_reference(text):
+    for variant in COMPILERS:
+        expected = outcome(_reference_run, text, variant)
+        for mode in FailureMode:
+            assert outcome(_checked_run, text, variant, mode) == expected
+
+
+_N = "9" * 2200  # N*N has 4,400 digits
+
+
 @settings(max_examples=150, deadline=None)
 @given(_long_text())
 @example("9" * 4300)
-@example("9" * 4300 + "+0")  # the bound passes by one bit; the value does not
+@example("9" * 4300 + "+0")
+@example("9" * 4300 + "+1")  # 4,301 digits, but equal results are never rendered
 @example("9" * 4300 + "-0")
 @example("9" * 2150 + "*" + "9" * 2150)
-@example("9" * 2149 + "*" + "9" * 2149)
+@example("9" * 2150 + "*" + "9" * 2150 + "-1")
+@example("9" * 2149 + "*" + "9" * 2149 + "-1")
 @example("(1-" + "9" * 2150 + ")*(1-" + "9" * 2150 + ")")
-def test_parse_exp_refuses_exactly_the_trees_the_reference_bound_refuses(text):
-    # ref_parse_exp raises LimitError when exceeds_digit_limit refuses its tree.
-    assert outcome(parse_exp, text) == outcome(ref_parse_exp, text)
+@example(f"{2**7143 - 1}*{2**7142 - 1}-1")  # a*b-1 has 4,301 digits
+@example(f"{_N}*{_N}-{_N}*{_N}")
+@example(f"1-{_N}*{_N}")
+def test_checked_compile_raises_limit_error_exactly_when_its_failed_check_cannot_render(text):
+    _assert_matches_reference(text)
 
 
-def _walk_called(*_args):
-    raise AssertionError("the bound walk ran")
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        "9" * 491,
-        "9" * 245 + "*" + "9" * 245,
-        "(" * 245 + "9" + ")" * 245,
-        "*".join(["99"] * 163) + "*99",
-        " " * 490 + "7",
-    ],
-    ids=["numeral", "product", "parentheses", "long-product", "spaces"],
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="this interpreter has no digit limit"
 )
-def test_parse_exp_of_491_characters_or_fewer_never_walks_the_bound(monkeypatch, text):
-    assert len(text) == 491
-    expected = parse_exp(text)
-    monkeypatch.setattr(compiler, "_exceeds_digit_limit", _walk_called)
-    for length in range(1, 492, 7):
-        try:
-            parse_exp(text[-length:])
-        except ParseError:
-            pass
-    assert parse_exp(text) == expected
-    with pytest.raises(AssertionError, match="the bound walk ran"):
-        parse_exp(" " + text)
+def test_the_digit_limit_is_the_running_interpreters():
+    nines = "9" * 330  # a product of two has 660 digits
+    texts = (f"{nines}*{nines}-1", f"{_N}*{_N}-1", f"{nines}*{nines}-{nines}*{nines}")
+    with pytest.raises(CastFault):  # 660 digits render under the default limit
+        runc(checked_compile("buggy"), parse_exp(texts[0]))
+    default = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        for mode in FailureMode:
+            with pytest.raises(LimitError, match=f"^{_LIMIT_MESSAGE}$"):
+                checked_compile("buggy", mode)(parse_exp(texts[0]))
+        assert runc(checked_compile("buggy"), parse_exp(texts[2])) == [0]
+        for text in texts:
+            _assert_matches_reference(text)
+        sys.set_int_max_str_digits(0)  # a limit of 0 bounds nothing
+        with pytest.raises(CastFault, match=r" = Some \(9{2199}80{2200} :: nil\)$"):
+            runc(checked_compile("buggy"), parse_exp(texts[1]))
+        for text in texts:
+            _assert_matches_reference(text)
+    finally:
+        sys.set_int_max_str_digits(default)
+
+
+def test_a_program_that_cannot_run_is_no_limit_error():
+    render = correct_prog(parse_exp("1")).render
+    with pytest.raises(ValueError, match="^natural number expected, got -1$") as excinfo:
+        render([IConst(-1), IConst(0), IBinop(Binop.PLUS)])
+    assert type(excinfo.value) is not LimitError
 
 
 def test_a_long_product_and_a_large_bounded_rat_raise_limit_error_in_under_a_second():
