@@ -23,11 +23,12 @@ renders at the cast, since it may not keep the value to render later.
 
 Refined values are slotted records (see ``records``), built by ``cast`` and
 ``rationals.cast_rat`` only in ``_attested`` and ``_failed``, with no ``__init__``
-call; only their public fields refuse assignment.  ``Attested(...)`` refuses
-every call, so only a cast issues one; a ``FailedCast`` carries no evidence and
-stays constructible.  ``cast`` is pure apart from fault raising; a ``decide``
-returning no decision raises ``TypeError``, and every entry taking a ``mode``
-raises ``ValueError`` for anything but a :class:`FailureMode`.
+call; only their public fields refuse assignment.  ``Attested(...)`` refuses every
+call, so only a cast issues one; a ``FailedCast`` carries no evidence and stays
+constructible, and ``proj1``, ``proj2`` and ``try_cast`` read its text slots.  ``cast``
+reads ``p.decide`` per call and is pure apart from fault raising; a ``decide`` returning
+no decision raises ``TypeError``, and every entry taking a ``mode`` raises
+``ValueError`` for anything but a :class:`FailureMode`.
 """
 
 from __future__ import annotations
@@ -60,12 +61,12 @@ def check_choice(name: str, value: object, choices: type[enum.Enum]) -> None:
 class CastFault(Exception):
     """A failed cast was forced.
 
-    ``message`` is the bare fault text; ``value_text`` and ``prop_text``
-    identify the rejected value and the violated proposition.
+    ``message`` is the bare fault text; ``value_text`` and ``prop_text`` identify the
+    rejected value and the violated proposition.  ``__init__`` stores ``args`` itself.
     """
 
     def __init__(self, value_text: str, prop_text: str) -> None:
-        super().__init__(f"Cast has failed: value {value_text} does not satisfy {prop_text}")
+        self.args = (f"Cast has failed: value {value_text} does not satisfy {prop_text}",)
         self.message = "Cast has failed"
         self.value_text = value_text
         self.prop_text = prop_text
@@ -143,14 +144,14 @@ def try_cast(p: Pred[A], a: A) -> Attested[A] | CastFault:
     locally instead of living with poisoned values.
     """
     r = cast(p, a)
-    return r if isinstance(r, Attested) else CastFault(r.value_text, r.prop_text)
+    return r if isinstance(r, Attested) else CastFault(r._value_text, r._prop_text)
 
 
 def proj1(r: Refined) -> A:
     """Project the value. Forcing a failed cast this way raises the fault."""
     if isinstance(r, Attested):
         return r._value
-    raise CastFault(r.value_text, r.prop_text)
+    raise CastFault(r._value_text, r._prop_text)
 
 
 def proj2(r: Refined) -> Evidence:
@@ -161,7 +162,7 @@ def proj2(r: Refined) -> Evidence:
     """
     if isinstance(r, Attested):
         return r._evidence
-    raise CastFault(r.value_text, r.prop_text)
+    raise CastFault(r._value_text, r._prop_text)
 
 
 def map_cast(p: Pred[A], xs: Sequence[A], mode: FailureMode = FailureMode.LAZY) -> list[Refined]:

@@ -29,8 +29,8 @@ an op's instruction is one dict lookup.  The loops and instruction renderers rea
 each field once, from its private slot.  The correctness check runs each program
 once: rendering a failed check and :func:`runc` on an attested one reuse the stack
 the decision saw.  That render is the one place a computed value becomes text (a
-program shows only parsed leaves), so nothing is refused for size before evaluating:
-past the running interpreter's int-string digit limit it raises :class:`LimitError`.
+program shows only leaves), so nothing is refused for size before evaluating: past
+the interpreter's digit limit it and the ``IConst`` renderer raise :class:`LimitError`.
 """
 
 from __future__ import annotations
@@ -114,7 +114,10 @@ _IBINOP_TEXT = {b: f"iBinop {b.value}" for b in Binop}
 
 @show_value.register(IConst)
 def _show_iconst(instr: IConst) -> str:
-    return f"iConst {instr._value}"
+    try:
+        return f"iConst {instr._value}"
+    except ValueError:  # int-to-text past the interpreter's digit limit
+        raise LimitError("an instruction's value exceeds the integer digit limit") from None
 
 
 @show_value.register(IBinop)
@@ -240,6 +243,7 @@ def compile_fixed(e: Exp) -> Prog:
 
 
 _RESULT_EQ = eq_option(eq_list(eq_nat()))
+_RESULT_DECIDE = _RESULT_EQ.eq_decide
 
 
 class _ProgCheck:
@@ -263,7 +267,7 @@ class _ProgCheck:
         snapshot = tuple(p)
         stack = run_prog(snapshot, [])
         self.last = (snapshot, stack)
-        return _RESULT_EQ.eq_decide(stack, self.expected)
+        return _RESULT_DECIDE(stack, self.expected)
 
     def render(self, p: Prog) -> str:
         stack = self.run(p)  # outside the try: a ValueError from running is no limit
@@ -312,7 +316,7 @@ def runc(c: Callable[[Exp], Refined], e: Exp) -> Optional[Stack]:
     """
     refined = c(e)
     prog = proj1(refined)
-    state = getattr(refined.pred.decide, "__self__", None)
+    state = getattr(getattr(refined._pred, "_decide", None), "__self__", None)
     return state.run(prog) if type(state) is _ProgCheck else run_prog(prog, [])
 
 

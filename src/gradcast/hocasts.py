@@ -1,11 +1,11 @@
 """Higher-order casts: defer checking to each application of a function.
 
-Wrapping a function runs no decision procedure at all; only applying the
-wrapper does.  Wrapping checks only ``mode``, raising ``ValueError`` for
-anything but a :class:`FailureMode`.  ``cast_fun_range`` strengthens what a
-function promises about its results, ``cast_fun_dom`` weakens what it demands
-of its arguments.  The ``forall`` variants cover the dependent cases, where
-the checked property (or the shape of the result) varies with the argument;
+Wrapping a function runs no decision procedure at all; only applying the wrapper
+does.  Wrapping checks only ``mode``, raising ``ValueError`` for anything but a
+:class:`FailureMode`, and reads ``family.at`` once.  ``cast_fun_range`` strengthens
+what a function promises about its results, ``cast_fun_dom`` weakens what it demands
+of its arguments.  The ``forall`` variants cover the dependent cases, where the
+checked property (or the shape of the result) varies with the argument;
 :func:`cast_fun_range` is :func:`cast_forall_range` over a constant family.
 
 Dependent result shapes are modelled by runtime-indexed data: an
@@ -97,9 +97,10 @@ def cast_forall_range(
 ) -> Callable[[A], Refined]:
     """Strengthen a range dependently: ``f(a)`` is cast against ``family.at(a)``."""
     check_choice("mode", mode, FailureMode)
+    at = family.at
 
     def wrapped(a: A) -> Refined:
-        return cast(family.at(a), f(a), mode)
+        return cast(at(a), f(a), mode)
 
     return wrapped
 

@@ -12,11 +12,13 @@ that fails the test reaches ``check_nat``, which raises or accepts an ``int``
 subclass.  The order predicates render only the values they decide.  A list
 equality over ``eq_nat``'s decider compares each pair of plain naturals inline
 and sends any other pair to the decider, so verdicts, texts and exceptions are
-those of the element-wise derivation.
+those of the element-wise derivation.  ``eq_decide`` is read once, when a derived
+equality or ``pred_equals`` is built; ``EqDec.render_eq`` reads ``_render_value``.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Generic, Optional, Sequence, TypeVar
 
 from .predicates import Decision, Holds, Pred, _holds, _later, _refuted, _refutes
@@ -84,7 +86,7 @@ def pred_ge_const(k: Nat) -> Pred[Nat]:
         check_nat(n)
         return f"{k} <= {n}"
 
-    return Pred(decide=lambda n: dec_le(k, n), render=render)
+    return Pred(decide=partial(dec_le, k), render=render)
 
 
 class EqDec(record("eq_decide", "render_value"), Generic[A]):
@@ -98,7 +100,7 @@ class EqDec(record("eq_decide", "render_value"), Generic[A]):
     __slots__ = ()
 
     def render_eq(self, a: A, b: A) -> str:
-        return f"{self.render_value(a)} = {self.render_value(b)}"
+        return f"{self._render_value(a)} = {self._render_value(b)}"
 
 
 def _eq_nat_decide(a: Nat, b: Nat) -> Decision:
@@ -153,20 +155,19 @@ def eq_list(elem: EqDec[A]) -> EqDec[Sequence[A]]:
 
 def eq_option(elem: EqDec[A]) -> EqDec[Optional[A]]:
     """Equality of optional values (``None`` or a value), derived from ``elem``."""
+    elem_decide = elem.eq_decide
 
     def decide(a: Optional[A], b: Optional[A]) -> Decision:
         if a is None and b is None:
             return _EQ_REFL
         if a is None or b is None:
             return _refutes("None <> Some")
-        return elem.eq_decide(a, b)
+        return elem_decide(a, b)
 
     return EqDec(eq_decide=decide, render_value=show_optional(elem.render_value))
 
 
 def pred_equals(eq: EqDec[A], expected: A) -> Pred[A]:
     """The property ``a = expected``, decided by the given equality decider."""
-    return Pred(
-        decide=lambda a: eq.eq_decide(a, expected),
-        render=lambda a: eq.render_eq(a, expected),
-    )
+    eq_decide = eq.eq_decide
+    return Pred(decide=lambda a: eq_decide(a, expected), render=lambda a: eq.render_eq(a, expected))

@@ -23,9 +23,10 @@ deciding, so mutating a value never changes its evidence.  A read raises what
 formatting raises: ``pred_lt_const(10**5000)`` holds at 5, and only reading
 the summary hits the int-string digit limit (``ValueError``).
 
-A predicate's public fields refuse assignment, and ``decide`` must give the
-same arm for the same input.  ``compiler.correct_prog``'s predicate keeps its
-last run, reused while a program holds the very instructions that ran.
+A predicate's public fields refuse assignment, and ``decide`` must give the same arm
+for the same input.  A combinator reads its children's fields once, when built, and a
+child verdict's ``_evidence``/``_refutation`` slot.  ``compiler.correct_prog``'s
+predicate keeps its last run, reused while a program holds the very instructions that ran.
 """
 
 from __future__ import annotations
@@ -173,59 +174,63 @@ def p_false() -> Pred[Any]:
 def p_and(p: Pred[A], q: Pred[A]) -> Pred[A]:
     """Conjunction. Decides left first; the refutation names the first failing
     conjunct and the right conjunct is not decided when the left refutes."""
+    p_decide, p_render, q_decide, q_render = p.decide, p.render, q.decide, q.render
 
     def decide(a: A) -> Decision:
-        left = p.decide(a)
+        left = p_decide(a)
         if not isinstance(left, Holds) and _refuted(left):
-            return _refutes("left conjunct refuted: {}", _later(p.render, a))
-        right = q.decide(a)
+            return _refutes("left conjunct refuted: {}", _later(p_render, a))
+        right = q_decide(a)
         if not isinstance(right, Holds) and _refuted(right):
-            return _refutes("right conjunct refuted: {}", _later(q.render, a))
-        return _holds("{} and {}", left.evidence, right.evidence)
+            return _refutes("right conjunct refuted: {}", _later(q_render, a))
+        return _holds("{} and {}", left._evidence, right._evidence)
 
-    return Pred(decide=decide, render=lambda a: f"{p.render(a)} /\\ {q.render(a)}")
+    return Pred(decide=decide, render=lambda a: f"{p_render(a)} /\\ {q_render(a)}")
 
 
 def p_or(p: Pred[A], q: Pred[A]) -> Pred[A]:
     """Disjunction, decided left first."""
+    p_decide, p_render, q_decide, q_render = p.decide, p.render, q.decide, q.render
 
     def decide(a: A) -> Decision:
-        left = p.decide(a)
+        left = p_decide(a)
         if isinstance(left, Holds) or not _refuted(left):
-            return _holds("left disjunct holds: {}", left.evidence)
-        right = q.decide(a)
+            return _holds("left disjunct holds: {}", left._evidence)
+        right = q_decide(a)
         if isinstance(right, Holds) or not _refuted(right):
-            return _holds("right disjunct holds: {}", right.evidence)
+            return _holds("right disjunct holds: {}", right._evidence)
         return _refutes("both disjuncts refuted")
 
-    return Pred(decide=decide, render=lambda a: f"{p.render(a)} \\/ {q.render(a)}")
+    return Pred(decide=decide, render=lambda a: f"{p_render(a)} \\/ {q_render(a)}")
 
 
 def p_not(p: Pred[A]) -> Pred[A]:
     """Negation."""
+    p_decide, p_render = p.decide, p.render
 
     def decide(a: A) -> Decision:
-        inner = p.decide(a)
+        inner = p_decide(a)
         if not isinstance(inner, Holds) and _refuted(inner):
-            return _holds("negated proposition refuted: {}", inner.refutation)
-        return _refutes("negated proposition holds: {}", _later(p.render, a))
+            return _holds("negated proposition refuted: {}", inner._refutation)
+        return _refutes("negated proposition holds: {}", _later(p_render, a))
 
-    return Pred(decide=decide, render=lambda a: f"~ {p.render(a)}")
+    return Pred(decide=decide, render=lambda a: f"~ {p_render(a)}")
 
 
 def p_implies(p: Pred[A], q: Pred[A]) -> Pred[A]:
     """Implication: holds when the antecedent refutes or the consequent holds."""
+    p_decide, p_render, q_decide, q_render = p.decide, p.render, q.decide, q.render
 
     def decide(a: A) -> Decision:
-        antecedent = p.decide(a)
+        antecedent = p_decide(a)
         if not isinstance(antecedent, Holds) and _refuted(antecedent):
             return _holds("vacuously true: antecedent refuted")
-        consequent = q.decide(a)
+        consequent = q_decide(a)
         if isinstance(consequent, Holds) or not _refuted(consequent):
-            return _holds("consequent holds: {}", consequent.evidence)
-        return _refutes("antecedent holds but consequent refuted: {}", _later(q.render, a))
+            return _holds("consequent holds: {}", consequent._evidence)
+        return _refutes("antecedent holds but consequent refuted: {}", _later(q_render, a))
 
-    return Pred(decide=decide, render=lambda a: f"{p.render(a)} -> {q.render(a)}")
+    return Pred(decide=decide, render=lambda a: f"{p_render(a)} -> {q_render(a)}")
 
 
 def p_proven(description: str) -> Pred[Any]:
@@ -254,13 +259,13 @@ def p_equivalent(
     to cast reports.
     """
 
-    why = _later(format, justification)
+    why, inner_decide = _later(format, justification), substitute.decide
 
     def decide(a: A) -> Decision:
-        inner = substitute.decide(a)
+        inner = inner_decide(a)
         if isinstance(inner, Holds) or not _refuted(inner):
-            return _holds("{} (via equivalence: {})", inner.evidence, why)
-        return _refutes("{} (via equivalence: {})", inner.refutation, why)
+            return _holds("{} (via equivalence: {})", inner._evidence, why)
+        return _refutes("{} (via equivalence: {})", inner._refutation, why)
 
     return Pred(decide=decide, render=render_override)
 

@@ -10,10 +10,13 @@ only the cast core issues them.  Three fields build in 220 ns the first way, 190
 the second and 700 ns as a frozen dataclass; a field reads in 55 ns through its
 property, 12 ns from its slot (``timeit``, Python 3.11.7, 2-core x86).  Public
 slots refusing assignment in ``__setattr__`` read faster, but cost ``casts`` 2.7%
-in op_p50_us and broke copy and pickle.  The private slots stay writable
+in op_p50_us and broke copy and pickle.  A combinator, derived equality or range
+wrapper reads its children's public fields once, when built, so a slot store into a
+child misses parents built before it.  Private slots stay writable
 (``r.value._top = 10`` succeeds).  The builders and ``parse_exp`` store them; the
 compiler's loops and renderers (ignoring a subclass's field property), ``cast``,
-``proj1``, ``proj2`` and ``AttestedRat`` read them: sealing must follow both.
+``proj1``, ``proj2``, ``try_cast``, the combinators, ``EqDec.render_eq`` and
+``AttestedRat`` read them: sealing must follow both.
 ``==``, ``hash`` and ``repr`` live in ``_Record`` alone and walk nested records
 with an explicit stack, so records nested to any depth compare, hash and print.
 """

@@ -187,15 +187,67 @@ def test_attested_renders_prop_text_only_when_read():
     assert renders == [5]
 
 
-def _raised_parse_error():
-    with pytest.raises(ParseError) as info:
-        parse_exp("1 +")
+class _SubFault(CastFault):
+    def __init__(self, value_text, prop_text):
+        super().__init__(value_text, prop_text)
+
+
+def _raised(force):
+    with pytest.raises(CastFault) as info:
+        force()
     return info.value
 
 
-def _raised_cast_fault():
-    with pytest.raises(CastFault) as info:
-        proj1(cast(LT10, 15))
+def _fields(value_text, prop_text):
+    return {"message": "Cast has failed", "value_text": value_text, "prop_text": prop_text}
+
+
+@pytest.mark.parametrize(
+    "make, text, shown, fields",
+    [
+        (
+            lambda: CastFault("15", "16 <= 10"),
+            "Cast has failed: value 15 does not satisfy 16 <= 10",
+            "CastFault('Cast has failed: value 15 does not satisfy 16 <= 10')",
+            _fields("15", "16 <= 10"),
+        ),
+        (
+            lambda: _raised(lambda: proj1(cast(LT10, 12))),
+            "Cast has failed: value 12 does not satisfy 13 <= 10",
+            "CastFault('Cast has failed: value 12 does not satisfy 13 <= 10')",
+            _fields("12", "13 <= 10"),
+        ),
+        (
+            lambda: _raised(lambda: cast(pred_equals(eq_list(eq_nat()), [1]), [2], FailureMode.EAGER)),
+            "Cast has failed: value 2 :: nil does not satisfy 2 :: nil = 1 :: nil",
+            "CastFault('Cast has failed: value 2 :: nil does not satisfy 2 :: nil = 1 :: nil')",
+            _fields("2 :: nil", "2 :: nil = 1 :: nil"),
+        ),
+        (
+            lambda: try_cast(LT10, 30),
+            "Cast has failed: value 30 does not satisfy 31 <= 10",
+            "CastFault('Cast has failed: value 30 does not satisfy 31 <= 10')",
+            _fields("30", "31 <= 10"),
+        ),
+        (
+            lambda: _SubFault("7", "8 <= 3"),
+            "Cast has failed: value 7 does not satisfy 8 <= 3",
+            "_SubFault('Cast has failed: value 7 does not satisfy 8 <= 3')",
+            _fields("7", "8 <= 3"),
+        ),
+    ],
+    ids=["built", "proj1", "eager", "try-cast", "subclass"],
+)
+def test_cast_fault_layout_is_pinned(make, text, shown, fields):
+    fault = make()
+    assert fault.args == (text,) and str(fault) == text and repr(fault) == shown
+    assert vars(fault) == fields and list(vars(fault)) == list(fields)
+    assert [fault.message, fault.value_text, fault.prop_text] == list(fields.values())
+
+
+def _raised_parse_error():
+    with pytest.raises(ParseError) as info:
+        parse_exp("1 +")
     return info.value
 
 
@@ -205,7 +257,7 @@ def _raised_cast_fault():
         lambda: CastFault("15", "16 <= 10"),
         lambda: ParseError("expected a number", 3),
         lambda: try_cast(LT10, 15),
-        _raised_cast_fault,
+        lambda: _raised(lambda: proj1(cast(LT10, 15))),
         _raised_parse_error,
     ],
     ids=["cast-fault", "parse-error", "try-cast", "raised-cast-fault", "raised-parse-error"],

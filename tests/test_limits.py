@@ -13,7 +13,9 @@ import gradcast
 from gradcast.casts import CastFault, FailureMode, LimitError
 from gradcast.compiler import (
     COMPILERS,
+    BinOp,
     Binop,
+    Const,
     IBinop,
     IConst,
     checked_compile,
@@ -100,9 +102,12 @@ def test_checked_compile_raises_limit_error_exactly_when_its_failed_check_cannot
     _assert_matches_reference(text)
 
 
-@pytest.mark.skipif(
+needs_digit_limit = pytest.mark.skipif(
     not hasattr(sys, "set_int_max_str_digits"), reason="this interpreter has no digit limit"
 )
+
+
+@needs_digit_limit
 def test_the_digit_limit_is_the_running_interpreters():
     nines = "9" * 330  # a product of two has 660 digits
     texts = (f"{nines}*{nines}-1", f"{_N}*{_N}-1", f"{nines}*{nines}-{nines}*{nines}")
@@ -124,6 +129,19 @@ def test_the_digit_limit_is_the_running_interpreters():
             _assert_matches_reference(text)
     finally:
         sys.set_int_max_str_digits(default)
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("mode", list(FailureMode))
+def test_a_hand_built_leaf_past_the_limit_raises_limit_error_from_the_program_text(mode):
+    # parse_exp never builds such a leaf; the failed check renders the program first
+    tree = BinOp(Binop.MINUS, Const(10**5000), Const(1))
+    message = "^an instruction's value exceeds the integer digit limit$"
+    with pytest.raises(LimitError, match=message):
+        checked_compile("buggy", mode)(tree)
+    with pytest.raises(LimitError, match=message):
+        show_value([IConst(1), IConst(10**5000)])
+    assert runc(checked_compile("fixed", mode), tree) == [10**5000 - 1]
 
 
 def test_a_program_that_cannot_run_is_no_limit_error():
