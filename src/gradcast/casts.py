@@ -20,15 +20,6 @@ joined only when read, so a successful cast never runs ``Pred.render`` or
 formats evidence.  A ``Pred.render`` must therefore be pure: reading the text
 once, many times or never must not change anything.  A ``FailedCast``
 renders at the cast, since it may not keep the value to render later.
-
-Refined values are slotted records (see ``records``), built by ``cast`` and
-``rationals.cast_rat`` only in ``_attested`` and ``_failed``, with no ``__init__``
-call; only their public fields refuse assignment.  ``Attested(...)`` refuses every
-call, so only a cast issues one; a ``FailedCast`` carries no evidence and stays
-constructible, and ``proj1``, ``proj2`` and ``try_cast`` read its text slots.  ``cast``
-reads ``p.decide`` per call and is pure apart from fault raising; a ``decide`` returning
-no decision raises ``TypeError``, and every entry taking a ``mode`` raises
-``ValueError`` for anything but a :class:`FailureMode`.
 """
 
 from __future__ import annotations
@@ -36,8 +27,8 @@ from __future__ import annotations
 import enum
 from typing import Generic, Sequence, TypeVar
 
-from .predicates import Evidence, Holds, Pred, _new, _refuted
-from .records import record
+from .predicates import Evidence, Holds, Pred, _refuted
+from .records import _new, record
 from .render import show_value
 
 A = TypeVar("A")
@@ -62,7 +53,7 @@ class CastFault(Exception):
     """A failed cast was forced.
 
     ``message`` is the bare fault text; ``value_text`` and ``prop_text`` identify the
-    rejected value and the violated proposition.  ``__init__`` stores ``args`` itself.
+    rejected value and the violated proposition.
     """
 
     def __init__(self, value_text: str, prop_text: str) -> None:
@@ -76,7 +67,11 @@ class CastFault(Exception):
 
 
 class LimitError(ValueError):
-    """Input past a limit (``cast_rat``'s ceilings, ``correct_prog``'s digit limit)."""
+    """Input past a limit.  Raised by ``cast_rat`` above a bounded strategy's ceiling and
+    when its failure texts would show a top or bottom past the integer digit limit, and by
+    a failed compile check rendering a stack value or an ``IConst`` past that limit.
+    ``cast`` lets the digit limit's ``ValueError`` through: it renders with caller
+    renderers, and must not relabel their other ``ValueError`` exceptions."""
 
 
 class Attested(record("value", "pred", "evidence"), Generic[A]):

@@ -11,17 +11,12 @@ Three subcommands:
 
 Exit codes: 0 success, 1 cast failure, 2 usage, parse or limit error: a
 numeral or a ``check`` result longer than Python's integer digit limit, or a
-``LimitError`` from the library, which holds the limits (a failed check's stack
-value past the digit limit, ``cast_rat``'s ceilings).  Both regimes share one
+``LimitError`` from the library, which holds the limits.  Both regimes share one
 failure path: ``rat`` forces its cast with ``proj1``, so ``--time`` prints its
 ``TIME`` lines after a failed cast, lazy or eager; a zero bottom times nothing,
 as the deciders need a nonzero one.  A ``CastFault`` reaching ``main`` from any
 command prints ``FAILED_CAST`` with exit 1.  Any other exception ends as a
 one-line ``INTERNAL_ERROR`` with exit 2; output is line-oriented ASCII.
-
-Each ``cmd_*`` function takes only the values it uses and prints its own
-lines; ``main`` reads them from the parsed arguments, so every default is
-written once, in :func:`build_parser`.
 """
 
 from __future__ import annotations

@@ -15,22 +15,12 @@ buggy compiler observably wrong on subtraction while agreeing on sums and
 products.
 
 Parsing, compiling, evaluating and running each visit a node once with an explicit
-stack, so any nesting depth works, as it does for a tree's ``==``, ``hash``, ``repr``
-(see ``records``), ``copy``, ``deepcopy`` and ``pickle``: a copy shares what the tree
-shares; copying a cycle raises ``ValueError``.  Evaluating and compiling descend a
-node's first operand with the node as its frame, then hold one continuation for it
-while its second operand is walked.  The parser splits the text with ``str`` methods
-up to its first character outside the grammar and builds each ``BinOp`` by slot
-stores, skipping ``__init__``; process-wide immutable tables hold one ``IBinop`` per
-operation, one ``Const`` per numeral "0"-"255" and one ``IConst`` per natural 0-255.
-One operation function serves the interpreter and the machine, checking operands
-inline (``check_nat`` only for a non-natural), and ``Binop`` is hashed by identity, so
-an op's instruction is one dict lookup.  The loops and instruction renderers read
-each field once, from its private slot.  The correctness check runs each program
-once: rendering a failed check and :func:`runc` on an attested one reuse the stack
-the decision saw.  That render is the one place a computed value becomes text (a
-program shows only leaves), so nothing is refused for size before evaluating: past
-the interpreter's digit limit it and the ``IConst`` renderer raise :class:`LimitError`.
+stack, so any nesting depth works, as it does for a tree's ``==``, ``hash``, ``repr``,
+``copy``, ``deepcopy`` and ``pickle``: a copy shares what the tree shares; copying a
+cycle raises ``ValueError``.  A failed check's render is the one place a computed value
+becomes text (a program shows only leaves), so nothing is refused for size before
+evaluating: past the interpreter's digit limit it and the ``IConst`` renderer raise
+:class:`LimitError`.
 """
 
 from __future__ import annotations
@@ -43,8 +33,8 @@ from typing import Callable, Optional, Union
 from .casts import FailureMode, LimitError, Refined, proj1
 from .hocasts import cast_forall_range
 from .instances import Nat, check_nat, eq_list, eq_nat, eq_option
-from .predicates import Decision, Pred, PredFamily, _new
-from .records import record
+from .predicates import Decision, Pred, PredFamily
+from .records import _new, record
 from .render import show_value
 
 
@@ -88,7 +78,6 @@ class BinOp(record("op", "left", "right")):
 
 
 def _rebuild_tree(nodes: list) -> BinOp:
-    # BinOp.__reduce__'s entries, each replaced by its node in turn.
     for i, (cls, op, left, right, refs) in enumerate(nodes):
         nodes[i] = cls(op, nodes[left] if refs & 1 else left, nodes[right] if refs & 2 else right)
     return nodes[-1]
@@ -128,12 +117,6 @@ def _show_ibinop(instr: IBinop) -> str:
 
 _PLUS, _MINUS = Binop.PLUS, Binop.MINUS
 
-# The loops below apply every operation through _denote, x OP y for the
-# interpreter and the machine alike: an operand that is not a plain int >= 0
-# goes through check_nat, x first; subtraction truncates at zero, and any op
-# other than PLUS or MINUS multiplies.  Binop is hashed by identity, so
-# _compile finds an operation's IBinop with one dict lookup.
-
 
 def _denote(op: Binop, x: Nat, y: Nat) -> Nat:
     if not (type(x) is int and x >= 0):
@@ -148,8 +131,7 @@ def _denote(op: Binop, x: Nat, y: Nat) -> Nat:
 
 
 def eval_exp(e: Exp) -> Nat:
-    """The interpreter: evaluates left operand, right operand, then the node,
-    with an explicit stack, so any nesting depth is fine: a node is its own frame
+    """The interpreter: left operand, right operand, then the node.  A node is its own frame
     while its left operand is evaluated, to ``x``, then ``(op, x)`` while its right is."""
     todo: list = []
     push, pop = todo.append, todo.pop
@@ -200,13 +182,12 @@ def run_prog(p: Prog, s: Stack) -> Optional[Stack]:
 
 # Instructions are immutable, so these tables, built once, serve every program.
 _IBINOP = {b: IBinop(b) for b in Binop}
-_ICONST = tuple(map(IConst, range(256)))  # one per natural below 256
+_ICONST = tuple(map(IConst, range(256)))
 
 
 def _compile(e: Exp, left_first: bool) -> Prog:
     """Post-order code for ``e``: both operands' code, then the operation.  A node is
-    its own frame while its first operand is compiled, then ``(op,)`` while its second
-    is.  A leaf whose value is a plain ``int`` from 0 to 255 gets that value's shared IConst."""
+    its own frame while its first operand is compiled, then ``(op,)`` while its second is."""
     prog: Prog = []
     emit = prog.append
     todo: list = []
@@ -256,8 +237,6 @@ class _ProgCheck:
         self.last: tuple[tuple, Optional[Stack]] = ((), [])  # () runs to []
 
     def run(self, p: Prog) -> Optional[Stack]:
-        """``run_prog(p, [])``, copied from the last decision's stack when ``p``
-        holds the very instructions it ran (compared by identity)."""
         snapshot, stack = self.last
         if len(p) != len(snapshot) or not all(map(is_, p, snapshot)):
             return run_prog(p, [])
@@ -366,9 +345,8 @@ def parse_exp(src: str) -> Exp:
     The text up to its first character outside the grammar is split into tokens by
     padding ``( ) + - *`` with spaces and calling ``split()``; that character, which
     the parse cannot get past, is the last token.  Then an operator-precedence loop
-    with explicit stacks builds the tree, so any nesting depth is fine.  Each numeral
-    "0" to "255" gives its one shared :class:`Const`.  Any error, a numeral too long
-    for ``int`` too, is a :class:`ParseError`: no value a tree computes is bounded."""
+    with explicit stacks builds the tree, so any nesting depth is fine.  Any error, a
+    numeral too long for ``int`` too, is a :class:`ParseError`."""
     foreign = _FOREIGN.search(src)
     end = foreign.start() if foreign else len(src)
     text = src[:end].replace("(", " ( ").replace(")", " ) ").replace("+", " + ")
@@ -417,7 +395,7 @@ def parse_exp(src: str) -> Exp:
                 raise _parse_error(src, tokens, i)
             symbol = pop_pending()
             while symbol != "(":
-                node = _new(BinOp)  # no __init__: as the cast core's builders do
+                node = _new(BinOp)
                 node._op, node._right = _OPERATORS[symbol], pop_operand()
                 node._left, operands[-1] = operands[-1], node
                 symbol = pop_pending()

@@ -2,9 +2,7 @@
 
 Wrapping a function runs no decision procedure at all; only applying the wrapper
 does.  Wrapping checks only ``mode``, raising ``ValueError`` for anything but a
-:class:`FailureMode`, and reads ``family.at`` once.  ``cast_fun_range`` strengthens
-what a function promises about its results, ``cast_fun_dom`` weakens what it demands
-of its arguments.  The ``forall`` variants cover the dependent cases, where the
+:class:`FailureMode`.  The ``forall`` variants cover the dependent cases, where the
 checked property (or the shape of the result) varies with the argument;
 :func:`cast_fun_range` is :func:`cast_forall_range` over a constant family.
 
@@ -105,4 +103,4 @@ def cast_forall_range(
     return wrapped
 
 
-cast_forall_dom = cast_fun_dom  # its index bridge is the identity at runtime
+cast_forall_dom = cast_fun_dom

@@ -9,11 +9,7 @@ match the conventional presentation of < as <= on the successor.
 
 Each natural is tested inline (``type(x) is int and x >= 0``); only a value
 that fails the test reaches ``check_nat``, which raises or accepts an ``int``
-subclass.  The order predicates render only the values they decide.  A list
-equality over ``eq_nat``'s decider compares each pair of plain naturals inline
-and sends any other pair to the decider, so verdicts, texts and exceptions are
-those of the element-wise derivation.  ``eq_decide`` is read once, when a derived
-equality or ``pred_equals`` is built; ``EqDec.render_eq`` reads ``_render_value``.
+subclass.  The order predicates render only the values they decide.
 """
 
 from __future__ import annotations
@@ -132,10 +128,11 @@ def eq_list(elem: EqDec[A]) -> EqDec[Sequence[A]]:
     """Equality of sequences, derived element-wise from ``elem``.
 
     A refutation reports the whole-list equation, not the mismatch index.
-    Over ``eq_nat``'s decider, a pair of plain naturals is compared inline;
-    any other pair goes through the decider.
+    Over ``eq_nat``'s decider, a pair of plain naturals is compared inline and
+    any other pair goes through the decider, so verdicts, texts and exceptions
+    are those of the element-wise derivation.
     """
-    elem_decide = elem.eq_decide  # a field read is a property call: once, not per element
+    elem_decide = elem.eq_decide
     naturals = elem_decide is _eq_nat_decide
 
     def decide(xs: Sequence[A], ys: Sequence[A]) -> Decision:

@@ -10,41 +10,32 @@ Evidence is deliberately unforgeable: the only ways to obtain an
 :func:`p_proven`, which is an explicit, documented trust step.  There is no
 way to conjure evidence for a proposition whose decision procedure refuted it.
 Evidence is immutable and may be shared: compare it with ``==``, not by identity.
+``Holds``/``Refutes`` take only an ``Evidence``, and a child verdict that is no
+decision raises ``TypeError``.
 
-``Evidence(...)`` refuses every call and ``Holds``/``Refutes`` take only an
-``Evidence``; decisions build both with no ``__init__`` call (see ``records``).
-A child verdict that is no decision raises ``TypeError``.  A cast reads only
-the arm of a decision, so evidence text is deferred: it is kept as a format
-string with immutable arguments (naturals, booleans, text, ``None``, child
-evidence, or a renderer call over such values) and joined on the first read
+A cast reads only the arm of a decision, so evidence text is deferred: it is kept
+as a format string with immutable arguments (naturals, booleans, text, ``None``,
+child evidence, or a renderer call over such values) and joined on the first read
 of ``summary``, ``==``, ``hash`` or ``repr``, in one store, so concurrent
 readers get the same text.  Other values, such as lists, are rendered while
 deciding, so mutating a value never changes its evidence.  A read raises what
 formatting raises: ``pred_lt_const(10**5000)`` holds at 5, and only reading
 the summary hits the int-string digit limit (``ValueError``).
-
-A predicate's public fields refuse assignment, and ``decide`` must give the same arm
-for the same input.  A combinator reads its children's fields once, when built, and a
-child verdict's ``_evidence``/``_refutation`` slot.  ``compiler.correct_prog``'s
-predicate keeps its last run, reused while a program holds the very instructions that ran.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Generic, TypeVar
 
-from .records import record
+from .records import _new, record
 
 A = TypeVar("A")
 B = TypeVar("B")
 
-_new = object.__new__
 _IMMUTABLE = frozenset({int, bool, str, type(None)})
 
 
 def _join(evidence: Evidence) -> str:
-    # Depth first and left to right, with an explicit stack: a pending text is
-    # formatted once the child evidence it holds is joined.
     stack = [evidence]
     while stack:
         node = stack[-1]
@@ -92,8 +83,6 @@ class Evidence:
 
 
 def _later(render: Callable[..., str], *args: object) -> object:
-    """``render(*args)`` as an evidence argument: called when the text is
-    read if every argument is immutable, and now otherwise."""
     return (render, *args) if _IMMUTABLE.issuperset(map(type, args)) else render(*args)
 
 
@@ -122,7 +111,6 @@ _NOT_A_DECISION = "decide returned {}, not Holds or Refutes; wrap a boolean deci
 
 
 def _refuted(verdict: object) -> bool:
-    """Whether a verdict off the common arm refutes; ``TypeError`` for no decision."""
     if isinstance(verdict, (Holds, Refutes)):
         return isinstance(verdict, Refutes)
     raise TypeError(_NOT_A_DECISION.format(type(verdict).__qualname__))

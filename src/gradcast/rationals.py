@@ -18,12 +18,6 @@ denominator.
 :func:`cast_rat` reads only the arm of each decision and ends in the cast
 core's builders, so ``proj1``, ``proj2`` and ``==`` apply to its records: an
 :class:`AttestedRat` holds one shared evidence for :data:`RAT_INVARIANTS`.
-A successful gcd cast does only what its verdict needs: :func:`cast_rat` and
-:func:`gcd` test each natural inline and call :func:`check_nat` only on failure,
-``cast_rat`` stores its :class:`Rat`'s slots itself, and :class:`AttestedRat` reads
-each field from the ``Rat``'s slot in one step.
-:func:`irreducible_bounded` returns the evidence-bearing :class:`Decision`,
-whose refutation names the least counterexample triple.
 """
 
 from __future__ import annotations
@@ -35,8 +29,8 @@ from operator import attrgetter, eq, mul
 from .casts import (Attested, FailedCast, FailureMode, LimitError, _attested, _failed,
                     check_choice, proj1)
 from .instances import Nat, check_nat
-from .predicates import Decision, Holds, Pred, _holds, _later, _new, _refutes
-from .records import record
+from .predicates import Decision, Holds, Pred, _holds, _later, _refutes
+from .records import _new, record
 from .render import show_value
 
 _SIGN_TEXT = {sign: show_value(sign) for sign in (True, False)}  # no dispatch per cast
@@ -46,8 +40,7 @@ class Rat(record("sign", "top", "bottom")):
     """An irreducible fraction with a nonzero denominator.
 
     Instances cannot be constructed directly; :func:`cast_rat` builds one
-    exactly when both invariant checks hold.  Only its public field names
-    refuse assignment (see ``records``).
+    exactly when both invariant checks hold.
     """
 
     __slots__ = ()
@@ -92,7 +85,6 @@ BOUNDED_CEILINGS = {IrredStrategy.BOUNDED: 90, IrredStrategy.BINARY_BOUNDED: 200
 
 
 def _unary_mul(a: int, b: int) -> int:
-    # a rows of b successor steps each: a * b loop steps in all.
     total = 0
     for _ in range(a):
         for _ in range(b):
@@ -101,7 +93,6 @@ def _unary_mul(a: int, b: int) -> int:
 
 
 def _unary_equal(a: int, b: int) -> bool:
-    # Strip one successor from each side until either side reaches zero.
     while a > 0 and b > 0:
         a -= 1
         b -= 1
@@ -133,7 +124,6 @@ def gcd(a: Nat, b: Nat) -> Nat:
 
 
 def _invariant_text(top: Nat, bottom: Nat) -> str:
-    """The first invariant a failing fraction violates, else irreducibility."""
     if bottom == 0:
         return f"0 <> {bottom}"
     return f"forall x y z, y * x = {top} /\\ z * x = {bottom} -> 1 = x"
@@ -208,7 +198,8 @@ def cast_rat(
     enumeration (whose equivalence needs that fact).  An unknown ``strategy``
     or ``mode`` raises ``ValueError`` before any other check.  A top or bottom
     above a bounded strategy's :data:`BOUNDED_CEILINGS` entry raises
-    :class:`LimitError` after the input checks, before the bottom's.
+    :class:`LimitError` after the input checks, before the bottom's, and so does a
+    failure whose texts would show a top or bottom past the integer digit limit.
     """
     if type(strategy) is not IrredStrategy:
         check_choice("strategy", strategy, IrredStrategy)
@@ -234,5 +225,9 @@ def cast_rat(
         rat = _new(Rat)
         rat._sign, rat._top, rat._bottom = sign, top, bottom
         return _attested(AttestedRat, rat, RAT_INVARIANTS, _RATIONAL_EVIDENCE)
-    value_text = f"mkRat {_SIGN_TEXT[sign]} {top} {bottom}"
-    return _failed(FailedCastRat, value_text, _invariant_text(top, bottom), mode)
+    try:
+        value_text = f"mkRat {_SIGN_TEXT[sign]} {top} {bottom}"
+        prop_text = _invariant_text(top, bottom)
+    except ValueError:  # int-to-text past the interpreter's digit limit
+        raise LimitError("a top or bottom exceeds the integer digit limit") from None
+    return _failed(FailedCastRat, value_text, prop_text, mode)

@@ -1,22 +1,23 @@
 """Slotted, read-only records: the one layout of every value type.
 
-``Pred``, ``EqDec``, ``BinOp``, ``IList``, ``Attested``, ``Rat`` and every other
-value type keep private slots behind read-only properties; ``copy``, ``deepcopy``
-and ``pickle`` work.  Records are built by the public ``__init__`` or, in the cast
-core (``predicates._holds``/``_refutes``, ``casts._attested``/``_failed``, ``cast_rat``)
-and ``compiler.parse_exp``, by ``object.__new__`` and slot stores, skipping ``__init__``;
-``Attested`` and ``Rat``, like ``Evidence``, refuse every constructor call, so
-only the cast core issues them.  Three fields build in 220 ns the first way, 190 ns
-the second and 700 ns as a frozen dataclass; a field reads in 55 ns through its
-property, 12 ns from its slot (``timeit``, Python 3.11.7, 2-core x86).  Public
-slots refusing assignment in ``__setattr__`` read faster, but cost ``casts`` 2.7%
-in op_p50_us and broke copy and pickle.  A combinator, derived equality or range
-wrapper reads its children's public fields once, when built, so a slot store into a
-child misses parents built before it.  Private slots stay writable
-(``r.value._top = 10`` succeeds).  The builders and ``parse_exp`` store them; the
-compiler's loops and renderers (ignoring a subclass's field property), ``cast``,
-``proj1``, ``proj2``, ``try_cast``, the combinators, ``EqDec.render_eq`` and
-``AttestedRat`` read them: sealing must follow both.
+``Pred``, ``EqDec``, ``BinOp``, ``Attested``, ``Rat`` and every other value type keep
+private slots behind read-only properties; ``copy``, ``deepcopy`` and ``pickle`` work.
+A record is built by its public ``__init__`` or by :data:`_new` and slot stores,
+skipping it.  Only these store a private slot: ``predicates._holds``, ``_refutes``,
+``_join`` (joined evidence text, in one store) and ``Holds``/``Refutes.__init__``;
+``casts._attested`` and ``_failed``; ``rationals.cast_rat``; ``compiler.parse_exp``.
+``Evidence``, ``Rat`` and ``Attested`` refuse every constructor call, so only those
+writers issue them.  Three fields build in 220 ns the first way, 190 ns the second and
+700 ns as a frozen dataclass; a field reads in 55 ns through its property, 12 ns from
+its slot (``timeit``, Python 3.11.7, 2-core x86).  So a combinator, derived equality or
+range wrapper reads its children's public fields once, when built (a slot store into a
+child misses parents built before it), and private slots are read by ``cast``,
+``proj1``, ``proj2``, ``try_cast``, the combinators, ``EqDec.render_eq``,
+``AttestedRat``, ``runc``, ``BinOp.__reduce__`` and the compiler's loops and renderers
+(which ignore a subclass's field property).  Public slots refusing assignment in
+``__setattr__`` read faster, but cost ``casts`` 2.7% in op_p50_us and broke copy and
+pickle.  Private slots stay writable (``r.value._top = 10`` succeeds): sealing them
+must follow both lists.
 ``==``, ``hash`` and ``repr`` live in ``_Record`` alone and walk nested records
 with an explicit stack, so records nested to any depth compare, hash and print.
 """
@@ -24,6 +25,8 @@ with an explicit stack, so records nested to any depth compare, hash and print.
 from __future__ import annotations
 
 from operator import attrgetter
+
+_new = object.__new__
 
 
 class _Hashed(int):

@@ -21,21 +21,15 @@ _registered: dict[type, Callable[[Any], str]] = {object: str}
 _renderers: dict[type, Callable[[Any], str]] = {}
 
 
-def _renderer(cls: type) -> Callable[[Any], str]:
-    """The renderer of the nearest registered class in ``cls.__mro__``,
-    entered in the table."""
-    show = _renderers[cls] = next(_registered[c] for c in cls.__mro__ if c in _registered)
-    return show
-
-
 def show_value(value: Any) -> str:
     """Render a value for cast reports. Extend with ``show_value.register``.
 
     The table keeps a strong reference to every class once it has been
     rendered, until the next registration."""
-    show = _renderers.get(value.__class__)
+    cls = value.__class__
+    show = _renderers.get(cls)
     if show is None:
-        show = _renderer(value.__class__)
+        show = _renderers[cls] = next(_registered[c] for c in cls.__mro__ if c in _registered)
     return show(value)
 
 
@@ -63,11 +57,8 @@ def _show_bool(value: bool) -> str:
 @show_value.register(tuple)
 def _show_seq(value: Iterable[Any]) -> str:
     parts = []
-    for x in value:
-        show = _renderers.get(x.__class__)
-        if show is None:
-            show = _renderer(x.__class__)
-        parts.append(show(x))
+    for x in value:  # a class not in the table yet goes through show_value
+        parts.append((_renderers.get(x.__class__) or show_value)(x))
     parts.append("nil")
     return " :: ".join(parts)
 

@@ -8,7 +8,8 @@ a record constructor, that ``Evidence``, ``Rat`` and ``Attested`` refuse every
 constructor call, that ``Holds`` and ``Refutes`` take only an ``Evidence``, that
 a ``decide`` returning something other than a decision is refused rather than
 taken for an arm, also under a combinator, and that no module of the package
-builds a refined value outside the two builders or calls a refusing constructor.
+builds a refined value outside the two builders, stores a private slot outside
+the writers that ``records`` names, or calls a refusing constructor.
 """
 
 import ast
@@ -467,6 +468,87 @@ def test_cast_and_cast_rat_end_in_the_builders(module, function):
     assert BUILDERS <= called
     last = body.body[-1]
     assert isinstance(last, ast.Return) and last.value.func.id == "_failed"
+
+
+# --- private slots are stored only by the writers ------------------------
+
+WRITERS = {  # per module, the only functions that store a private slot (see records)
+    "predicates.py": {"_join", "_holds", "_refutes", "Holds.__init__", "Refutes.__init__"},
+    "casts.py": {"_attested", "_failed"},
+    "rationals.py": {"cast_rat"},
+    "compiler.py": {"parse_exp"},
+}
+SETTERS = {"setattr", "delattr", "__setattr__", "__delattr__"}
+
+
+def _private(name):
+    return type(name) is str and name.startswith("_") and not name.startswith("__")
+
+
+def _private_stores(path):
+    """``(line, writer, text)`` of every store in ``path`` to a single-underscore
+    attribute, by assignment, ``del`` or a ``setattr``/``__setattr__`` call naming
+    it, where ``writer`` is the qualified name of the enclosing function."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
+            name = getattr(node, "name", "<lambda>")
+            scope = f"{scope}.{name}" if scope else name
+        if isinstance(node, ast.Attribute):
+            stored = isinstance(node.ctx, (ast.Store, ast.Del)) and _private(node.attr)
+        elif isinstance(node, ast.Call):
+            setter = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            stored = setter in SETTERS and any(
+                isinstance(a, ast.Constant) and _private(a.value) for a in node.args
+            )
+        else:
+            stored = False
+        if stored:
+            found.append((node.lineno, scope, ast.unparse(node)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), None)
+    return found
+
+
+def _stores_outside_the_writers(path):
+    allowed = WRITERS.get(path.name, set())
+    return [(line, text) for line, writer, text in _private_stores(path) if writer not in allowed]
+
+
+def test_private_slots_are_stored_only_by_the_writers():
+    paths = sorted(SOURCE.glob("*.py"))
+    offenders = {p.name: found for p in paths if (found := _stores_outside_the_writers(p))}
+    assert offenders == {}
+    writers = {p.name: {writer for _, writer, _ in _private_stores(p)} for p in paths}
+    assert {name: found for name, found in writers.items() if found} == WRITERS
+
+
+def test_the_ast_check_catches_private_stores_outside_the_writers(tmp_path):
+    bad = tmp_path / "casts.py"
+    bad.write_text(
+        "def cast(p, a):\n"
+        "    r = _new(Attested)\n"
+        "    r._value = a\n"
+        "    object.__setattr__(r, '_pred', p)\n"
+        "    setattr(r, '_evidence', None); r._count += 1\n"
+        "    r.value, r.__dict__, r.__private = a, {}, None\n"
+        "def _attested(cls, value, pred, evidence):\n"
+        "    r = _new(cls)\n"
+        "    r._value, r._pred = value, pred\n"
+        "    def later():\n"
+        "        r._evidence = evidence\n"
+        "    return r\n"
+        "class Holds:\n"
+        "    def __init__(self, evidence):\n"
+        "        self._evidence = evidence\n"
+        "def _failed(cls, value_text, prop_text, mode):\n"
+        "    del cls._value_text\n"
+        "    cls.__setattr__('_prop_text', prop_text), (lambda: delattr(cls, '_mode'))()\n"
+    )
+    assert [line for line, _ in _stores_outside_the_writers(bad)] == [3, 4, 5, 5, 11, 15, 18]
 
 
 # --- no key and no call of a refusing constructor in the package ----------

@@ -1,7 +1,8 @@
 """The library's input limits: a checked compile whose failed check renders a
 stack value past the interpreter's integer digit limit raises ``LimitError``,
 exactly then, and ``cast_rat`` refuses a top or bottom above a bounded
-strategy's ceiling with the same ``LimitError``."""
+strategy's ceiling, or one its failure texts cannot show, with the same
+``LimitError``."""
 
 import sys
 import time
@@ -23,7 +24,7 @@ from gradcast.compiler import (
     parse_exp,
     runc,
 )
-from gradcast.rationals import BOUNDED_CEILINGS, IrredStrategy, cast_rat
+from gradcast.rationals import BOUNDED_CEILINGS, AttestedRat, IrredStrategy, cast_rat
 from gradcast.render import show_value
 from test_compiler_kernels import outcome, ref_compile, ref_eval_exp, ref_parse_exp, ref_run_prog
 
@@ -142,6 +143,16 @@ def test_a_hand_built_leaf_past_the_limit_raises_limit_error_from_the_program_te
     with pytest.raises(LimitError, match=message):
         show_value([IConst(1), IConst(10**5000)])
     assert runc(checked_compile("fixed", mode), tree) == [10**5000 - 1]
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("mode", list(FailureMode))
+def test_a_failed_cast_rat_past_the_digit_limit_raises_limit_error(mode):
+    big = 10**5000
+    for top, bottom in ((big, 0), (big, big), (2, 2 * big)):
+        with pytest.raises(LimitError, match="^a top or bottom exceeds the integer digit limit$"):
+            cast_rat(True, top, bottom, mode=mode)
+    assert isinstance(cast_rat(True, big, big + 1, mode=mode), AttestedRat)
 
 
 def test_a_program_that_cannot_run_is_no_limit_error():
