@@ -1,13 +1,5 @@
-"""Command-line front end for the demos.
-
-Three subcommands:
-
-* ``check EXPR`` compiles an arithmetic expression with a runtime-checked
-  compiler and runs the result.
-* ``rat SIGN TOP BOTTOM`` casts a fraction into a checked rational, optionally
-  timing the three irreducibility strategies.
-* ``demo-regimes`` shows the lazy/eager difference on a function that ignores
-  its (invalid) argument.
+"""Command-line front end for the demos: :func:`build_parser`'s help texts
+describe its subcommands ``check``, ``rat`` and ``demo-regimes``.
 
 Exit codes: 0 success, 1 cast failure, 2 usage, parse or limit error: a
 numeral or a ``check`` result longer than Python's integer digit limit, or a

@@ -7,8 +7,9 @@ Conventions: decimal naturals, lowercase booleans, cons notation
 
 ``show_value`` finds a value's renderer in a class -> renderer table, which
 takes the renderer of the first registered class in the ``__mro__`` (``str``
-for ``object``).  ``show_value.register`` drops the table, so a registration
-applies from the next render.  Sequences read the table once per element.
+for ``object``; a plain ``int`` given ``str`` reads texts of 0-255, equal to
+``str``'s, made once at import).  ``show_value.register`` drops the table, so a
+registration applies from the next render.  Sequences read it once per element.
 """
 
 from __future__ import annotations
@@ -21,6 +22,14 @@ _registered: dict[type, Callable[[Any], str]] = {object: str}
 _renderers: dict[type, Callable[[Any], str]] = {}
 
 
+class _Naturals(dict):
+    def __missing__(self, n: int) -> str:
+        return str(n)
+
+
+_NATURALS = _Naturals((n, str(n)) for n in range(256))  # the compiler's leaf tables' range
+
+
 def show_value(value: Any) -> str:
     """Render a value for cast reports. Extend with ``show_value.register``.
 
@@ -29,7 +38,10 @@ def show_value(value: Any) -> str:
     cls = value.__class__
     show = _renderers.get(cls)
     if show is None:
-        show = _renderers[cls] = next(_registered[c] for c in cls.__mro__ if c in _registered)
+        show = next(_registered[c] for c in cls.__mro__ if c in _registered)
+        if show is str and cls is int:
+            show = _NATURALS.__getitem__
+        _renderers[cls] = show
     return show(value)
 
 

@@ -10,15 +10,23 @@ give the same arm, the same summary text, the same exception and the same
 rendering.  The registration tests check rendered text only: a renderer
 registered after a first render applies from the next one, to subclasses
 without a renderer of their own too, and a subclass's own renderer beats its
-base's.
+base's.  Plain ints render from a table of texts made once for 0-255; the
+table tests check its texts against ``str`` on both sides of its edge and past
+the digit limit, and that ``int`` subclasses, ``bool`` and renderers registered
+for ``int`` or ``object`` are not served from it.
 """
+
+import enum
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
+from gradcast import render
+from gradcast.casts import CastFault, FailedCast, FailureMode, cast, proj1
 from gradcast.compiler import Binop, IBinop, IConst
 from gradcast.hocasts import IList
-from gradcast.instances import EqDec, check_nat, eq_list, eq_nat, eq_option
+from gradcast.instances import EqDec, check_nat, eq_list, eq_nat, eq_option, pred_equals
 from gradcast.predicates import Holds, Refutes
 from gradcast.render import show_optional, show_sequence, show_value
 from spec import _holds, _refutes, check_nat as ref_check_nat
@@ -35,11 +43,11 @@ def ref_show_sequence(show_elem):
 
 def ref_show_value(value):
     # The renderers that changed: sequences rendered element by element
-    # through a per-call closure, and ints and None through their own
-    # renderers.
+    # through a per-call closure, every int but a bool by str, and None by
+    # its own renderer.
     if isinstance(value, (list, tuple)):
         return ref_show_sequence(ref_show_value)(value)
-    if type(value) is int:
+    if isinstance(value, int) and not isinstance(value, bool):
         return str(value)
     if value is None:
         return "None"
@@ -97,6 +105,18 @@ def outcome(fn, *args):
 
 class Small(int):
     """An int subclass: takes check_nat's slow path."""
+
+
+class Shown(int):
+    """An int subclass with its own text."""
+
+    def __str__(self):
+        return f"shown {int(self)}"
+
+
+class Level(enum.IntEnum):
+    LOW = 3
+    HIGH = 200
 
 
 naturals = st.integers(min_value=0, max_value=30)
@@ -196,7 +216,11 @@ def test_eq_option_matches_reference(pair, left_none, right_none):
 
 renderable = st.recursive(
     st.one_of(
-        st.integers(min_value=-5, max_value=10**20),
+        st.integers(min_value=-(10**20), max_value=10**20),
+        st.integers(min_value=-5, max_value=300),
+        st.builds(Small, st.integers(min_value=-300, max_value=300)),
+        st.builds(Shown, st.integers(min_value=0, max_value=300)),
+        st.sampled_from(list(Level)),
         st.booleans(),
         st.none(),
         st.builds(IConst, naturals),
@@ -322,3 +346,104 @@ def test_show_value_renders_registered_and_unregistered_classes():
     assert show_value(complex(1, 2)) == str(complex(1, 2)) == "(1+2j)"
     assert show_value(2.5) == "2.5"
     assert show_value(None) == "None"
+
+
+@pytest.fixture
+def restore_renderers():
+    registered, renderers = dict(render._registered), dict(render._renderers)
+    yield
+    render._registered.clear()
+    render._registered.update(registered)
+    render._renderers.clear()
+    render._renderers.update(renderers)
+
+
+@pytest.mark.parametrize("n", [-1, 0, 255, 256] + [10**k for k in range(0, 41, 4)])
+@pytest.mark.parametrize("first", [True, False], ids=["first-render", "cached"])
+def test_a_plain_int_renders_as_str(n, first, restore_renderers):
+    if first:
+        render._renderers.clear()
+    assert show_value(n) == str(n)
+    assert show_value([n, n]) == f"{n} :: {n} :: nil"
+
+
+def test_every_int_around_the_table_renders_as_str():
+    values = range(-300, 600)
+    assert [show_value(n) for n in values] == [str(n) for n in values]
+    assert show_value(list(values)) == " :: ".join([*map(str, values), "nil"])
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="this interpreter has no digit limit"
+)
+def test_an_int_past_the_digit_limit_raises_strs_value_error():
+    default = sys.get_int_max_str_digits()
+    big = 10**700
+    try:
+        sys.set_int_max_str_digits(640)
+        with pytest.raises(ValueError) as expected:
+            str(big)
+        for value in (big, [1, big], (big,)):
+            with pytest.raises(ValueError) as raised:
+                show_value(value)
+            assert type(raised.value) is ValueError
+            assert raised.value.args == expected.value.args
+    finally:
+        sys.set_int_max_str_digits(default)
+
+
+@pytest.mark.parametrize("value", [Shown(7), Shown(255), Level.LOW, Level.HIGH], ids=repr)
+def test_an_int_subclass_in_the_table_range_renders_with_its_own_str(value):
+    assert show_value(value) == str(value)
+    assert show_value([value, int(value)]) == f"{value} :: {int(value)} :: nil"
+
+
+def test_booleans_keep_their_own_renderer():
+    assert show_value(True) == "true"
+    assert show_value(False) == "false"
+    assert show_value([True, 1, False, 0]) == "true :: 1 :: false :: 0 :: nil"
+
+
+@pytest.mark.parametrize("cls", [int, object])
+def test_a_renderer_for_int_or_object_registered_after_a_render_wins(cls, restore_renderers):
+    assert show_value(7) == "7"
+    assert show_value([7, 300]) == "7 :: 300 :: nil"
+    show_value.register(cls, lambda value: f"<{int(value)}>")
+    assert show_value(7) == "<7>"
+    assert show_value(300) == "<300>"
+    assert show_value([7, 300, True]) == "<7> :: <300> :: true :: nil"
+
+
+UP_TEXT = (
+    "250 :: 251 :: 252 :: 253 :: 254 :: 255 :: 256 :: 257 :: 258 :: 259 :: 260 :: 261 :: "
+    "262 :: 263 :: 264 :: 265 :: 266 :: 267 :: 268 :: 269 :: 270 :: 271 :: 272 :: 273 :: "
+    "274 :: 275 :: 276 :: 277 :: 278 :: 279 :: 280 :: 281 :: 282 :: 283 :: 284 :: 285 :: "
+    "286 :: 287 :: 288 :: 289 :: 290 :: 291 :: 292 :: 293 :: 294 :: 295 :: 296 :: 297 :: "
+    "298 :: 299 :: 300 :: 301 :: 302 :: 303 :: 304 :: 305 :: 306 :: 307 :: 308 :: 309 :: "
+    "310 :: 311 :: 312 :: 313 :: nil"
+)
+DOWN_TEXT = (
+    "313 :: 312 :: 311 :: 310 :: 309 :: 308 :: 307 :: 306 :: 305 :: 304 :: 303 :: 302 :: "
+    "301 :: 300 :: 299 :: 298 :: 297 :: 296 :: 295 :: 294 :: 293 :: 292 :: 291 :: 290 :: "
+    "289 :: 288 :: 287 :: 286 :: 285 :: 284 :: 283 :: 282 :: 281 :: 280 :: 279 :: 278 :: "
+    "277 :: 276 :: 275 :: 274 :: 273 :: 272 :: 271 :: 270 :: 269 :: 268 :: 267 :: 266 :: "
+    "265 :: 264 :: 263 :: 262 :: 261 :: 260 :: 259 :: 258 :: 257 :: 256 :: 255 :: 254 :: "
+    "253 :: 252 :: 251 :: 250 :: nil"
+)
+
+
+def test_a_failed_list_equality_cast_across_the_table_edge_renders_golden_texts():
+    # 250-255 come from the table and 256-313 from str, in one text.
+    xs = list(range(250, 314))
+    p = pred_equals(eq_list(eq_nat()), xs[::-1])
+    prop_text = f"{UP_TEXT} = {DOWN_TEXT}"
+    args = (f"Cast has failed: value {UP_TEXT} does not satisfy {prop_text}",)
+    lazy = cast(p, xs)
+    assert type(lazy) is FailedCast
+    assert (lazy.value_text, lazy.prop_text) == (UP_TEXT, prop_text)
+    with pytest.raises(CastFault) as forced:
+        proj1(lazy)
+    with pytest.raises(CastFault) as eager:
+        cast(p, xs, FailureMode.EAGER)
+    for fault in (forced.value, eager.value):
+        assert (fault.value_text, fault.prop_text, fault.args) == (UP_TEXT, prop_text, args)
