@@ -67,9 +67,9 @@ class CastFault(Exception):
 
 
 class LimitError(ValueError):
-    """Input past a limit.  Raised by ``cast_rat`` above a bounded strategy's ceiling and
-    when its failure texts would show a top or bottom past the integer digit limit, and by
-    a failed compile check rendering a stack value or an ``IConst`` past that limit.
+    """Input past a limit.  Raised by ``cast_rat`` above a bounded strategy's ceiling, by
+    its failure texts and ``RAT_INVARIANTS.render`` for a top or bottom past the integer
+    digit limit, and by a compile check rendering a stack value or an ``IConst`` past it.
     ``cast`` lets the digit limit's ``ValueError`` through: it renders with caller
     renderers, and must not relabel their other ``ValueError`` exceptions."""
 
@@ -139,7 +139,7 @@ def try_cast(p: Pred[A], a: A) -> Attested[A] | CastFault:
     locally instead of living with poisoned values.
     """
     r = cast(p, a)
-    return r if isinstance(r, Attested) else CastFault(r._value_text, r._prop_text)
+    return r if isinstance(r, Attested) else CastFault(r.value_text, r.prop_text)
 
 
 def proj1(r: Refined) -> A:
@@ -155,9 +155,8 @@ def proj2(r: Refined) -> Evidence:
     On a failed cast this raises: evidence for a refuted property must be
     unobtainable, otherwise a failed cast could be laundered into a proof.
     """
-    if isinstance(r, Attested):
-        return r._evidence
-    raise CastFault(r._value_text, r._prop_text)
+    proj1(r)  # raises a failed cast's fault
+    return r.evidence
 
 
 def map_cast(p: Pred[A], xs: Sequence[A], mode: FailureMode = FailureMode.LAZY) -> list[Refined]:

@@ -228,7 +228,7 @@ _RESULT_DECIDE = _RESULT_EQ.eq_decide
 
 
 class _ProgCheck:
-    """What ``correct_prog(e)`` expects, and what its last decision ran and saw."""
+    """``correct_prog(e)``'s decider: what it expects, and what its last decision ran and saw."""
 
     __slots__ = ("expected", "last")
 
@@ -242,7 +242,7 @@ class _ProgCheck:
             return run_prog(p, [])
         return None if stack is None else stack.copy()
 
-    def decide(self, p: Prog) -> Decision:
+    def __call__(self, p: Prog) -> Decision:
         snapshot = tuple(p)
         stack = run_prog(snapshot, [])
         self.last = (snapshot, stack)
@@ -260,12 +260,12 @@ def correct_prog(e: Exp) -> Pred[Prog]:
     """The property of programs: running on an empty stack yields exactly the interpreter's
     value for ``e``.  Decided by synthesized equality over optional stacks.
 
-    Each decision keeps the stack its program ran to; ``render`` and :func:`runc`
-    reuse it while the program holds the instructions that ran, so a checked program
-    runs once, and a changed one again.  ``render`` raises :class:`LimitError` for a
-    stack value past the interpreter's int-string digit limit."""
-    state = _ProgCheck([eval_exp(e)])
-    return Pred(decide=state.decide, render=state.render)
+    Its ``decide`` is a ``_ProgCheck``, which keeps the stack each program ran to;
+    ``render`` and :func:`runc` reuse it while the program holds the instructions that
+    ran, so a checked program runs once, and a changed one again.  ``render`` raises
+    :class:`LimitError` for a stack value past the interpreter's int-string digit limit."""
+    check = _ProgCheck([eval_exp(e)])
+    return Pred(decide=check, render=check.render)
 
 
 COMPILERS: dict[str, Callable[[Exp], Prog]] = {
@@ -290,13 +290,13 @@ def runc(c: Callable[[Exp], Refined], e: Exp) -> Optional[Stack]:
 
     Projects the compiled program out of the refined wrapper first, so a
     failed compilation cast faults here rather than producing a wrong answer.
-    A program attested by :func:`correct_prog` is not run again while it
-    holds the instructions its decision ran: a copy of their stack is returned.
+    A program attested by :func:`correct_prog`'s check, its ``decide``, is not run
+    again while it holds the instructions that ran: a copy of their stack is returned.
     """
     refined = c(e)
     prog = proj1(refined)
-    state = getattr(getattr(refined._pred, "_decide", None), "__self__", None)
-    return state.run(prog) if type(state) is _ProgCheck else run_prog(prog, [])
+    check = getattr(refined.pred, "decide", None)
+    return check.run(prog) if type(check) is _ProgCheck else run_prog(prog, [])
 
 
 class ParseError(Exception):

@@ -7,20 +7,20 @@ below; every combinator computes the classical connective of the sub-decisions.
 
 Evidence is deliberately unforgeable: the only ways to obtain an
 :class:`Evidence` are the ``Holds``/``Refutes`` arm of a decision and
-:func:`p_proven`, which is an explicit, documented trust step.  There is no
-way to conjure evidence for a proposition whose decision procedure refuted it.
-Evidence is immutable and may be shared: compare it with ``==``, not by identity.
+:func:`p_proven`, which is an explicit, documented trust step.  Evidence is
+immutable and may be shared: compare it with ``==``, not by identity.
 ``Holds``/``Refutes`` take only an ``Evidence``, and a child verdict that is no
 decision raises ``TypeError``.
 
 A cast reads only the arm of a decision, so evidence text is deferred: it is kept
 as a format string with immutable arguments (naturals, booleans, text, ``None``,
 child evidence, or a renderer call over such values) and joined on the first read
-of ``summary``, ``==``, ``hash`` or ``repr``, in one store, so concurrent
-readers get the same text.  Other values, such as lists, are rendered while
-deciding, so mutating a value never changes its evidence.  A read raises what
-formatting raises: ``pred_lt_const(10**5000)`` holds at 5, and only reading
-the summary hits the int-string digit limit (``ValueError``).
+of ``summary``, ``==``, ``hash`` or ``repr``, in one store, so concurrent readers get
+the same text.  The join recurses once per level of child evidence, as deciding does,
+so both reach about 990 ``p_and`` levels at a recursion limit of 1000.  Other values,
+such as lists, are rendered while deciding, so mutating a value never changes its
+evidence.  A read raises what formatting raises: ``pred_lt_const(10**5000)`` holds at
+5, and only reading the summary hits the int-string digit limit (``ValueError``).
 """
 
 from __future__ import annotations
@@ -36,22 +36,14 @@ _IMMUTABLE = frozenset({int, bool, str, type(None)})
 
 
 def _join(evidence: Evidence) -> str:
-    stack = [evidence]
-    while stack:
-        node = stack[-1]
-        text = node._text  # read once: another thread may join it meanwhile
-        if type(text) is tuple:
-            fmt, args = text
-            pending = [a for a in args if type(a) is Evidence and type(a._text) is tuple]
-            if pending:
-                stack.extend(reversed(pending))
-                continue
-            node._text = fmt.format(*[
-                a._text if type(a) is Evidence else a[0](*a[1:]) if type(a) is tuple else a
-                for a in args
-            ])
-        stack.pop()
-    return evidence._text
+    text = evidence._text  # read once: another thread may join it meanwhile
+    if type(text) is tuple:
+        fmt, args = text
+        parts = []  # a loop, not a comprehension: one frame per level of child evidence
+        for a in args:
+            parts.append(_join(a) if type(a) is Evidence else a[0](*a[1:]) if type(a) is tuple else a)
+        evidence._text = text = fmt.format(*parts)
+    return text
 
 
 class Evidence:
@@ -96,14 +88,14 @@ class Holds(record("evidence")):
     __slots__ = ()
 
     def __init__(self, evidence: Evidence) -> None:
-        self._evidence = _evidence_only(self, evidence)
+        super().__init__(_evidence_only(self, evidence))
 
 
 class Refutes(record("refutation")):
     __slots__ = ()
 
     def __init__(self, refutation: Evidence) -> None:
-        self._refutation = _evidence_only(self, refutation)
+        super().__init__(_evidence_only(self, refutation))
 
 
 Decision = Holds | Refutes
@@ -252,8 +244,8 @@ def p_equivalent(
     def decide(a: A) -> Decision:
         inner = inner_decide(a)
         if isinstance(inner, Holds) or not _refuted(inner):
-            return _holds("{} (via equivalence: {})", inner._evidence, why)
-        return _refutes("{} (via equivalence: {})", inner._refutation, why)
+            return _holds("{} (via equivalence: {})", inner.evidence, why)
+        return _refutes("{} (via equivalence: {})", inner.refutation, why)
 
     return Pred(decide=decide, render=render_override)
 

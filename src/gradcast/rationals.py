@@ -176,8 +176,15 @@ def _decide_rat(rat: Rat) -> Decision:
     return _refutes("{} is false", _later(_invariant_text, rat.top, rat.bottom))
 
 
+def _rat_texts(sign: bool, top: Nat, bottom: Nat) -> tuple[str, str]:
+    try:
+        return f"mkRat {_SIGN_TEXT[sign]} {top} {bottom}", _invariant_text(top, bottom)
+    except ValueError:  # int-to-text past the interpreter's digit limit
+        raise LimitError("a top or bottom exceeds the integer digit limit") from None
+
+
 def _render_rat(rat: Rat) -> str:
-    return _invariant_text(rat.top, rat.bottom)
+    return _rat_texts(rat.sign, rat.top, rat.bottom)[1]
 
 
 # Every AttestedRat's predicate; all strategies give the same arm as gcd.
@@ -225,9 +232,5 @@ def cast_rat(
         rat = _new(Rat)
         rat._sign, rat._top, rat._bottom = sign, top, bottom
         return _attested(AttestedRat, rat, RAT_INVARIANTS, _RATIONAL_EVIDENCE)
-    try:
-        value_text = f"mkRat {_SIGN_TEXT[sign]} {top} {bottom}"
-        prop_text = _invariant_text(top, bottom)
-    except ValueError:  # int-to-text past the interpreter's digit limit
-        raise LimitError("a top or bottom exceeds the integer digit limit") from None
+    value_text, prop_text = _rat_texts(sign, top, bottom)  # not a *-call: 150 ns slower
     return _failed(FailedCastRat, value_text, prop_text, mode)

@@ -9,7 +9,8 @@ constructor call, that ``Holds`` and ``Refutes`` take only an ``Evidence``, that
 a ``decide`` returning something other than a decision is refused rather than
 taken for an arm, also under a combinator, and that no module of the package
 builds a refined value outside the two builders, stores a private slot outside
-the writers that ``records`` names, or calls a refusing constructor.
+the writers that ``records`` names, reads one outside the readers it names, or
+calls a refusing constructor.
 """
 
 import ast
@@ -473,7 +474,7 @@ def test_cast_and_cast_rat_end_in_the_builders(module, function):
 # --- private slots are stored only by the writers ------------------------
 
 WRITERS = {  # per module, the only functions that store a private slot (see records)
-    "predicates.py": {"_join", "_holds", "_refutes", "Holds.__init__", "Refutes.__init__"},
+    "predicates.py": {"_join", "_holds", "_refutes"},
     "casts.py": {"_attested", "_failed"},
     "rationals.py": {"cast_rat"},
     "compiler.py": {"parse_exp"},
@@ -549,6 +550,87 @@ def test_the_ast_check_catches_private_stores_outside_the_writers(tmp_path):
         "    cls.__setattr__('_prop_text', prop_text), (lambda: delattr(cls, '_mode'))()\n"
     )
     assert [line for line, _ in _stores_outside_the_writers(bad)] == [3, 4, 5, 5, 11, 15, 18]
+
+
+# --- private slots are read only where a workload measures it -----------
+
+READERS = {  # per module, the only functions that read a private slot (see records)
+    "casts.py": {"cast", "proj1"},
+    "compiler.py": {
+        "BinOp.__reduce__", "_show_iconst", "_show_ibinop", "eval_exp", "run_prog", "_compile"
+    },
+    "instances.py": {"EqDec.render_eq"},
+    "predicates.py": {"_join", "p_and.decide", "p_or.decide", "p_not.decide", "p_implies.decide"},
+    "rationals.py": {"AttestedRat"},
+}
+GETTERS = {"getattr", "attrgetter"}
+
+
+def _private_reads(path):
+    """``(line, reader, text)`` of every load of a single-underscore attribute in
+    ``path``, and of every ``getattr`` or ``attrgetter`` call naming one (a dotted
+    name counts if any part is one), where ``reader`` is the qualified name of the
+    enclosing function or class."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
+            name = getattr(node, "name", "<lambda>")
+            scope = f"{scope}.{name}" if scope else name
+        if isinstance(node, ast.Attribute):
+            read = isinstance(node.ctx, ast.Load) and _private(node.attr)
+        elif isinstance(node, ast.Call):
+            getter = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            read = getter in GETTERS and any(
+                isinstance(a, ast.Constant) and type(a.value) is str
+                and any(_private(part) for part in a.value.split("."))
+                for a in node.args
+            )
+        else:
+            read = False
+        if read:
+            found.append((node.lineno, scope, ast.unparse(node)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), None)
+    return found
+
+
+def _reads_outside_the_readers(path):
+    allowed = READERS.get(path.name, set())
+    return [(line, text) for line, reader, text in _private_reads(path) if reader not in allowed]
+
+
+def test_private_slots_are_read_only_by_the_readers():
+    # records.py owns the layout: its _Record methods and properties read the slots.
+    paths = [p for p in sorted(SOURCE.glob("*.py")) if p.name != "records.py"]
+    offenders = {p.name: found for p in paths if (found := _reads_outside_the_readers(p))}
+    assert offenders == {}
+    readers = {p.name: {reader for _, reader, _ in _private_reads(p)} for p in paths}
+    assert {name: found for name, found in readers.items() if found} == READERS
+
+
+def test_the_ast_check_catches_private_reads_outside_the_readers(tmp_path):
+    bad = tmp_path / "casts.py"
+    bad.write_text(
+        "def try_cast(p, a):\n"
+        "    r = cast(p, a)\n"
+        "    return r._value, r.value, r.__class__, _new\n"
+        "def proj2(r):\n"
+        "    return getattr(r, '_evidence'), getattr(r, 'evidence'), getattr(r, name)\n"
+        "class Wrapper:\n"
+        "    top = property(attrgetter('_value._top'))\n"
+        "    sign = property(operator.attrgetter('value._sign')), attrgetter('value.sign')\n"
+        "def proj1(r):\n"
+        "    def later():\n"
+        "        return r._value\n"
+        "    return r._value, (lambda: r._prop_text)(), r._value_text.__class__\n"
+        "def cast(p, a):\n"
+        "    r._count += 1\n"
+        "    return p._decide(a), rationals.cast_rat(a)._top\n"
+    )
+    assert [line for line, _ in _reads_outside_the_readers(bad)] == [3, 5, 7, 8, 11, 12]
 
 
 # --- no key and no call of a refusing constructor in the package ----------

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 import gradcast
 import spec
-from gradcast.casts import Attested, FailedCast, cast, proj1
+from gradcast.casts import Attested, FailedCast, cast, proj1, proj2
 from gradcast.compiler import BinOp, Binop, Const, IBinop, IConst, parse_exp
 from gradcast.hocasts import IList
 from gradcast.instances import _EQ_REFL, EqDec
@@ -261,6 +261,13 @@ def test_a_depth_900_conjunction_chain_decides_and_reads_its_summary():
     expected = "6 <= 10 by arithmetic" + " and 3 <= 5 by arithmetic" * 900
     assert verdict.evidence.summary == expected
     assert verdict.evidence == spec.p_proven(expected).decide(None).evidence
+
+
+def test_a_depth_900_conjunction_chain_reads_its_summary_through_proj2_and_repr():
+    expected = "6 <= 10 by arithmetic" + " and 3 <= 5 by arithmetic" * 900
+    p = chain(LIB, 900)
+    assert proj2(cast(p, 5)).summary == expected
+    assert repr(p.decide(5)) == f"Holds(evidence=Evidence({expected!r}))"
 
 
 def test_concurrent_first_reads_of_one_deferred_text_all_get_the_reference_text():

@@ -2,7 +2,7 @@
 stack value past the interpreter's integer digit limit raises ``LimitError``,
 exactly then, and ``cast_rat`` refuses a top or bottom above a bounded
 strategy's ceiling, or one its failure texts cannot show, with the same
-``LimitError``."""
+``LimitError``, which the texts of an attested rational past that limit raise too."""
 
 import sys
 import time
@@ -24,7 +24,13 @@ from gradcast.compiler import (
     parse_exp,
     runc,
 )
-from gradcast.rationals import BOUNDED_CEILINGS, AttestedRat, IrredStrategy, cast_rat
+from gradcast.rationals import (
+    BOUNDED_CEILINGS,
+    RAT_INVARIANTS,
+    AttestedRat,
+    IrredStrategy,
+    cast_rat,
+)
 from gradcast.render import show_value
 from test_compiler_kernels import outcome, ref_compile, ref_eval_exp, ref_parse_exp, ref_run_prog
 
@@ -153,6 +159,27 @@ def test_a_failed_cast_rat_past_the_digit_limit_raises_limit_error(mode):
         with pytest.raises(LimitError, match="^a top or bottom exceeds the integer digit limit$"):
             cast_rat(True, top, bottom, mode=mode)
     assert isinstance(cast_rat(True, big, big + 1, mode=mode), AttestedRat)
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("mode", list(FailureMode))
+def test_the_texts_of_an_attested_rat_past_the_digit_limit_raise_limit_error(mode):
+    attested = cast_rat(True, 10**5000, 1, mode=mode)
+    assert isinstance(attested, AttestedRat) and attested.top == 10**5000
+    # repr shows the Rat first, whose top raises int's own ValueError, as repr(10**5000) does
+    reads = [
+        lambda: attested.prop_text,
+        lambda: hash(attested),
+        lambda: attested == cast_rat(True, 10**5000, 1),
+        lambda: RAT_INVARIANTS.render(attested.value),
+    ]
+    for read in reads:
+        with pytest.raises(LimitError, match="^a top or bottom exceeds the integer digit limit$"):
+            read()
+    # as the text of an attested program past the limit does
+    program = checked_compile("fixed", mode)(BinOp(Binop.PLUS, Const(10**5000), Const(0)))
+    with pytest.raises(LimitError, match=f"^{_LIMIT_MESSAGE}$"):
+        program.prop_text
 
 
 def test_a_program_that_cannot_run_is_no_limit_error():
