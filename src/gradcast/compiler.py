@@ -180,7 +180,7 @@ def run_prog(p: Prog, s: Stack) -> Optional[Stack]:
     return stack
 
 
-# Instructions are immutable, so these tables, built once, serve every program.
+# The library never writes these tables after building them, so they serve every program.
 _IBINOP = {b: IBinop(b) for b in Binop}
 _ICONST = tuple(map(IConst, range(256)))
 
@@ -317,7 +317,7 @@ _OPERATORS = {"+": Binop.PLUS, "-": Binop.MINUS, "*": Binop.TIMES}
 # Precedence of each symbol on the parser's operator stack; "(" marks an open
 # parenthesis and binds least.
 _BINDING = {"(": 0, "+": 1, "-": 1, "*": 2}
-# Leaves are immutable, so one Const per numeral "0" to "255" serves every parse.
+# The library never writes this table after building it, so each Const serves every parse.
 _NUMERALS = {str(n): Const(n) for n in range(256)}
 
 

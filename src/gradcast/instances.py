@@ -9,13 +9,17 @@ match the conventional presentation of < as <= on the successor.
 
 Each natural is tested inline (``type(x) is int and x >= 0``); only a value
 that fails the test reaches ``check_nat``, which raises or accepts an ``int``
-subclass.  The order predicates render only the values they decide.
+subclass.  The order predicates render only the values they decide.  Each one with a
+plain ``int`` bound keeps in its closure the verdict it issues for each plain ``int``
+0-255 (at most 256, freed with the predicate) and returns it when it decides that
+natural again; any other input, or any input under an ``int``-subclass bound, is
+decided afresh.  A kept verdict equals a fresh one; its identity is not part of the API.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Generic, Optional, Sequence, TypeVar
+from typing import Callable, Generic, Optional, Sequence, TypeVar
 
 from .predicates import Decision, Holds, Pred, _holds, _later, _refuted, _refutes
 from .records import record
@@ -52,6 +56,21 @@ def dec_le(x: Nat, y: Nat) -> Decision:
     return _refutes("{} <= {} is false: {} < {}", x, y, y, x)
 
 
+def _remembered(k: Nat, decide: Callable[[Nat], Decision]) -> Callable[[Nat], Decision]:
+    if type(k) is not int:  # an int-subclass bound formats and compares in its own way
+        return decide
+    verdicts: list[Optional[Decision]] = [None] * 256
+
+    def remembered(n: Nat) -> Decision:
+        if type(n) is not int or not 0 <= n < 256:  # bool, a subclass, -1, 256: decided afresh
+            return decide(n)
+        if (verdict := verdicts[n]) is None:
+            verdict = verdicts[n] = decide(n)
+        return verdict
+
+    return remembered
+
+
 def pred_lt_const(k: Nat) -> Pred[Nat]:
     """The property ``n < k``, rendered in successor form ``(n+1) <= k``."""
     check_nat(k)
@@ -65,7 +84,7 @@ def pred_lt_const(k: Nat) -> Pred[Nat]:
         check_nat(n)
         return f"{n + 1} <= {k}"
 
-    return Pred(decide=decide, render=render)
+    return Pred(decide=_remembered(k, decide), render=render)
 
 
 def pred_gt_const(k: Nat) -> Pred[Nat]:
@@ -82,7 +101,7 @@ def pred_ge_const(k: Nat) -> Pred[Nat]:
         check_nat(n)
         return f"{k} <= {n}"
 
-    return Pred(decide=partial(dec_le, k), render=render)
+    return Pred(decide=_remembered(k, partial(dec_le, k)), render=render)
 
 
 class EqDec(record("eq_decide", "render_value"), Generic[A]):

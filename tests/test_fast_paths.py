@@ -13,11 +13,16 @@ without a renderer of their own too, and a subclass's own renderer beats its
 base's.  Plain ints render from a table of texts made once for 0-255; the
 table tests check its texts against ``str`` on both sides of its edge and past
 the digit limit, and that ``int`` subclasses, ``bool`` and renderers registered
-for ``int`` or ``object`` are not served from it.
+for ``int`` or ``object`` are not served from it.  The order predicates keep
+the verdict they issue for each plain int 0-255; the order tests check every
+kept verdict against a fresh ``dec_le`` on both sides of the table's edge, that
+other inputs raise as before on a warm table, that no two predicates share a
+table, and that threads filling one table get equal verdicts.
 """
 
 import enum
 import sys
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
@@ -26,9 +31,21 @@ from gradcast import render
 from gradcast.casts import CastFault, FailedCast, FailureMode, cast, proj1
 from gradcast.compiler import Binop, IBinop, IConst
 from gradcast.hocasts import IList
-from gradcast.instances import EqDec, check_nat, eq_list, eq_nat, eq_option, pred_equals
+from gradcast.instances import (
+    EqDec,
+    check_nat,
+    dec_le,
+    eq_list,
+    eq_nat,
+    eq_option,
+    pred_equals,
+    pred_ge_const,
+    pred_gt_const,
+    pred_lt_const,
+)
 from gradcast.predicates import Holds, Refutes
 from gradcast.render import show_optional, show_sequence, show_value
+import spec
 from spec import _holds, _refutes, check_nat as ref_check_nat
 
 
@@ -447,3 +464,109 @@ def test_a_failed_list_equality_cast_across_the_table_edge_renders_golden_texts(
         cast(p, xs, FailureMode.EAGER)
     for fault in (forced.value, eager.value):
         assert (fault.value_text, fault.prop_text, fault.args) == (UP_TEXT, prop_text, args)
+
+
+# -- order predicates: one kept verdict per plain int 0-255 --------------------
+
+# Each order predicate with the fresh decision it must match at n.
+ORDERS = {
+    "lt": (pred_lt_const, lambda k, n: dec_le(n + 1, k)),
+    "gt": (pred_gt_const, lambda k, n: dec_le(k + 1, n)),
+    "ge": (pred_ge_const, lambda k, n: dec_le(k, n)),
+}
+
+
+def evidence_of(verdict):
+    return verdict.evidence if isinstance(verdict, Holds) else verdict.refutation
+
+
+def shown(verdict):
+    """Everything a verdict shows its caller: arm, summary, repr and hash."""
+    return type(verdict), evidence_of(verdict).summary, repr(verdict), hash(verdict)
+
+
+BOUNDS = {"0": 0, "1": 1, "30": 30, "255": 255, "256": 256, "1e30": 10**30, "Small(30)": Small(30)}
+
+
+@pytest.mark.parametrize("k", BOUNDS.values(), ids=BOUNDS.keys())
+@pytest.mark.parametrize("order", sorted(ORDERS))
+def test_an_order_predicate_decides_every_natural_like_a_fresh_dec_le(order, k):
+    make, fresh = ORDERS[order]
+    p = make(k)
+    # gt builds ge over k + 1, a plain int even for an int-subclass k.
+    kept = type(k) is int or order == "gt"
+    for n in range(301):
+        first, again, expected = p.decide(n), p.decide(n), fresh(k, n)
+        assert shown(first) == shown(again) == shown(expected)
+        assert first == again == expected
+        # Identity is not part of the API; it shows which path served the verdict.
+        assert (again is first) == (kept and n < 256)
+
+
+@pytest.mark.parametrize(
+    "value", [True, -1, 2.5, Small(1), Shown(1)], ids=["True", "-1", "2.5", "Small(1)", "Shown(1)"]
+)
+@pytest.mark.parametrize("order", sorted(ORDERS))
+def test_other_inputs_on_a_warm_table_decide_or_raise_as_before(order, value):
+    p = getattr(spec, f"pred_{order}_const")(5)  # the reference, with no table
+    p_warm = ORDERS[order][0](5)
+    p_warm.decide(0)
+    p_warm.decide(1)
+    expected = outcome(p.decide, value)
+    assert outcome(p_warm.decide, value) == expected
+    if expected[0] != "raised":
+        assert repr(p_warm.decide(value)) == repr(p.decide(value))
+        assert p_warm.decide(value) is not p_warm.decide(1)
+
+
+@pytest.mark.parametrize("order", sorted(ORDERS))
+def test_two_order_predicates_with_one_bound_keep_tables_of_their_own(order):
+    make = ORDERS[order][0]
+    p, q = make(5), make(5)
+    verdict = p.decide(3)
+    assert p.decide(3) is verdict
+    assert q.decide(3) is not verdict
+    # A slot store into a kept verdict reaches only its own predicate.
+    text = evidence_of(verdict).summary
+    object.__setattr__(evidence_of(verdict), "_text", "forged")
+    assert evidence_of(p.decide(3)).summary == "forged"
+    assert evidence_of(q.decide(3)).summary == evidence_of(make(5).decide(3)).summary == text
+
+
+def test_threads_filling_one_table_all_get_verdicts_equal_to_fresh_ones():
+    expected = [shown(dec_le(n + 1, 100)) for n in range(256)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _round in range(3):
+            p = pred_lt_const(100)
+            barrier = threading.Barrier(8)
+            seen = []
+
+            def decide_all(p=p, barrier=barrier, seen=seen):
+                barrier.wait(timeout=10)
+                seen.append([p.decide(n) for n in range(256)])
+
+            threads = [threading.Thread(target=decide_all) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(seen) == 8
+            for verdicts in seen:
+                assert list(map(shown, verdicts)) == expected
+            # Whichever thread's store won, the table now serves that one verdict.
+            assert all(p.decide(n) is p.decide(n) for n in range(256))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_kept_verdict_past_the_digit_limit_raises_on_every_read():
+    p = pred_lt_const(10**5000)
+    for _ in range(3):
+        verdict = p.decide(5)
+        assert type(verdict) is Holds
+        for _ in range(2):
+            with pytest.raises(ValueError, match="integer string conversion"):
+                verdict.evidence.summary  # noqa: B018 - the read is what raises

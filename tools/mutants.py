@@ -89,6 +89,29 @@ MUTANTS = [
         "a renderer registered for int or object never reaches a plain int",
     ),
     Mutant(
+        "order-table-for-int-subclasses",
+        "src/gradcast/instances.py",
+        "if type(n) is not int or not 0 <= n < 256:",
+        "if not isinstance(n, int) or not 0 <= n < 256:",
+        "an order predicate serves True or an int subclass the verdict it keeps for 1 or "
+        "for the subclass's value",
+    ),
+    Mutant(
+        "order-table-shared",
+        "src/gradcast/instances.py",
+        "verdicts: list[Optional[Decision]] = [None] * 256",
+        'verdicts = _remembered.__dict__.setdefault("verdicts", [None] * 256)',
+        "every order predicate keeps its verdicts in one table, so each serves the "
+        "verdicts of the predicates that decided before it",
+    ),
+    Mutant(
+        "order-table-neighbour-entry",
+        "src/gradcast/instances.py",
+        "verdict = verdicts[n] = decide(n)",
+        "verdict = verdicts[n] = decide(n + 1)",
+        "an order predicate keeps, for each natural, the verdict of the next one",
+    ),
+    Mutant(
         "denote-untruncated-minus",
         "src/gradcast/compiler.py",
         "return x - y if x >= y else 0",
