@@ -9,17 +9,17 @@ match the conventional presentation of < as <= on the successor.
 
 Each natural is tested inline (``type(x) is int and x >= 0``); only a value
 that fails the test reaches ``check_nat``, which raises or accepts an ``int``
-subclass.  The order predicates render only the values they decide.  Each one with a
-plain ``int`` bound keeps in its closure the verdict it issues for each plain ``int``
-0-255 (at most 256, freed with the predicate) and returns it when it decides that
-natural again; any other input, or any input under an ``int``-subclass bound, is
-decided afresh.  A kept verdict equals a fresh one; its identity is not part of the API.
+subclass.  The order predicates render only the values they decide.  From its second
+decide on, each one with a plain ``int`` bound keeps, in a ``dict`` in its closure, the
+verdict it issues for each plain ``int`` 0-255 (at most 256, freed with the predicate)
+and returns it when it decides that natural again; a predicate built for one cast keeps
+nothing.  Any other input, or any input under an ``int``-subclass bound, is decided
+afresh.  A kept verdict equals a fresh one; its identity is not part of the API.
 """
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Callable, Generic, Optional, Sequence, TypeVar
+from typing import Generic, Optional, Sequence, TypeVar
 
 from .predicates import Decision, Holds, Pred, _holds, _later, _refuted, _refutes
 from .records import record
@@ -56,52 +56,47 @@ def dec_le(x: Nat, y: Nat) -> Decision:
     return _refutes("{} <= {} is false: {} < {}", x, y, y, x)
 
 
-def _remembered(k: Nat, decide: Callable[[Nat], Decision]) -> Callable[[Nat], Decision]:
-    if type(k) is not int:  # an int-subclass bound formats and compares in its own way
-        return decide
-    verdicts: list[Optional[Decision]] = [None] * 256
+def _order(k: Nat, strict: bool) -> Pred[Nat]:
+    """``n < k`` if ``strict``, else ``k <= n``; the module docstring says what it keeps."""
+    if not (type(k) is int and k >= 0):
+        check_nat(k)
+    kept: dict[int, Decision] = {}
+    full = 256 if type(k) is int else 0  # an int-subclass bound formats and compares in its own way
+    top = 0  # the first decide raises it to full, so a predicate cast once keeps nothing
 
-    def remembered(n: Nat) -> Decision:
-        if type(n) is not int or not 0 <= n < 256:  # bool, a subclass, -1, 256: decided afresh
-            return decide(n)
-        if (verdict := verdicts[n]) is None:
-            verdict = verdicts[n] = decide(n)
-        return verdict
+    def decide(n: Nat) -> Decision:
+        nonlocal top
+        if type(n) is int and n >= 0:
+            if n < top:
+                if (verdict := kept.get(n)) is None:
+                    verdict = kept[n] = dec_le(n + 1, k) if strict else dec_le(k, n)
+                return verdict
+            top = full
+        else:  # before n + 1, which -1 and True survive
+            check_nat(n)
+        return dec_le(n + 1, k) if strict else dec_le(k, n)
 
-    return remembered
+    def render(n: Nat) -> str:
+        check_nat(n)
+        return f"{n + 1} <= {k}" if strict else f"{k} <= {n}"
+
+    return Pred(decide, render)  # a Pred built by keyword takes twice as long
 
 
 def pred_lt_const(k: Nat) -> Pred[Nat]:
     """The property ``n < k``, rendered in successor form ``(n+1) <= k``."""
-    check_nat(k)
-
-    def decide(n: Nat) -> Decision:
-        if not (type(n) is int and n >= 0):  # before n + 1, which -1 and True survive
-            check_nat(n)
-        return dec_le(n + 1, k)
-
-    def render(n: Nat) -> str:
-        check_nat(n)
-        return f"{n + 1} <= {k}"
-
-    return Pred(decide=_remembered(k, decide), render=render)
+    return _order(k, True)
 
 
 def pred_gt_const(k: Nat) -> Pred[Nat]:
     """The property ``n > k``: ``k + 1 <= n``, rendered in that successor form."""
     check_nat(k)
-    return pred_ge_const(k + 1)
+    return _order(k + 1, False)
 
 
 def pred_ge_const(k: Nat) -> Pred[Nat]:
     """The property ``k <= n``."""
-    check_nat(k)
-
-    def render(n: Nat) -> str:
-        check_nat(n)
-        return f"{k} <= {n}"
-
-    return Pred(decide=_remembered(k, partial(dec_le, k)), render=render)
+    return _order(k, False)
 
 
 class EqDec(record("eq_decide", "render_value"), Generic[A]):

@@ -13,11 +13,13 @@ without a renderer of their own too, and a subclass's own renderer beats its
 base's.  Plain ints render from a table of texts made once for 0-255; the
 table tests check its texts against ``str`` on both sides of its edge and past
 the digit limit, and that ``int`` subclasses, ``bool`` and renderers registered
-for ``int`` or ``object`` are not served from it.  The order predicates keep
-the verdict they issue for each plain int 0-255; the order tests check every
-kept verdict against a fresh ``dec_le`` on both sides of the table's edge, that
-other inputs raise as before on a warm table, that no two predicates share a
-table, and that threads filling one table get equal verdicts.
+for ``int`` or ``object`` are not served from it.  From their second decide on,
+the order predicates keep the verdict they issue for each plain int 0-255; the
+order tests check every kept verdict against a fresh ``dec_le`` on both sides of
+the table's edge, that bounds and texts match the reference, that other inputs
+raise as before on a warm table, that the first decide keeps nothing, that no
+two predicates share a table, and that threads filling one table get equal
+verdicts.
 """
 
 import enum
@@ -493,6 +495,7 @@ BOUNDS = {"0": 0, "1": 1, "30": 30, "255": 255, "256": 256, "1e30": 10**30, "Sma
 def test_an_order_predicate_decides_every_natural_like_a_fresh_dec_le(order, k):
     make, fresh = ORDERS[order]
     p = make(k)
+    p.decide(300)  # a predicate keeps verdicts from its second decide on
     # gt builds ge over k + 1, a plain int even for an int-subclass k.
     kept = type(k) is int or order == "gt"
     for n in range(301):
@@ -501,6 +504,25 @@ def test_an_order_predicate_decides_every_natural_like_a_fresh_dec_le(order, k):
         assert first == again == expected
         # Identity is not part of the API; it shows which path served the verdict.
         assert (again is first) == (kept and n < 256)
+
+
+
+BAD_AND_ODD = [True, -1, 2.5, "3", None, Small(3), Shown(3), 0, 7, 10**30]
+
+
+@pytest.mark.parametrize("k", BAD_AND_ODD, ids=map(repr, BAD_AND_ODD))
+@pytest.mark.parametrize("order", sorted(ORDERS))
+def test_an_order_predicate_builds_and_renders_like_the_reference(order, k):
+    make, ref = ORDERS[order][0], getattr(spec, f"pred_{order}_const")
+    built = outcome(make, k)
+    assert built[0] == outcome(ref, k)[0]
+    if built[0] == "raised":
+        assert built == outcome(ref, k)
+        return
+    p, q = make(k), ref(k)
+    for n in [0, 5, 255, 256, 300, True, -1, 2.5, Small(4), Shown(4)]:
+        assert outcome(p.render, n) == outcome(q.render, n)
+        assert outcome(p.decide, n) == outcome(q.decide, n)
 
 
 @pytest.mark.parametrize(
@@ -523,14 +545,26 @@ def test_other_inputs_on_a_warm_table_decide_or_raise_as_before(order, value):
 def test_two_order_predicates_with_one_bound_keep_tables_of_their_own(order):
     make = ORDERS[order][0]
     p, q = make(5), make(5)
+    p.decide(300)
+    q.decide(300)
     verdict = p.decide(3)
     assert p.decide(3) is verdict
     assert q.decide(3) is not verdict
-    # A slot store into a kept verdict reaches only its own predicate.
+    # A slot store into a verdict p kept does not reach another predicate.
     text = evidence_of(verdict).summary
     object.__setattr__(evidence_of(verdict), "_text", "forged")
-    assert evidence_of(p.decide(3)).summary == "forged"
     assert evidence_of(q.decide(3)).summary == evidence_of(make(5).decide(3)).summary == text
+
+
+@pytest.mark.parametrize("order", sorted(ORDERS))
+def test_an_order_predicate_keeps_nothing_from_its_first_decide(order):
+    make, fresh = ORDERS[order]
+    p = make(5)
+    first = p.decide(3)
+    again = p.decide(3)
+    assert shown(first) == shown(again) == shown(fresh(5, 3))
+    assert again is not first
+    assert p.decide(3) is again
 
 
 def test_threads_filling_one_table_all_get_verdicts_equal_to_fresh_ones():

@@ -91,24 +91,24 @@ MUTANTS = [
     Mutant(
         "order-table-for-int-subclasses",
         "src/gradcast/instances.py",
-        "if type(n) is not int or not 0 <= n < 256:",
-        "if not isinstance(n, int) or not 0 <= n < 256:",
-        "an order predicate serves True or an int subclass the verdict it keeps for 1 or "
-        "for the subclass's value",
+        "if type(n) is int and n >= 0:\n            if n < top:",
+        "if isinstance(n, int) and n >= 0:\n            if n < top:",
+        "an order predicate accepts True, and serves it or an int subclass the verdict it "
+        "keeps for 1 or for the subclass's value",
     ),
     Mutant(
         "order-table-shared",
         "src/gradcast/instances.py",
-        "verdicts: list[Optional[Decision]] = [None] * 256",
-        'verdicts = _remembered.__dict__.setdefault("verdicts", [None] * 256)',
+        "kept: dict[int, Decision] = {}",
+        'kept: dict[int, Decision] = _order.__dict__.setdefault("kept", {})',
         "every order predicate keeps its verdicts in one table, so each serves the "
         "verdicts of the predicates that decided before it",
     ),
     Mutant(
         "order-table-neighbour-entry",
         "src/gradcast/instances.py",
-        "verdict = verdicts[n] = decide(n)",
-        "verdict = verdicts[n] = decide(n + 1)",
+        "verdict = kept[n] = dec_le(n + 1, k) if strict else dec_le(k, n)",
+        "verdict = kept[n] = dec_le(n + 2, k) if strict else dec_le(k, n + 1)",
         "an order predicate keeps, for each natural, the verdict of the next one",
     ),
     Mutant(
