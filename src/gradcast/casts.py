@@ -29,7 +29,7 @@ from typing import Generic, Sequence, TypeVar
 
 from .predicates import Evidence, Holds, Pred, _refuted
 from .records import _new, record
-from .render import show_value
+from .render import LimitError, show_value  # noqa: F401 - gradcast.casts.LimitError
 
 A = TypeVar("A")
 
@@ -64,14 +64,6 @@ class CastFault(Exception):
 
     def __reduce__(self) -> tuple:  # rebuilt from its fields by copy and pickle
         return type(self), (self.value_text, self.prop_text), self.__dict__
-
-
-class LimitError(ValueError):
-    """Input past a limit.  Raised by ``cast_rat`` above a bounded strategy's ceiling, by
-    its failure texts and ``RAT_INVARIANTS.render`` for a top or bottom past the integer
-    digit limit, and by a compile check rendering a stack value or an ``IConst`` past it.
-    ``cast`` lets the digit limit's ``ValueError`` through: it renders with caller
-    renderers, and must not relabel their other ``ValueError`` exceptions."""
 
 
 class Attested(record("value", "pred", "evidence"), Generic[A]):

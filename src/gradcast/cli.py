@@ -2,13 +2,13 @@
 describe its subcommands ``check``, ``rat`` and ``demo-regimes``.
 
 Exit codes: 0 success, 1 cast failure, 2 usage, parse or limit error: a
-numeral or a ``check`` result longer than Python's integer digit limit, or a
-``LimitError`` from the library, which holds the limits.  Both regimes share one
-failure path: ``rat`` forces its cast with ``proj1``, so ``--time`` prints its
-``TIME`` lines after a failed cast, lazy or eager; a zero bottom times nothing,
-as the deciders need a nonzero one.  A ``CastFault`` reaching ``main`` from any
-command prints ``FAILED_CAST`` with exit 1.  Any other exception ends as a
-one-line ``INTERNAL_ERROR`` with exit 2; output is line-oriented ASCII.
+numeral longer than Python's integer digit limit, or a ``LimitError`` from the
+library, which holds the limits and raises one for a ``check`` result past the digit limit.
+Both regimes share one failure path: ``rat`` forces its cast with ``proj1``, so
+``--time`` prints its ``TIME`` lines after a failed cast, lazy or eager; a zero
+bottom times nothing, as the deciders need a nonzero one.  A ``CastFault`` reaching
+``main`` from any command prints ``FAILED_CAST`` with exit 1.  Any other exception
+ends as a one-line ``INTERNAL_ERROR`` with exit 2; output is line-oriented ASCII.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .compiler import COMPILERS, ParseError, checked_compile, parse_exp, runc
 from .hocasts import cast_fun_dom
 from .instances import Nat, check_nat, pred_gt_const
 from .rationals import BOUNDED_CEILINGS, IrredStrategy, _require_nonzero_bottom, cast_rat
+from .render import _show_int
 
 _BENCH_REPETITIONS = 5
 _FAILED_CAST = "FAILED_CAST value={0.value_text} prop={0.prop_text}"  # of a CastFault
@@ -54,11 +55,11 @@ def bench_strategies(
 
 def cmd_check(expr_src: str, variant: str, mode: FailureMode) -> int:
     try:  # a CastFault is main's to report
-        line = f"RESULT {runc(checked_compile(variant, mode), parse_exp(expr_src))[0]}"
+        line = f"RESULT {_show_int(runc(checked_compile(variant, mode), parse_exp(expr_src))[0])}"
     except ParseError as err:
         print(f"PARSE_ERROR offset={err.offset} {err.reason}")
         return 2
-    except ValueError:  # a LimitError, or int-to-text past the digit limit
+    except LimitError:
         print("LIMIT_ERROR result exceeds the integer digit limit")
         return 2
     print(line)

@@ -19,8 +19,7 @@ stack, so any nesting depth works, as it does for a tree's ``==``, ``hash``, ``r
 ``copy``, ``deepcopy`` and ``pickle``: a copy shares what the tree shares; copying a
 cycle raises ``ValueError``.  A failed check's render is the one place a computed value
 becomes text (a program shows only leaves), so nothing is refused for size before
-evaluating: past the interpreter's digit limit it and the ``IConst`` renderer raise
-:class:`LimitError`.
+evaluating: a value past the digit limit raises ``LimitError`` where it becomes text.
 """
 
 from __future__ import annotations
@@ -30,12 +29,12 @@ import re
 from operator import is_
 from typing import Callable, Optional, Union
 
-from .casts import FailureMode, LimitError, Refined, proj1
+from .casts import FailureMode, Refined, proj1
 from .hocasts import cast_forall_range
 from .instances import Nat, check_nat, eq_list, eq_nat, eq_option
 from .predicates import Decision, Pred, PredFamily
 from .records import _new, record
-from .render import show_value
+from .render import _NATURALS, show_value
 
 
 class Binop(enum.Enum):
@@ -103,10 +102,8 @@ _IBINOP_TEXT = {b: f"iBinop {b.value}" for b in Binop}
 
 @show_value.register(IConst)
 def _show_iconst(instr: IConst) -> str:
-    try:
-        return f"iConst {instr._value}"
-    except ValueError:  # int-to-text past the interpreter's digit limit
-        raise LimitError("an instruction's value exceeds the integer digit limit") from None
+    value = instr._value  # _show_int inlined: one frame less per leaf of a failed program
+    return f"iConst {_NATURALS[value] if type(value) is int else value}"
 
 
 @show_value.register(IBinop)
@@ -249,11 +246,7 @@ class _ProgCheck:
         return _RESULT_DECIDE(stack, self.expected)
 
     def render(self, p: Prog) -> str:
-        stack = self.run(p)  # outside the try: a ValueError from running is no limit
-        try:
-            return _RESULT_EQ.render_eq(stack, self.expected)
-        except ValueError:  # int-to-text past the interpreter's digit limit
-            raise LimitError("a stack value exceeds the integer digit limit") from None
+        return _RESULT_EQ.render_eq(self.run(p), self.expected)
 
 
 def correct_prog(e: Exp) -> Pred[Prog]:
@@ -262,8 +255,7 @@ def correct_prog(e: Exp) -> Pred[Prog]:
 
     Its ``decide`` is a ``_ProgCheck``, which keeps the stack each program ran to;
     ``render`` and :func:`runc` reuse it while the program holds the instructions that
-    ran, so a checked program runs once, and a changed one again.  ``render`` raises
-    :class:`LimitError` for a stack value past the interpreter's int-string digit limit."""
+    ran, so a checked program runs once, and a changed one again."""
     check = _ProgCheck([eval_exp(e)])
     return Pred(decide=check, render=check.render)
 

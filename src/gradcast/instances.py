@@ -23,7 +23,7 @@ from typing import Generic, Optional, Sequence, TypeVar
 
 from .predicates import Decision, Holds, Pred, _holds, _later, _refuted, _refutes
 from .records import record
-from .render import show_optional, show_sequence, show_value
+from .render import _show_int, show_optional, show_sequence, show_value
 
 A = TypeVar("A")
 
@@ -50,7 +50,7 @@ def dec_le(x: Nat, y: Nat) -> Decision:
         check_nat(y)
     holds = x <= y
     if type(x) is not int or type(y) is not int:  # an int subclass is shown now
-        x, y = format(x), format(y)
+        x, y = _show_int(x), _show_int(y)
     if holds:
         return _holds("{} <= {} by arithmetic", x, y)
     return _refutes("{} <= {} is false: {} < {}", x, y, y, x)
@@ -78,7 +78,7 @@ def _order(k: Nat, strict: bool) -> Pred[Nat]:
 
     def render(n: Nat) -> str:
         check_nat(n)
-        return f"{n + 1} <= {k}" if strict else f"{k} <= {n}"
+        return f"{_show_int(n + 1 if strict else k)} <= {_show_int(k if strict else n)}"
 
     return Pred(decide, render)  # a Pred built by keyword takes twice as long
 
@@ -121,7 +121,7 @@ def _eq_nat_decide(a: Nat, b: Nat) -> Decision:
     if a == b:
         return _EQ_REFL
     if type(a) is not int or type(b) is not int:  # an int subclass is shown now
-        a, b = format(a), format(b)
+        a, b = _show_int(a), _show_int(b)
     return _refutes("{} <> {}", a, b)
 
 

@@ -20,7 +20,7 @@ the same text.  The join recurses once per level of child evidence, as deciding 
 so both reach about 990 ``p_and`` levels at a recursion limit of 1000.  Other values,
 such as lists, are rendered while deciding, so mutating a value never changes its
 evidence.  A read raises what formatting raises: ``pred_lt_const(10**5000)`` holds at
-5, and only reading the summary hits the int-string digit limit (``ValueError``).
+5, and only reading the summary hits the digit limit (``LimitError``).
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from __future__ import annotations
 from typing import Any, Callable, Generic, TypeVar
 
 from .records import _new, record
+from .render import _NATURALS, _show_int
 
 A = TypeVar("A")
 B = TypeVar("B")
@@ -41,7 +42,8 @@ def _join(evidence: Evidence) -> str:
         fmt, args = text
         parts = []  # a loop, not a comprehension: one frame per level of child evidence
         for a in args:
-            parts.append(_join(a) if type(a) is Evidence else a[0](*a[1:]) if type(a) is tuple else a)
+            parts.append(_join(a) if type(a) is Evidence else a[0](*a[1:]) if type(a) is tuple
+                         else _NATURALS[a] if type(a) is int else a)
         evidence._text = text = fmt.format(*parts)
     return text
 
@@ -266,9 +268,9 @@ def p_forall_bounded(k: int, family: Callable[[int], Pred[int]]) -> Pred[None]:
             verdict = family(n).decide(n)
             if not isinstance(verdict, Holds) and _refuted(verdict):
                 return _refutes("counterexample at n = {}: {}", n, _later(family(n).render, n))
-        return _holds("holds for every n in 0..{}", _later(format, k))
+        return _holds("holds for every n in 0..{}", _later(_show_int, k))
 
-    return Pred(decide=decide, render=lambda _unit: f"forall n <= {k}, P n")
+    return Pred(decide=decide, render=lambda _unit: f"forall n <= {_show_int(k)}, P n")
 
 
 def p_relate(witness: Callable[[A], bool], render: Callable[[A], str]) -> Pred[A]:

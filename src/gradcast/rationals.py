@@ -26,12 +26,11 @@ import enum
 import math
 from operator import attrgetter, eq, mul
 
-from .casts import (Attested, FailedCast, FailureMode, LimitError, _attested, _failed,
-                    check_choice, proj1)
+from .casts import Attested, FailedCast, FailureMode, _attested, _failed, check_choice, proj1
 from .instances import Nat, check_nat
-from .predicates import Decision, Holds, Pred, _holds, _later, _refutes
+from .predicates import Decision, Holds, Pred, _holds, _refutes
 from .records import _new, record
-from .render import show_value
+from .render import LimitError, _show_int, show_value
 
 _SIGN_TEXT = {sign: show_value(sign) for sign in (True, False)}  # no dispatch per cast
 
@@ -123,8 +122,8 @@ def gcd(a: Nat, b: Nat) -> Nat:
     return math.gcd(a, b)
 
 
-def _invariant_text(top: Nat, bottom: Nat) -> str:
-    if bottom == 0:
+def _invariant_text(top: str, bottom: str, zero: bool) -> str:
+    if zero:
         return f"0 <> {bottom}"
     return f"forall x y z, y * x = {top} /\\ z * x = {bottom} -> 1 = x"
 
@@ -173,18 +172,11 @@ _RATIONAL_EVIDENCE = _RATIONAL.evidence
 def _decide_rat(rat: Rat) -> Decision:
     if rat.bottom != 0 and gcd(rat.top, rat.bottom) == 1:
         return _RATIONAL
-    return _refutes("{} is false", _later(_invariant_text, rat.top, rat.bottom))
-
-
-def _rat_texts(sign: bool, top: Nat, bottom: Nat) -> tuple[str, str]:
-    try:
-        return f"mkRat {_SIGN_TEXT[sign]} {top} {bottom}", _invariant_text(top, bottom)
-    except ValueError:  # int-to-text past the interpreter's digit limit
-        raise LimitError("a top or bottom exceeds the integer digit limit") from None
+    return _refutes("{} is false", _render_rat(rat))  # now: a Rat's slots stay writable
 
 
 def _render_rat(rat: Rat) -> str:
-    return _rat_texts(rat.sign, rat.top, rat.bottom)[1]
+    return _invariant_text(_show_int(rat.top), _show_int(rat.bottom), rat.bottom == 0)
 
 
 # Every AttestedRat's predicate; all strategies give the same arm as gcd.
@@ -206,7 +198,7 @@ def cast_rat(
     or ``mode`` raises ``ValueError`` before any other check.  A top or bottom
     above a bounded strategy's :data:`BOUNDED_CEILINGS` entry raises
     :class:`LimitError` after the input checks, before the bottom's, and so does a
-    failure whose texts would show a top or bottom past the integer digit limit.
+    failure whose texts would show a plain ``int`` top or bottom past the digit limit.
     """
     if type(strategy) is not IrredStrategy:
         check_choice("strategy", strategy, IrredStrategy)
@@ -232,5 +224,7 @@ def cast_rat(
         rat = _new(Rat)
         rat._sign, rat._top, rat._bottom = sign, top, bottom
         return _attested(AttestedRat, rat, RAT_INVARIANTS, _RATIONAL_EVIDENCE)
-    value_text, prop_text = _rat_texts(sign, top, bottom)  # not a *-call: 150 ns slower
+    top_text, bottom_text = _show_int(top), _show_int(bottom)
+    value_text = f"mkRat {_SIGN_TEXT[sign]} {top_text} {bottom_text}"
+    prop_text = _invariant_text(top_text, bottom_text, bottom == 0)
     return _failed(FailedCastRat, value_text, prop_text, mode)

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from operator import attrgetter
 
+from .render import _NATURALS
+
 _new = object.__new__
 
 
@@ -60,8 +62,8 @@ class _Record:
                 if type(value).__repr__ is _Record.__repr__:
                     parts.append(f"{sep}{name}=")
                     todo.append(value)
-                else:
-                    parts.append(f"{sep}{name}={value!r}")
+                else:  # a plain int reads the texts table, so past the digit limit: LimitError
+                    parts += sep, name, "=", _NATURALS[value] if type(value) is int else repr(value)
             else:
                 parts.append(f"{type(item).__qualname__}(")
                 todo.append(")")

@@ -229,6 +229,37 @@ def test_unexpected_exception_is_a_one_line_exit_two(capsys, monkeypatch):
     assert lines == ["INTERNAL_ERROR RuntimeError first line second line"]
 
 
+def test_a_value_error_in_check_that_is_no_limit_error_is_an_internal_error(capsys, monkeypatch):
+    def broken(*_args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "runc", broken)
+    assert run_cli(capsys, "check", "1") == (2, ["INTERNAL_ERROR ValueError boom"])
+
+
+# Lines that CI's install step compares on the installed console script, byte for byte.
+@pytest.mark.parametrize(
+    ("argv", "status", "line"),
+    [
+        (("check", "256-1"), 1, "FAILED_CAST value=iConst 256 :: iConst 1 :: iBinop Minus :: nil "
+         "prop=Some (0 :: nil) = Some (255 :: nil)"),
+        (("check", "257-1"), 1, "FAILED_CAST value=iConst 257 :: iConst 1 :: iBinop Minus :: nil "
+         "prop=Some (0 :: nil) = Some (256 :: nil)"),
+        (("check", "256-255"), 1, "FAILED_CAST value=iConst 256 :: iConst 255 :: iBinop Minus "
+         ":: nil prop=Some (0 :: nil) = Some (1 :: nil)"),
+        (("check", "256*256+255", "--compiler", "fixed"), 0, "RESULT 65791"),
+        (("check", "12 34"), 2, "PARSE_ERROR offset=4 unexpected character '3'"),
+        (("rat", "+", "400", "0", "--strategy", "bounded"), 2,
+         "LIMIT_ERROR strategy bounded takes top and bottom up to 90"),
+    ],
+    ids=["check-256-1", "check-257-1", "check-256-255", "check-65791-fixed", "check-12-34",
+         "rat-400-0-bounded"],
+)
+def test_the_ci_golden_lines(capsys, argv, status, line):
+    assert main(list(argv)) == status
+    assert capsys.readouterr().out == f"{line}\n"
+
+
 def test_cast_fault_reaching_main_is_one_failed_cast_line(capsys, monkeypatch):
     def faulting(*_args):
         raise CastFault("v", "p")

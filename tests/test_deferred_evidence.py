@@ -325,7 +325,7 @@ def test_a_holding_cast_does_not_fail_on_evidence_text_nobody_reads():
         refined = cast(p, 5)
         assert isinstance(refined, Attested)
         assert proj1(refined) == 5
-        with pytest.raises(ValueError, match="integer string conversion"):
+        with pytest.raises(gradcast.LimitError, match="^an integer exceeds the integer digit limit$"):
             refined.evidence.summary  # noqa: B018 - the read is what raises
     # The reference formats while deciding, so it raises in the cast.
     with pytest.raises(ValueError, match="integer string conversion"):

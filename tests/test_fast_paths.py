@@ -11,15 +11,15 @@ rendering.  The registration tests check rendered text only: a renderer
 registered after a first render applies from the next one, to subclasses
 without a renderer of their own too, and a subclass's own renderer beats its
 base's.  Plain ints render from a table of texts made once for 0-255; the
-table tests check its texts against ``str`` on both sides of its edge and past
-the digit limit, and that ``int`` subclasses, ``bool`` and renderers registered
-for ``int`` or ``object`` are not served from it.  From their second decide on,
-the order predicates keep the verdict they issue for each plain int 0-255; the
-order tests check every kept verdict against a fresh ``dec_le`` on both sides of
-the table's edge, that bounds and texts match the reference, that other inputs
-raise as before on a warm table, that the first decide keeps nothing, that no
-two predicates share a table, and that threads filling one table get equal
-verdicts.
+table tests check its texts against ``str`` on both sides of its edge, that past
+the digit limit it raises ``LimitError``, and that ``int`` subclasses, ``bool`` and
+renderers registered for ``int`` or ``object`` are not served from it.  From their
+second decide on, the order predicates keep the verdict they issue for each plain
+int 0-255; the order tests check every kept verdict against a fresh ``dec_le`` on
+both sides of the table's edge, that bounds and texts match the reference, that
+other inputs raise as before on a warm table, that the first decide keeps nothing,
+that no two predicates share a table, and that threads filling one table get
+equal verdicts.
 """
 
 import enum
@@ -30,7 +30,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gradcast import render
-from gradcast.casts import CastFault, FailedCast, FailureMode, cast, proj1
+from gradcast.casts import CastFault, FailedCast, FailureMode, LimitError, cast, proj1
 from gradcast.compiler import Binop, IBinop, IConst
 from gradcast.hocasts import IList
 from gradcast.instances import (
@@ -395,18 +395,20 @@ def test_every_int_around_the_table_renders_as_str():
 @pytest.mark.skipif(
     not hasattr(sys, "set_int_max_str_digits"), reason="this interpreter has no digit limit"
 )
-def test_an_int_past_the_digit_limit_raises_strs_value_error():
+def test_an_int_past_the_digit_limit_raises_limit_error_and_a_subclass_strs_value_error():
     default = sys.get_int_max_str_digits()
     big = 10**700
     try:
         sys.set_int_max_str_digits(640)
+        for value in (big, [1, big], (big,), -big):
+            with pytest.raises(LimitError, match="^an integer exceeds the integer digit limit$"):
+                show_value(value)
         with pytest.raises(ValueError) as expected:
             str(big)
-        for value in (big, [1, big], (big,)):
-            with pytest.raises(ValueError) as raised:
-                show_value(value)
-            assert type(raised.value) is ValueError
-            assert raised.value.args == expected.value.args
+        with pytest.raises(ValueError) as raised:  # an int subclass keeps str's own error
+            show_value([1, Small(big)])
+        assert type(raised.value) is ValueError
+        assert raised.value.args == expected.value.args
     finally:
         sys.set_int_max_str_digits(default)
 
@@ -602,5 +604,5 @@ def test_a_kept_verdict_past_the_digit_limit_raises_on_every_read():
         verdict = p.decide(5)
         assert type(verdict) is Holds
         for _ in range(2):
-            with pytest.raises(ValueError, match="integer string conversion"):
+            with pytest.raises(LimitError, match="^an integer exceeds the integer digit limit$"):
                 verdict.evidence.summary  # noqa: B018 - the read is what raises

@@ -2,7 +2,9 @@
 stack value past the interpreter's integer digit limit raises ``LimitError``,
 exactly then, and ``cast_rat`` refuses a top or bottom above a bounded
 strategy's ceiling, or one its failure texts cannot show, with the same
-``LimitError``, which the texts of an attested rational past that limit raise too."""
+``LimitError``, which the texts of an attested rational past that limit raise too.
+Every one of the library's texts of a plain ``int`` past the limit raises it with one
+message, from ``render``'s texts table; an ``int`` subclass keeps ``str``'s own error."""
 
 import sys
 import time
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import gradcast
-from gradcast.casts import CastFault, FailureMode, LimitError
+from gradcast.casts import CastFault, FailureMode, LimitError, cast
 from gradcast.compiler import (
     COMPILERS,
     BinOp,
@@ -24,6 +26,8 @@ from gradcast.compiler import (
     parse_exp,
     runc,
 )
+from gradcast.instances import eq_nat, pred_equals, pred_ge_const, pred_lt_const
+from gradcast.predicates import p_false, p_forall_bounded
 from gradcast.rationals import (
     BOUNDED_CEILINGS,
     RAT_INVARIANTS,
@@ -33,8 +37,9 @@ from gradcast.rationals import (
 )
 from gradcast.render import show_value
 from test_compiler_kernels import outcome, ref_compile, ref_eval_exp, ref_parse_exp, ref_run_prog
+from test_fast_paths import Small
 
-_LIMIT_MESSAGE = "a stack value exceeds the integer digit limit"
+_LIMIT_MESSAGE = "an integer exceeds the integer digit limit"
 
 
 def test_limit_error_is_the_exported_value_error():
@@ -143,7 +148,7 @@ def test_the_digit_limit_is_the_running_interpreters():
 def test_a_hand_built_leaf_past_the_limit_raises_limit_error_from_the_program_text(mode):
     # parse_exp never builds such a leaf; the failed check renders the program first
     tree = BinOp(Binop.MINUS, Const(10**5000), Const(1))
-    message = "^an instruction's value exceeds the integer digit limit$"
+    message = f"^{_LIMIT_MESSAGE}$"
     with pytest.raises(LimitError, match=message):
         checked_compile("buggy", mode)(tree)
     with pytest.raises(LimitError, match=message):
@@ -156,7 +161,7 @@ def test_a_hand_built_leaf_past_the_limit_raises_limit_error_from_the_program_te
 def test_a_failed_cast_rat_past_the_digit_limit_raises_limit_error(mode):
     big = 10**5000
     for top, bottom in ((big, 0), (big, big), (2, 2 * big)):
-        with pytest.raises(LimitError, match="^a top or bottom exceeds the integer digit limit$"):
+        with pytest.raises(LimitError, match=f"^{_LIMIT_MESSAGE}$"):
             cast_rat(True, top, bottom, mode=mode)
     assert isinstance(cast_rat(True, big, big + 1, mode=mode), AttestedRat)
 
@@ -166,20 +171,69 @@ def test_a_failed_cast_rat_past_the_digit_limit_raises_limit_error(mode):
 def test_the_texts_of_an_attested_rat_past_the_digit_limit_raise_limit_error(mode):
     attested = cast_rat(True, 10**5000, 1, mode=mode)
     assert isinstance(attested, AttestedRat) and attested.top == 10**5000
-    # repr shows the Rat first, whose top raises int's own ValueError, as repr(10**5000) does
     reads = [
+        lambda: repr(attested),
+        lambda: repr(attested.value),
         lambda: attested.prop_text,
         lambda: hash(attested),
         lambda: attested == cast_rat(True, 10**5000, 1),
         lambda: RAT_INVARIANTS.render(attested.value),
     ]
     for read in reads:
-        with pytest.raises(LimitError, match="^a top or bottom exceeds the integer digit limit$"):
+        with pytest.raises(LimitError, match=f"^{_LIMIT_MESSAGE}$"):
             read()
     # as the text of an attested program past the limit does
     program = checked_compile("fixed", mode)(BinOp(Binop.PLUS, Const(10**5000), Const(0)))
     with pytest.raises(LimitError, match=f"^{_LIMIT_MESSAGE}$"):
         program.prop_text
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("mode", list(FailureMode))
+def test_every_library_text_of_a_plain_int_past_the_limit_raises_limit_error(mode):
+    big = 10**5000
+    program = BinOp(Binop.PLUS, Const(big), Const(0))
+    kept = pred_lt_const(big)
+    kept.decide(5)  # from the second decide on, the predicate keeps its verdict at 5
+    reads = [
+        lambda: cast(pred_lt_const(10), big, mode),
+        lambda: cast(pred_equals(eq_nat(), 0), big, mode),
+        lambda: repr(cast_rat(True, big, 1, mode=mode)),
+        lambda: repr(checked_compile("fixed", mode)(program)),
+        lambda: cast(pred_lt_const(big), 5, mode).evidence.summary,
+        lambda: cast(kept, 5, mode).evidence.summary,
+        lambda: cast(pred_ge_const(big), 5, mode),
+        lambda: pred_lt_const(10).render(Small(big)),  # its successor is a plain int
+        lambda: pred_lt_const(Small(5)).decide(big),  # shows both sides, one a subclass
+        lambda: cast(p_forall_bounded(big, lambda n: p_false()), None, mode),
+    ]
+    for read in reads:
+        with pytest.raises(LimitError, match=f"^{_LIMIT_MESSAGE}$"):
+            read()
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("mode", list(FailureMode))
+def test_an_int_subclass_past_the_limit_keeps_strs_value_error(mode):
+    # Only a plain int's text comes from the texts table; a subclass is shown by its
+    # own format, whose error is not relabelled, from a failed cast_rat too.
+    big = Small(10**5000)
+    with pytest.raises(ValueError) as expected:
+        str(big)
+    reads = [
+        lambda: pred_lt_const(big).render(5),
+        lambda: pred_ge_const(10).render(big),
+        lambda: show_value(IConst(big)),
+        lambda: checked_compile("buggy", mode)(BinOp(Binop.MINUS, Const(big), Const(1))),
+        lambda: cast_rat(True, big, 0, mode=mode),
+        lambda: cast_rat(True, big, big, mode=mode),
+        lambda: cast(pred_lt_const(10), big, mode),
+    ]
+    for read in reads:
+        with pytest.raises(ValueError) as raised:
+            read()
+        assert type(raised.value) is ValueError
+        assert raised.value.args == expected.value.args
 
 
 def test_a_program_that_cannot_run_is_no_limit_error():

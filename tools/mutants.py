@@ -89,6 +89,37 @@ MUTANTS = [
         "a renderer registered for int or object never reaches a plain int",
     ),
     Mutant(
+        "naturals-table-unmapped-limit",
+        "src/gradcast/render.py",
+        "except ValueError:  # a plain int's str raises it only past the digit limit",
+        "except LimitError:  # a plain int's str raises it only past the digit limit",
+        "the naturals text table lets str's plain ValueError out past the digit limit",
+    ),
+    Mutant(
+        "record-repr-int-by-repr",
+        "src/gradcast/records.py",
+        '"=", _NATURALS[value] if type(value) is int else repr(value)',
+        '"=", repr(value)',
+        "a record's repr shows a plain int field by repr, which past the digit limit "
+        "raises str's plain ValueError",
+    ),
+    Mutant(
+        "join-int-argument-raw",
+        "src/gradcast/predicates.py",
+        "else _NATURALS[a] if type(a) is int else a)",
+        "else a)",
+        "an evidence summary formats a plain int argument itself, which past the digit "
+        "limit raises str's plain ValueError",
+    ),
+    Mutant(
+        "show-int-table-for-int-subclasses",
+        "src/gradcast/render.py",
+        "_NATURALS.__missing__(n)) if type(n) is int else format(n)",
+        "_NATURALS.__missing__(n)) if isinstance(n, int) else format(n)",
+        "an int subclass with its own text, or a bool, is shown from the naturals table "
+        "by the order predicates, equality and rational texts",
+    ),
+    Mutant(
         "order-table-for-int-subclasses",
         "src/gradcast/instances.py",
         "if type(n) is int and n >= 0:\n            if n < top:",
