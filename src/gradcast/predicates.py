@@ -265,9 +265,9 @@ def p_forall_bounded(k: int, family: Callable[[int], Pred[int]]) -> Pred[None]:
 
     def decide(_unit: None) -> Decision:
         for n in range(k + 1):
-            verdict = family(n).decide(n)
+            verdict = (pred := family(n)).decide(n)  # one predicate per n decides and renders
             if not isinstance(verdict, Holds) and _refuted(verdict):
-                return _refutes("counterexample at n = {}: {}", n, _later(family(n).render, n))
+                return _refutes("counterexample at n = {}: {}", n, _later(pred.render, n))
         return _holds("holds for every n in 0..{}", _later(_show_int, k))
 
     return Pred(decide=decide, render=lambda _unit: f"forall n <= {_show_int(k)}, P n")

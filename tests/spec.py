@@ -211,9 +211,9 @@ def p_forall_bounded(k, family):
 
     def decide(_unit):
         for n in range(k + 1):
-            verdict = family(n).decide(n)
+            verdict = (pred := family(n)).decide(n)
             if isinstance(verdict, Refutes):
-                return _refutes(f"counterexample at n = {n}: {family(n).render(n)}")
+                return _refutes(f"counterexample at n = {n}: {pred.render(n)}")
         return _holds(f"holds for every n in 0..{k}")
 
     return Pred(decide=decide, render=lambda _unit: f"forall n <= {k}, P n")

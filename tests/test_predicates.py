@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import spec
 from gradcast.predicates import (
     Evidence,
     Holds,
@@ -139,6 +140,20 @@ def test_p_forall_bounded_refutes_at_least_counterexample():
     assert isinstance(verdict, Refutes)
     assert "n = 10" in verdict.refutation.summary
     assert "11 <= 10" in verdict.refutation.summary
+
+
+@pytest.mark.parametrize("forall_bounded", [p_forall_bounded, spec.p_forall_bounded])
+def test_p_forall_bounded_renders_the_predicate_that_refuted(forall_bounded):
+    # A family that answers differently on a second call for the same n: the
+    # counterexample is rendered by the predicate built for it, built once.
+    calls = []
+
+    def family(n):
+        calls.append(n)
+        return pred_lt_const(3 if len(calls) <= 4 else 100)
+
+    verdict = forall_bounded(5, family).decide(None)
+    assert (calls, verdict.refutation.summary) == ([0, 1, 2, 3], "counterexample at n = 3: 4 <= 3")
 
 
 def test_p_forall_bounded_single_instance():

@@ -149,6 +149,20 @@ MUTANTS = [
         "return x - y",
         "subtraction on naturals goes below zero",
     ),
+    Mutant(
+        "check-limit-error-exits-one",
+        "src/gradcast/cli.py",
+        'print("LIMIT_ERROR result exceeds the integer digit limit")\n        return 2',
+        'print("LIMIT_ERROR result exceeds the integer digit limit")\n        return 1',
+        "check exits 1 on a limit error, so it passes for a cast failure",
+    ),
+    Mutant(
+        "parse-error-offset-zero-based",
+        "src/gradcast/compiler.py",
+        "return ParseError(reason, offset + 1)",
+        "return ParseError(reason, offset)",
+        "a parse error reports the 0-based offset of the failing character",
+    ),
 ]
 
 
