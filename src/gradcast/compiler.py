@@ -98,11 +98,14 @@ Prog = list[Instr]
 Stack = list[Nat]
 
 _IBINOP_TEXT = {b: f"iBinop {b.value}" for b in Binop}
+_ICONST_TEXT = tuple(f"iConst {n}" for n in range(256))  # each plain int 0-255's text
 
 
 @show_value.register(IConst)
 def _show_iconst(instr: IConst) -> str:
-    value = instr._value  # _show_int inlined: one frame less per leaf of a failed program
+    value = instr._value  # any other value, a bool or an int subclass too, is formatted
+    if type(value) is int and 0 <= value < 256:
+        return _ICONST_TEXT[value]
     return f"iConst {_NATURALS[value] if type(value) is int else value}"
 
 
@@ -129,7 +132,8 @@ def _denote(op: Binop, x: Nat, y: Nat) -> Nat:
 
 def eval_exp(e: Exp) -> Nat:
     """The interpreter: left operand, right operand, then the node.  A node is its own frame
-    while its left operand is evaluated, to ``x``, then ``(op, x)`` while its right is."""
+    while its left operand is evaluated, to ``x``, then ``(op, x)`` while its right is,
+    unless its right is a ``Const``: that leaf is checked and the node applied at once."""
     todo: list = []
     push, pop = todo.append, todo.pop
     denote = _denote
@@ -146,9 +150,12 @@ def eval_exp(e: Exp) -> Nat:
             frame = pop()
             if type(frame) is tuple:
                 x = denote(frame[0], frame[1], x)  # frame[1] is the left operand's value
+            elif type(node := frame._right) is Const:
+                value = node._value
+                y = value if type(value) is int and value >= 0 else check_nat(value)
+                x = denote(frame._op, x, y)
             else:
                 push((frame._op, x))
-                node = frame._right
                 break
         else:
             return x
@@ -184,7 +191,8 @@ _ICONST = tuple(map(IConst, range(256)))
 
 def _compile(e: Exp, left_first: bool) -> Prog:
     """Post-order code for ``e``: both operands' code, then the operation.  A node is
-    its own frame while its first operand is compiled, then ``(op,)`` while its second is."""
+    its own frame while its first operand is compiled, then ``(op,)`` while its second is,
+    unless its second is a ``Const``: that leaf and the operation are emitted at once."""
     prog: Prog = []
     emit = prog.append
     todo: list = []
@@ -202,9 +210,12 @@ def _compile(e: Exp, left_first: bool) -> Prog:
             frame = pop()
             if type(frame) is tuple:
                 emit(_IBINOP[frame[0]])
+            elif type(node := frame._right if left_first else frame._left) is Const:
+                value = node._value
+                emit(_ICONST[value] if type(value) is int and 0 <= value < 256 else IConst(value))
+                emit(_IBINOP[frame._op])
             else:
                 push((frame._op,))
-                node = frame._right if left_first else frame._left
                 break
         else:
             return prog
@@ -305,10 +316,7 @@ class ParseError(Exception):
 
 # A character outside the grammar: the parse fails at or before the first one.
 _FOREIGN = re.compile(r"[^0-9+*()\- \t\r\n\f\v]")
-_OPERATORS = {"+": Binop.PLUS, "-": Binop.MINUS, "*": Binop.TIMES}
-# Precedence of each symbol on the parser's operator stack; "(" marks an open
-# parenthesis and binds least.
-_BINDING = {"(": 0, "+": 1, "-": 1, "*": 2}
+_SUMS = {"+": Binop.PLUS, "-": Binop.MINUS}
 # The library never writes this table after building it, so each Const serves every parse.
 _NUMERALS = {str(n): Const(n) for n in range(256)}
 
@@ -336,69 +344,61 @@ def parse_exp(src: str) -> Exp:
 
     The text up to its first character outside the grammar is split into tokens by
     padding ``( ) + - *`` with spaces and calling ``split()``; that character, which
-    the parse cannot get past, is the last token.  Then an operator-precedence loop
-    with explicit stacks builds the tree, so any nesting depth is fine.  Any error, a
-    numeral too long for ``int`` too, is a :class:`ParseError`."""
+    the parse cannot get past, is the last token.  Then one loop builds the tree: it keeps
+    the pending left operands of ``+``/``-`` (with the operation) and of ``*``, which each
+    ``(`` saves and its ``)`` restores, so any nesting depth is fine.  Any error, a numeral
+    too long for ``int`` too, is a :class:`ParseError`."""
     foreign = _FOREIGN.search(src)
     end = foreign.start() if foreign else len(src)
     text = src[:end].replace("(", " ( ").replace(")", " ) ").replace("+", " + ")
     tokens = text.replace("-", " - ").replace("*", " * ").split()
     # That character is one token, even a "\xa0" that split() drops; "" if none.
     tokens += (src[end : end + 1], "")
-    operands: list[Exp] = []
-    pop_operand = operands.pop
-    # Operator symbols waiting for their right operand, and "(" for each open
-    # parenthesis; the bottom "(" stands for the whole text, closed by its end.
-    pending = ["("]
-    push_pending, pop_pending = pending.append, pending.pop
-    open_parens = 0
+    saved: list[tuple] = []  # per open "(", the enclosing level's pending operands
+    push_saved, pop_saved, times = saved.append, saved.pop, Binop.TIMES
+    summand = sum_op = factor = None  # pending left operands, None when there is none
     i = 0
     while True:
         # Expect an operand: open parentheses, then a numeral.
         token = tokens[i]
         while token == "(":
-            push_pending(token)
-            open_parens += 1
+            push_saved((summand, sum_op, factor))
+            summand = factor = None
             i += 1
             token = tokens[i]
-        const = _NUMERALS.get(token)
-        if const is None:
+        operand = _NUMERALS.get(token)
+        if operand is None:
             # A token is a numeral exactly when its first character is a digit.
             if not "0" <= token[:1] <= "9":
-                raise _parse_error(
-                    src, tokens, i, None if token else "expected a number or '('"
-                )
+                raise _parse_error(src, tokens, i, None if token else "expected a number or '('")
             try:
-                const = Const(int(token))
+                operand = Const(int(token))
             except ValueError:
-                raise _parse_error(
-                    src, tokens, i, f"numeral of {len(token)} digits is too long"
-                ) from None
-        operands.append(const)
-        # After an operand: close parentheses, then an operator or the end.
+                reason = f"numeral of {len(token)} digits is too long"
+                raise _parse_error(src, tokens, i, reason) from None
+        # After an operand: close the pending product, then, unless "*" follows, the sum.
         i += 1
         token = tokens[i]
-        while token not in _OPERATORS:
-            if open_parens:
-                if token != ")":
-                    raise _parse_error(src, tokens, i, "expected ')'")
-                open_parens -= 1
-            elif token:
-                raise _parse_error(src, tokens, i)
-            symbol = pop_pending()
-            while symbol != "(":
+        while True:
+            if factor is not None:
                 node = _new(BinOp)
-                node._op, node._right = _OPERATORS[symbol], pop_operand()
-                node._left, operands[-1] = operands[-1], node
-                symbol = pop_pending()
-            if not token:
-                return operands[0]
+                node._op, node._left, node._right = times, factor, operand
+                operand, factor = node, None
+            if token == "*":
+                factor = operand
+                break
+            if summand is not None:
+                node = _new(BinOp)
+                node._op, node._left, node._right = sum_op, summand, operand
+                operand, summand = node, None
+            if (sum_op := _SUMS.get(token)) is not None:
+                summand = operand
+                break
+            if token != ")" or not saved:  # the text ends here, or fails to
+                if saved or token:
+                    raise _parse_error(src, tokens, i, "expected ')'" if saved else None)
+                return operand
+            summand, sum_op, factor = pop_saved()
             i += 1
             token = tokens[i]
-        binding = _BINDING[token]
-        while _BINDING[pending[-1]] >= binding:
-            node = _new(BinOp)
-            node._op, node._right = _OPERATORS[pop_pending()], pop_operand()
-            node._left, operands[-1] = operands[-1], node
-        push_pending(token)
         i += 1

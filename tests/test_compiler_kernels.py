@@ -11,7 +11,10 @@ same program, the same value, or the same exception with the same message
 
 import ast
 import copy
+import importlib.util
 import pickle
+from collections import Counter
+from itertools import islice
 from pathlib import Path
 from typing import Optional
 
@@ -203,7 +206,17 @@ _PIECES = st.one_of(
 )
 
 
+# Each state change the parser makes for a level: a product and a sum pending
+# across a parenthesis, a level restored with both, nesting within a product,
+# and the errors after a "*", a "+", a ")" and at a stray ")".
 @given(st.lists(_PIECES, max_size=40).map("".join))
+@example("2*(3+4)*5")
+@example("1-(2-3)-4")
+@example("1+2*(3-4*(5+6))*7-8")
+@example("2*(3*")
+@example("2*(3+)")
+@example("(1+2)3")
+@example("1*)")
 def test_parse_exp_matches_reference_on_arbitrary_text(src):
     assert outcome(parse_exp, src) == outcome(ref_parse_exp, src)
 
@@ -390,13 +403,29 @@ trees = st.recursive(
 _TRUNCATING = BinOp(Binop.MINUS, Const(1), Const(2))
 
 
+def leaf_examples(test):
+    """``test`` run with a negative, a bool or a non-node as either operand, beside a
+    leaf or a node, under an operation and under an op that is not a ``Binop``; and on
+    a bad leaf beside a first operand that is not a natural (``Negating``'s sum), as
+    the interpreter checks the leaf first."""
+    for op in (Binop.MINUS, "Plus"):
+        for right in (Const(-1), Const(True), None):
+            test = example(BinOp(op, Const(3), right))(test)
+            test = example(BinOp(op, BinOp(Binop.TIMES, Const(2), Const(5)), right))(test)
+            test = example(BinOp(op, right, Const(3)))(test)
+    first = BinOp(Binop.PLUS, Const(Negating(2)), Const(1))
+    return example(BinOp(Binop.MINUS, first, Const("3")))(test)
+
+
 @given(trees)
 @example(_TRUNCATING)
+@leaf_examples
 def test_eval_exp_matches_reference(e):
     assert outcome(eval_exp, e) == outcome(ref_eval_exp, e)
 
 
 @given(trees)
+@leaf_examples
 def test_compilers_match_reference(e):
     assert outcome(compile_buggy, e) == outcome(ref_compile, e, True)
     assert outcome(compile_fixed, e) == outcome(ref_compile, e, False)
@@ -512,8 +541,47 @@ def test_show_value_of_compiled_programs_matches_reference(e):
         assert outcome(show_value, tuple(p)) == outcome(ref_show_prog, p)
 
 
+# The text table's edges, and values equal to a natural in it that must not
+# read from it: a bool and an int subclass.
+@pytest.mark.parametrize("value", [0, 7, 255, 256, -1, True, False, Small(3), 10**30, "3", None])
+def test_show_value_of_an_iconst_matches_reference(value):
+    instr = IConst(value)
+    assert outcome(show_value, instr) == outcome(ref_show_instr, instr)
+    assert outcome(show_value, [instr]) == outcome(ref_show_prog, [instr])
+
+
 @pytest.mark.parametrize("op", ["Plus", [1], None, 1, *Binop])
 def test_show_value_of_an_ibinop_matches_reference(op):
     instr = IBinop(op)
     assert outcome(show_value, instr) == outcome(ref_show_instr, instr)
     assert outcome(show_value, [instr]) == outcome(ref_show_prog, [instr])
+
+
+# ------------------------------------------- the benchmark's compiler ops
+
+
+def load_workloads():
+    """``bench/workloads.py``, loaded from its file: the benchmark's op streams."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_the_benchmarks_compiler_ops_match_the_references():
+    # Two blocks for each of three seeds, as the benchmark draws them with gen_tree and
+    # tree_text: 240 trees, 12 of them of 1,001 nodes, through every kernel together.
+    workloads = load_workloads()
+    blocks = [islice(workloads.Compiler().blocks(seed, None), 2) for seed in (1, 2, 3)]
+    ops = [op for seed_blocks in blocks for block in seed_blocks for op in block]
+    assert Counter(op[5] for op in ops) == {11: 168, 101: 60, 1001: 12}  # nodes per tree
+    for _kind, _variant, text, _eager, _expected, _nodes in ops:
+        tree = parse_exp(text)
+        assert repr(tree) == repr(ref_parse_exp(text))
+        assert eval_exp(tree) == ref_eval_exp(tree)
+        for compile_exp, left_first in ((compile_buggy, True), (compile_fixed, False)):
+            prog = compile_exp(tree)
+            assert repr(prog) == repr(ref_compile(tree, left_first))
+            assert run_prog(prog, []) == ref_run_prog(prog, [])
+            assert show_value(prog) == ref_show_prog(prog)

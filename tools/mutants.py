@@ -1,14 +1,16 @@
 """Planted defects that the test suite must catch: the committed mutant list.
 
 Each entry names a file, an exact text that occurs once in it, the text that
-replaces it and why the result is a defect.  For each entry the script copies
-``src/``, ``tests/`` and ``pyproject.toml`` to a temporary directory, applies the
-edit there and runs ``python -m pytest -x -q -p no:cacheprovider`` in that
-directory with ``PYTHONPATH`` set to its ``src``, so no ``.hypothesis`` folder or
-cache is written into the repository.  A mutant is killed when the suite fails.
-One line per mutant says killed or survived and the seconds taken; the exit
-status is 1 if any mutant survives, any old text does not occur exactly once, or
-pytest ends without running the suite (say, when it is not installed).
+replaces it, why the result is a defect, and the test file that kills it first.
+For each entry the script copies ``src/``, ``tests/``, ``bench/`` and
+``pyproject.toml`` to a temporary directory, applies the edit there and runs
+``python -m pytest -x -q -p no:cacheprovider`` in that directory with
+``PYTHONPATH`` set to its ``src``, so no ``.hypothesis`` folder or cache is
+written into the repository: on the entry's test file first, and on the whole
+suite if that file passes.  A mutant is killed when a run fails.  One line per
+mutant says killed or survived and the seconds taken; the exit status is 1 if any
+mutant survives, any old text does not occur exactly once, or pytest ends without
+running the tests (say, when it is not installed or the test file is missing).
 
 Run it from anywhere: ``python tools/mutants.py``.
 """
@@ -26,7 +28,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "pyproject.toml")
+COPIED = ("src", "tests", "bench", "pyproject.toml")
 
 
 class Mutant(NamedTuple):
@@ -35,6 +37,7 @@ class Mutant(NamedTuple):
     old: str  # occurs exactly once in the file
     new: str
     reason: str
+    first: str  # the test file run before the whole suite, relative to the root
 
 
 MUTANTS = [
@@ -45,6 +48,7 @@ MUTANTS = [
         "parts.append(a._text if type(a) is Evidence",
         "_join formats a nested Evidence by its raw _text, so a child not yet joined "
         "shows as its (format, arguments) pair",
+        "tests/test_deferred_evidence.py",
     ),
     Mutant(
         "runc-reuses-any-decide",
@@ -52,6 +56,7 @@ MUTANTS = [
         "check.run(prog) if type(check) is _ProgCheck else",
         "check.run(prog) if True else",
         "runc reuses a stack without checking that the decide is a _ProgCheck",
+        "tests/test_compiler.py",
     ),
     Mutant(
         "progcheck-run-skips-identity",
@@ -59,6 +64,7 @@ MUTANTS = [
         "if len(p) != len(snapshot) or not all(map(is_, p, snapshot)):",
         "if False:",
         "_ProgCheck.run returns the checked stack for a program changed after its check",
+        "tests/test_compiler.py",
     ),
     Mutant(
         "holds-skips-evidence-check",
@@ -66,6 +72,7 @@ MUTANTS = [
         "super().__init__(_evidence_only(self, evidence))",
         "super().__init__(evidence)",
         "Holds takes any field as its evidence, None or a string included",
+        "tests/test_builders.py",
     ),
     Mutant(
         "naturals-table-entry-200",
@@ -73,6 +80,7 @@ MUTANTS = [
         "_NATURALS = _Naturals((n, str(n)) for n in range(256))",
         "_NATURALS = _Naturals((n, str(n + (n == 200))) for n in range(256))",
         "the naturals text table holds 201 for 200",
+        "tests/test_fast_paths.py",
     ),
     Mutant(
         "naturals-table-for-int-subclasses",
@@ -80,6 +88,7 @@ MUTANTS = [
         "if show is str and cls is int:",
         "if show is str and issubclass(cls, int):",
         "an int subclass with its own __str__ renders from the naturals table",
+        "tests/test_fast_paths.py",
     ),
     Mutant(
         "naturals-table-ignores-registrations",
@@ -87,6 +96,7 @@ MUTANTS = [
         "if show is str and cls is int:",
         "if cls is int:",
         "a renderer registered for int or object never reaches a plain int",
+        "tests/test_fast_paths.py",
     ),
     Mutant(
         "naturals-table-unmapped-limit",
@@ -94,6 +104,7 @@ MUTANTS = [
         "except ValueError:  # a plain int's str raises it only past the digit limit",
         "except LimitError:  # a plain int's str raises it only past the digit limit",
         "the naturals text table lets str's plain ValueError out past the digit limit",
+        "tests/test_limits.py",
     ),
     Mutant(
         "record-repr-int-by-repr",
@@ -102,6 +113,7 @@ MUTANTS = [
         '"=", repr(value)',
         "a record's repr shows a plain int field by repr, which past the digit limit "
         "raises str's plain ValueError",
+        "tests/test_limits.py",
     ),
     Mutant(
         "join-int-argument-raw",
@@ -110,6 +122,7 @@ MUTANTS = [
         "else a)",
         "an evidence summary formats a plain int argument itself, which past the digit "
         "limit raises str's plain ValueError",
+        "tests/test_limits.py",
     ),
     Mutant(
         "show-int-table-for-int-subclasses",
@@ -118,6 +131,7 @@ MUTANTS = [
         "_NATURALS.__missing__(n)) if isinstance(n, int) else format(n)",
         "an int subclass with its own text, or a bool, is shown from the naturals table "
         "by the order predicates, equality and rational texts",
+        "tests/test_fast_paths.py",
     ),
     Mutant(
         "order-table-for-int-subclasses",
@@ -126,6 +140,7 @@ MUTANTS = [
         "if isinstance(n, int) and n >= 0:\n            if n < top:",
         "an order predicate accepts True, and serves it or an int subclass the verdict it "
         "keeps for 1 or for the subclass's value",
+        "tests/test_fast_paths.py",
     ),
     Mutant(
         "order-table-shared",
@@ -134,6 +149,7 @@ MUTANTS = [
         'kept: dict[int, Decision] = _order.__dict__.setdefault("kept", {})',
         "every order predicate keeps its verdicts in one table, so each serves the "
         "verdicts of the predicates that decided before it",
+        "tests/test_fast_paths.py",
     ),
     Mutant(
         "order-table-neighbour-entry",
@@ -141,6 +157,7 @@ MUTANTS = [
         "verdict = kept[n] = dec_le(n + 1, k) if strict else dec_le(k, n)",
         "verdict = kept[n] = dec_le(n + 2, k) if strict else dec_le(k, n + 1)",
         "an order predicate keeps, for each natural, the verdict of the next one",
+        "tests/test_fast_paths.py",
     ),
     Mutant(
         "denote-untruncated-minus",
@@ -148,6 +165,7 @@ MUTANTS = [
         "return x - y if x >= y else 0",
         "return x - y",
         "subtraction on naturals goes below zero",
+        "tests/test_compiler_kernels.py",
     ),
     Mutant(
         "check-limit-error-exits-one",
@@ -155,6 +173,7 @@ MUTANTS = [
         'print("LIMIT_ERROR result exceeds the integer digit limit")\n        return 2',
         'print("LIMIT_ERROR result exceeds the integer digit limit")\n        return 1',
         "check exits 1 on a limit error, so it passes for a cast failure",
+        "tests/test_cli.py",
     ),
     Mutant(
         "parse-error-offset-zero-based",
@@ -162,6 +181,67 @@ MUTANTS = [
         "return ParseError(reason, offset + 1)",
         "return ParseError(reason, offset)",
         "a parse error reports the 0-based offset of the failing character",
+        "tests/test_compiler_kernels.py",
+    ),
+    Mutant(
+        "parse-close-paren-drops-product",
+        "src/gradcast/compiler.py",
+        "summand, sum_op, factor = pop_saved()",
+        "summand, sum_op, factor = pop_saved()[:2] + (None,)",
+        "a ')' restores the enclosing level without its pending product",
+        "tests/test_compiler_kernels.py",
+    ),
+    Mutant(
+        "parse-open-paren-keeps-product",
+        "src/gradcast/compiler.py",
+        "summand = factor = None\n",
+        "summand = None\n",
+        "a '(' leaves the enclosing level's pending product pending inside it",
+        "tests/test_compiler_kernels.py",
+    ),
+    Mutant(
+        "eval-leaf-shortcut-unchecked",
+        "src/gradcast/compiler.py",
+        "y = value if type(value) is int and value >= 0 else check_nat(value)",
+        "y = value",
+        "eval_exp applies a node to its leaf second operand before checking the leaf, so "
+        "a first operand that is not a natural raises in its place",
+        "tests/test_compiler_kernels.py",
+    ),
+    Mutant(
+        "compile-leaf-shortcut-op-first",
+        "src/gradcast/compiler.py",
+        "emit(_ICONST[value] if type(value) is int and 0 <= value < 256 else IConst(value))"
+        "\n                emit(_IBINOP[frame._op])",
+        "emit(_IBINOP[frame._op])\n                "
+        "emit(_ICONST[value] if type(value) is int and 0 <= value < 256 else IConst(value))",
+        "_compile emits a node's operation before its leaf second operand",
+        "tests/test_compiler_kernels.py",
+    ),
+    Mutant(
+        "compile-looks-up-op-before-second-operand",
+        "src/gradcast/compiler.py",
+        "push((frame._op,))",
+        "push((frame._op, _IBINOP[frame._op]))",
+        "_compile looks up a node's IBinop before compiling its second operand, so an op "
+        "that is not a Binop raises KeyError before a non-node's TypeError",
+        "tests/test_compiler_kernels.py",
+    ),
+    Mutant(
+        "iconst-text-table-entry-255",
+        "src/gradcast/compiler.py",
+        'tuple(f"iConst {n}" for n in range(256))',
+        'tuple(f"iConst {n + (n == 255)}" for n in range(256))',
+        "the IConst text table holds iConst 256 for 255",
+        "tests/test_compiler_kernels.py",
+    ),
+    Mutant(
+        "iconst-text-table-for-int-subclasses",
+        "src/gradcast/compiler.py",
+        "if type(value) is int and 0 <= value < 256:\n        return _ICONST_TEXT[value]",
+        "if isinstance(value, int) and 0 <= value < 256:\n        return _ICONST_TEXT[value]",
+        "an IConst of a bool or an int subclass renders from the text table",
+        "tests/test_compiler_kernels.py",
     ),
 ]
 
@@ -183,15 +263,18 @@ def run(mutant: Mutant) -> tuple[str, float]:
             return "missing", time.perf_counter() - started
         path.write_text(text.replace(mutant.old, mutant.new))
         env = dict(os.environ, PYTHONPATH=str(Path(tmp) / "src"))
-        result = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
-            cwd=tmp, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-        )
+        for paths in ([mutant.first], []):  # the whole suite runs only if the file passes
+            result = subprocess.run(
+                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *paths],
+                cwd=tmp, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            )
+            if result.returncode:
+                break
     if result.returncode == 0:
         outcome = "survived"
     elif result.returncode in (1, 2) and re.search(r"\b\d+ (failed|errors?)\b", result.stdout):
         outcome = "killed"
-    else:  # pytest did not run the suite: no verdict on the mutant
+    else:  # pytest did not run the tests: no verdict on the mutant
         outcome = f"broken (pytest exit {result.returncode})"
     return outcome, time.perf_counter() - started
 
