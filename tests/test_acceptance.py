@@ -47,7 +47,6 @@ from gradcast.instances import (
 )
 from gradcast.predicates import (
     Evidence,
-    Holds,
     Pred,
     PredFamily,
     p_and,
@@ -65,14 +64,11 @@ from gradcast.rationals import (
     Rat,
     cast_rat,
 )
+from spec import divisor_scan_irreducible, holds
 
 
 def report(number, name, ok):
     print(f"criterion {number} ({name}): {'PASS' if ok else 'FAIL'}")
-
-
-def holds(decision):
-    return isinstance(decision, Holds)
 
 
 def test_criterion_1_golden_outputs(capsys):
@@ -180,16 +176,11 @@ def test_criterion_3_rational_strategy_equivalence(rat_grid):
     started = time.perf_counter()
     disagreements = []
 
-    def oracle(top, bottom):
-        return not any(
-            top % x == 0 and bottom % x == 0 for x in range(2, max(top, bottom) + 1)
-        )
-
     pairs = 0
     for top in range(0, 41):
         for bottom in range(1, 41):
             pairs += 1
-            expected = oracle(top, bottom)
+            expected = divisor_scan_irreducible(top, bottom)
             for strategy in IrredStrategy:
                 got = isinstance(rat_grid.casts[strategy, top, bottom], AttestedRat)
                 if got != expected:

@@ -32,17 +32,12 @@ from gradcast.compiler import (
     runc,
 )
 from gradcast.hocasts import cast_fun_range
-from gradcast.predicates import Holds, Pred, p_true
+from gradcast.predicates import Pred, p_true
 from gradcast.render import show_value
-from test_compiler_kernels import ref_eval_binop
-from test_records import eq_key, hash_key, ref_repr
+from spec import eq_key, hash_key, holds, ref_eval_binop, ref_repr
 
 MINUS_2_1 = BinOp(Binop.MINUS, Const(2), Const(1))
 PLUS_2_2 = BinOp(Binop.PLUS, Const(2), Const(2))
-
-
-def holds(decision):
-    return isinstance(decision, Holds)
 
 
 def test_eval_binop():

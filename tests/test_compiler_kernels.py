@@ -1,6 +1,6 @@
 """The compiler's parse, compile, evaluate and run loops and its instruction
-renderers against the straightforward code they replaced, kept here
-(``check_nat`` in ``spec``) as references.
+renderers against the straightforward code they replaced, the references in
+``spec``.
 
 The references scan the text one character at a time, build a new leaf per
 numeral, dispatch operations through Enum-keyed tables and check every
@@ -16,7 +16,6 @@ import pickle
 from collections import Counter
 from itertools import islice
 from pathlib import Path
-from typing import Optional
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -28,7 +27,6 @@ from gradcast.compiler import (
     Const,
     IBinop,
     IConst,
-    ParseError,
     compile_buggy,
     compile_fixed,
     eval_exp,
@@ -36,159 +34,16 @@ from gradcast.compiler import (
     run_prog,
 )
 from gradcast.render import show_value
-from spec import check_nat as ref_check_nat
-
-
-def ref_eval_binop(b, x, y):
-    ref_check_nat(x)
-    ref_check_nat(y)
-    if b is Binop.PLUS:
-        return x + y
-    if b is Binop.MINUS:
-        return x - y if x >= y else 0
-    return x * y
-
-
-_DONE = object()
-
-
-def ref_eval_exp(e):
-    values = []
-    todo = [e]
-    pop = todo.pop
-    while todo:
-        node = pop()
-        if isinstance(node, Const):
-            values.append(ref_check_nat(node.value))
-        elif node is _DONE:
-            right = values.pop()
-            values[-1] = ref_eval_binop(pop().op, values[-1], right)
-        elif isinstance(node, BinOp):
-            todo += (node, _DONE, node.right, node.left)
-        else:
-            raise TypeError(f"not an expression: {node!r}")
-    return values[0]
-
-
-def ref_run_prog(p, s):
-    stack = list(s)
-    stack.reverse()
-    push, pop = stack.append, stack.pop
-    for instr in p:
-        if isinstance(instr, IConst):
-            push(instr.value)
-        elif isinstance(instr, IBinop):
-            if len(stack) < 2:
-                return None
-            arg1 = pop()
-            stack[-1] = ref_eval_binop(instr.op, arg1, stack[-1])
-        else:
-            raise TypeError(f"not an instruction: {instr!r}")
-    stack.reverse()
-    return stack
-
-
-_REF_IBINOP = {b: IBinop(b) for b in Binop}
-
-
-def ref_compile(e, left_first):
-    prog = []
-    emit = prog.append
-    todo = [e]
-    pop = todo.pop
-    while todo:
-        node = pop()
-        if isinstance(node, Const):
-            emit(IConst(node.value))
-        elif node is _DONE:
-            emit(_REF_IBINOP[pop().op])
-        elif isinstance(node, BinOp):
-            if left_first:
-                todo += (node, _DONE, node.right, node.left)
-            else:
-                todo += (node, _DONE, node.left, node.right)
-        else:
-            raise TypeError(f"not an expression: {node!r}")
-    return prog
-
-
-_WHITESPACE = " \t\r\n\f\v"
-_DIGITS = "0123456789"
-_OPERATORS = {"+": Binop.PLUS, "-": Binop.MINUS, "*": Binop.TIMES}
-_PRECEDENCE = {Binop.PLUS: 1, Binop.MINUS: 1, Binop.TIMES: 2}
-_BINDING = {None: 0, **_PRECEDENCE}
-
-
-def ref_parse_exp(src):
-    end = len(src)
-    text = src + "\0"
-    pos = 0
-    operands = []
-    pending: list[Optional[Binop]] = []
-    open_parens = 0
-
-    def reduce(min_prec):
-        while pending and _BINDING[pending[-1]] >= min_prec:
-            right = operands.pop()
-            operands[-1] = BinOp(pending.pop(), operands[-1], right)
-
-    while True:
-        ch = text[pos]
-        while ch in _WHITESPACE or ch == "(":
-            if ch == "(":
-                pending.append(None)
-                open_parens += 1
-            pos += 1
-            ch = text[pos]
-        if ch not in _DIGITS:
-            if pos == end:
-                raise ParseError("expected a number or '('", pos + 1)
-            raise ParseError(f"unexpected character {ch!r}", pos + 1)
-        start = pos
-        pos += 1
-        while text[pos] in _DIGITS:
-            pos += 1
-        try:
-            operands.append(Const(int(text[start:pos])))
-        except ValueError:
-            raise ParseError(
-                f"numeral of {pos - start} digits is too long", start + 1
-            ) from None
-        while True:
-            ch = text[pos]
-            while ch in _WHITESPACE:
-                pos += 1
-                ch = text[pos]
-            op = _OPERATORS.get(ch)
-            if op is not None:
-                break
-            if not open_parens:
-                if pos == end:
-                    reduce(1)
-                    return operands[0]
-                raise ParseError(f"unexpected character {ch!r}", pos + 1)
-            if ch != ")":
-                raise ParseError("expected ')'", pos + 1)
-            reduce(1)
-            pending.pop()
-            open_parens -= 1
-            pos += 1
-        reduce(_PRECEDENCE[op])
-        pending.append(op)
-        pos += 1
-
-
-def outcome(fn, *args):
-    """What a call shows its caller: the result with its exact rendering
-    (``IConst(True)`` equals ``IConst(1)``, but does not print like it), or
-    the exception with its message, reason and offset."""
-    try:
-        result = fn(*args)
-    except ParseError as exc:
-        return ("parse error", exc.reason, exc.offset, str(exc))
-    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
-        return ("raised", type(exc), str(exc))
-    return ("returned", type(result), repr(result))
+from spec import (
+    Small,
+    outcome,
+    ref_compile,
+    ref_eval_exp,
+    ref_parse_exp,
+    ref_run_prog,
+    ref_show_instr,
+    ref_show_prog,
+)
 
 
 # ---------------------------------------------------------------- parser
@@ -360,10 +215,6 @@ def test_parse_exp_takes_canonical_numerals_below_256_from_its_table(first, rest
 # ------------------------------------------------- trees and programs
 
 
-class Small(int):
-    """An int subclass: takes check_nat's slow path."""
-
-
 class Negating(int):
     """An int subclass whose arithmetic leaves the naturals."""
 
@@ -517,17 +368,6 @@ def test_run_prog_of_compiled_trees_matches_reference(e):
 
 
 # ------------------------------------------------------------ rendering
-
-
-def ref_show_instr(instr):
-    """The instruction renderers as they read the public fields."""
-    if isinstance(instr, IConst):
-        return f"iConst {instr.value}"
-    return f"iBinop {instr.op.value}"
-
-
-def ref_show_prog(p):
-    return " :: ".join([ref_show_instr(instr) for instr in p] + ["nil"])
 
 
 @given(trees)

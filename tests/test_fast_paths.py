@@ -1,8 +1,7 @@
 """The derived equalities, ``check_nat`` and sequence rendering against the
-straightforward implementations they replaced, kept here (or, where shared,
-in ``spec``) as references.
+straightforward implementations they replaced, the references in ``spec``.
 
-The references build a fresh verdict per element comparison, run the full
+The references send every element pair to the element decider, run the full
 natural-number checks and call ``show_value`` once per element.  The
 library compares a pair of plain naturals inline, sends every other pair to
 the element decider, and finds renderers in a class -> renderer table; it must
@@ -46,66 +45,9 @@ from gradcast.instances import (
     pred_lt_const,
 )
 from gradcast.predicates import Holds, Refutes
-from gradcast.render import show_optional, show_sequence, show_value
+from gradcast.render import show_sequence, show_value
 import spec
-from spec import _holds, _refutes, check_nat as ref_check_nat
-
-
-def ref_show_sequence(show_elem):
-    def show(xs):
-        parts = [show_elem(x) for x in xs]
-        parts.append("nil")
-        return " :: ".join(parts)
-
-    return show
-
-
-def ref_show_value(value):
-    # The renderers that changed: sequences rendered element by element
-    # through a per-call closure, every int but a bool by str, and None by
-    # its own renderer.
-    if isinstance(value, (list, tuple)):
-        return ref_show_sequence(ref_show_value)(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return str(value)
-    if value is None:
-        return "None"
-    return show_value(value)
-
-
-def ref_eq_nat():
-    def decide(a, b):
-        ref_check_nat(a)
-        ref_check_nat(b)
-        if a == b:
-            return _holds("eq_refl")
-        return _refutes(f"{a} <> {b}")
-
-    return EqDec(eq_decide=decide, render_value=ref_show_value)
-
-
-def ref_eq_list(elem):
-    def decide(xs, ys):
-        if len(xs) != len(ys):
-            return _refutes(f"lengths differ: {len(xs)} <> {len(ys)}")
-        for x, y in zip(xs, ys):
-            verdict = elem.eq_decide(x, y)
-            if isinstance(verdict, Refutes):
-                return _refutes(f"elements differ: {elem.render_eq(x, y)}")
-        return _holds("eq_refl")
-
-    return EqDec(eq_decide=decide, render_value=ref_show_sequence(elem.render_value))
-
-
-def ref_eq_option(elem):
-    def decide(a, b):
-        if a is None and b is None:
-            return _holds("eq_refl")
-        if a is None or b is None:
-            return _refutes("None <> Some")
-        return elem.eq_decide(a, b)
-
-    return EqDec(eq_decide=decide, render_value=show_optional(elem.render_value))
+from spec import Small, check_nat as ref_check_nat, ref_show_value
 
 
 def outcome(fn, *args):
@@ -120,10 +62,6 @@ def outcome(fn, *args):
     if isinstance(result, Refutes):
         return ("refutes", result.refutation.summary)
     return ("returned", type(result), result)
-
-
-class Small(int):
-    """An int subclass: takes check_nat's slow path."""
 
 
 class Shown(int):
@@ -185,13 +123,13 @@ def test_check_nat_matches_reference(value):
 
 @given(elements, elements)
 def test_eq_nat_matches_reference(a, b):
-    assert outcome(eq_nat().eq_decide, a, b) == outcome(ref_eq_nat().eq_decide, a, b)
+    assert outcome(eq_nat().eq_decide, a, b) == outcome(spec.eq_nat().eq_decide, a, b)
 
 
 @given(list_pairs())
 def test_eq_list_matches_reference(pair):
     xs, ys = pair
-    fast, ref = eq_list(eq_nat()), ref_eq_list(ref_eq_nat())
+    fast, ref = eq_list(eq_nat()), spec.eq_list(spec.eq_nat())
     assert outcome(fast.eq_decide, xs, ys) == outcome(ref.eq_decide, xs, ys)
     assert outcome(fast.render_eq, xs, ys) == outcome(ref.render_eq, xs, ys)
 
@@ -205,7 +143,7 @@ def test_eq_list_over_eq_nat_decide_with_another_renderer_matches_reference(pair
     # eq_nat's own decider under another renderer: still compared inline.
     xs, ys = pair
     fast = eq_list(EqDec(eq_decide=eq_nat().eq_decide, render_value=show_bracketed))
-    ref = ref_eq_list(EqDec(eq_decide=ref_eq_nat().eq_decide, render_value=show_bracketed))
+    ref = spec.eq_list(EqDec(eq_decide=spec.eq_nat().eq_decide, render_value=show_bracketed))
     assert outcome(fast.eq_decide, xs, ys) == outcome(ref.eq_decide, xs, ys)
     assert outcome(fast.render_eq, xs, ys) == outcome(ref.render_eq, xs, ys)
 
@@ -218,7 +156,7 @@ def test_eq_list_over_eq_nat_decide_with_another_renderer_matches_reference(pair
 )
 def test_nested_eq_list_matches_reference(pair):
     xs, ys = pair
-    fast, ref = eq_list(eq_list(eq_nat())), ref_eq_list(ref_eq_list(ref_eq_nat()))
+    fast, ref = eq_list(eq_list(eq_nat())), spec.eq_list(spec.eq_list(spec.eq_nat()))
     assert outcome(fast.eq_decide, xs, ys) == outcome(ref.eq_decide, xs, ys)
     assert outcome(fast.render_eq, xs, ys) == outcome(ref.render_eq, xs, ys)
 
@@ -228,7 +166,7 @@ def test_eq_option_matches_reference(pair, left_none, right_none):
     a = None if left_none else pair[0]
     b = None if right_none else pair[1]
     fast = eq_option(eq_list(eq_nat()))
-    ref = ref_eq_option(ref_eq_list(ref_eq_nat()))
+    ref = spec.eq_option(spec.eq_list(spec.eq_nat()))
     assert outcome(fast.eq_decide, a, b) == outcome(ref.eq_decide, a, b)
     assert outcome(fast.render_eq, a, b) == outcome(ref.render_eq, a, b)
 
@@ -331,7 +269,7 @@ def test_registration_after_a_first_direct_render_applies_to_the_next_render(for
 
 
 def test_an_int_subclass_with_its_own_renderer_keeps_it():
-    class Tagged(int):
+    class Tagged(Small):  # a class of this test's own: a registration is process-wide
         pass
 
     class TaggedChild(Tagged):

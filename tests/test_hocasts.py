@@ -13,20 +13,11 @@ from gradcast.hocasts import (
 from gradcast.instances import dec_le, pred_ge_const, pred_gt_const, pred_lt_const
 from gradcast.predicates import Pred, PredFamily, p_true
 from gradcast.render import show_value
+from spec import counting_pred, ref_show_ilist
 
 
 def successor(n):
     return n + 1
-
-
-def counting_pred(inner):
-    calls = []
-
-    def decide(a):
-        calls.append(a)
-        return inner.decide(a)
-
-    return Pred(decide=decide, render=inner.render), calls
 
 
 def test_cast_fun_range_success():
@@ -193,15 +184,6 @@ def test_ilist_rendering_interleaves_index_and_element():
     assert show_value(build_list(1)) == "Cons 0 0 Nil"
     assert show_value(build_list(2)) == "Cons 1 0 (Cons 0 0 Nil)"
     assert show_value(IList(2, (7, 9))) == "Cons 1 7 (Cons 0 9 Nil)"
-
-
-def ref_show_ilist(value):
-    """The renderer before it went linear: rebuilds the nested text per element."""
-    text = "Nil"
-    for index, item in enumerate(reversed(value.items)):
-        tail = text if text == "Nil" else f"({text})"
-        text = f"Cons {index} {show_value(item)} {tail}"
-    return text
 
 
 @pytest.mark.parametrize("n", range(41))

@@ -17,15 +17,11 @@ from gradcast.instances import (
     pred_gt_const,
     pred_lt_const,
 )
-from gradcast.predicates import Holds
+from spec import Small, holds
 
 EQ_NAT = eq_nat()
 EQ_LIST_NAT = eq_list(EQ_NAT)
 EQ_OPT_LIST = eq_option(EQ_LIST_NAT)
-
-
-def holds(decision):
-    return isinstance(decision, Holds)
 
 
 def test_check_nat():
@@ -56,10 +52,6 @@ def test_pred_lt_const_examples():
     assert not holds(lt10.decide(15))
     assert lt10.render(15) == "16 <= 10"
     assert lt10.render(5) == "6 <= 10"
-
-
-class NatSubclass(int):
-    pass
 
 
 @pytest.mark.parametrize(
@@ -101,15 +93,15 @@ def test_order_predicate_renders_reject_what_decide_rejects(make, value, error, 
 
 
 def test_pred_lt_const_accepts_an_int_subclass():
-    assert holds(pred_lt_const(10).decide(NatSubclass(7)))
-    assert not holds(pred_lt_const(10).decide(NatSubclass(10)))
+    assert holds(pred_lt_const(10).decide(Small(7)))
+    assert not holds(pred_lt_const(10).decide(Small(10)))
 
 
 @pytest.mark.parametrize(
     "make, text", [(pred_lt_const, "8 <= 10"), (pred_gt_const, "11 <= 7"), (pred_ge_const, "10 <= 7")]
 )
 def test_order_predicates_render_an_int_subclass(make, text):
-    assert make(10).render(NatSubclass(7)) == text
+    assert make(10).render(Small(7)) == text
 
 
 def test_pred_gt_const_renders_successor_form():
@@ -139,7 +131,7 @@ def _gt_outcome(make, k, n):
     return outcomes
 
 
-GT_GRID = [0, 1, 2, 3, 4, 7, 10, 11, 12, NatSubclass(3), NatSubclass(11), True, False, -1, 2.5, 10**20]
+GT_GRID = [0, 1, 2, 3, 4, 7, 10, 11, 12, Small(3), Small(11), True, False, -1, 2.5, 10**20]
 
 
 @pytest.mark.parametrize("k", GT_GRID, ids=repr)

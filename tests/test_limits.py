@@ -36,8 +36,7 @@ from gradcast.rationals import (
     cast_rat,
 )
 from gradcast.render import show_value
-from test_compiler_kernels import outcome, ref_compile, ref_eval_exp, ref_parse_exp, ref_run_prog
-from test_fast_paths import Small
+from spec import Small, outcome, ref_compile, ref_eval_exp, ref_parse_exp, ref_run_prog
 
 _LIMIT_MESSAGE = "an integer exceeds the integer digit limit"
 

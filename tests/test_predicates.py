@@ -6,8 +6,6 @@ import pytest
 import spec
 from gradcast.predicates import (
     Evidence,
-    Holds,
-    Pred,
     Refutes,
     p_and,
     p_equivalent,
@@ -21,21 +19,7 @@ from gradcast.predicates import (
     p_true,
 )
 from gradcast.instances import dec_le, pred_lt_const
-
-
-def holds(decision):
-    return isinstance(decision, Holds)
-
-
-def counting_pred(result_pred):
-    """Wrap a predicate so we can observe how often decide runs."""
-    calls = []
-
-    def decide(a):
-        calls.append(a)
-        return result_pred.decide(a)
-
-    return Pred(decide=decide, render=result_pred.render), calls
+from spec import counting_pred, holds
 
 
 def test_p_true_always_holds():

@@ -1,109 +1,33 @@
 """``cast_rat`` and ``gcd`` against the versions that built evidence for
-every decision, kept here as references.
+every decision, the references in ``spec``.
 
-The references decide the nonzero-bottom guard through a ``Pred``, run
-Euclid's algorithm in Python and reach the gcd strategy through an
-evidence-bearing ``p_equivalent`` predicate; the library decides by arm
+The references run Euclid's algorithm in Python, reach the gcd strategy's arm
+through an evidence-bearing ``p_equivalent`` predicate, and build the cast the
+old way: strategy and mode checked first, each natural through ``check_nat``,
+``Rat`` through its record base's ``__init__``.  The library decides by arm
 only.  Both must give the same result type and fields, the same lazy failure
 texts, or the same exception with the same message.
 """
 
 import copy
-import math
 import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradcast.casts import CastFault, FailureMode, check_choice
-from gradcast.instances import check_nat
-from gradcast.predicates import Decision, Holds, Pred, Refutes
+from gradcast.casts import CastFault, FailureMode
+from gradcast.predicates import Holds, Refutes
 from gradcast.rationals import (
     _RATIONAL_EVIDENCE,
-    MACHINE_ARITH,
-    PEANO_ARITH,
     RAT_INVARIANTS,
     AttestedRat,
     FailedCastRat,
     IrredStrategy,
     Rat,
-    _require_nonzero_bottom,
     cast_rat,
     gcd,
-    irreducible_bounded,
 )
-from gradcast.render import show_value
-from spec import _holds, _refutes, issued, p_equivalent
-
-
-def ref_gcd(a, b):
-    check_nat(a)
-    check_nat(b)
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def ref_irreducibility_text(top, bottom):
-    return f"forall x y z, y * x = {top} /\\ z * x = {bottom} -> 1 = x"
-
-
-def ref_decide_gcd(pair):
-    top, bottom = pair
-    g = ref_gcd(top, bottom)
-    if g == 1:
-        return _holds(f"gcd {top} {bottom} = 1")
-    return _refutes(f"gcd {top} {bottom} = {g}")
-
-
-REF_GCD_IRREDUCIBLE = p_equivalent(
-    Pred(decide=ref_decide_gcd, render=lambda pair: f"gcd {pair[0]} {pair[1]} = 1"),
-    render_override=lambda pair: ref_irreducibility_text(*pair),
-    justification="irreducibility is equivalent to gcd(top, bottom) = 1 for a nonzero bottom",
-)
-
-
-def ref_irreducible_gcd(top, bottom) -> Decision:
-    check_nat(top)
-    check_nat(bottom)
-    _require_nonzero_bottom(bottom)
-    return REF_GCD_IRREDUCIBLE.decide((top, bottom))
-
-
-REF_IRRED_DECIDERS = {
-    IrredStrategy.BOUNDED: lambda t, b: irreducible_bounded(t, b, PEANO_ARITH),
-    IrredStrategy.BINARY_BOUNDED: lambda t, b: irreducible_bounded(t, b, MACHINE_ARITH),
-    IrredStrategy.GCD: ref_irreducible_gcd,
-}
-
-REF_BOTTOM_NONZERO = Pred(
-    decide=lambda b: _refutes("0 = 0") if b == 0 else _holds(f"0 <> {b}: {b} is a successor"),
-    render=lambda b: f"0 <> {b}",
-)
-
-
-def ref_cast_rat(sign, top, bottom, strategy=IrredStrategy.GCD, mode=FailureMode.LAZY):
-    check_nat(top)
-    check_nat(bottom)
-    if not isinstance(sign, bool):
-        raise TypeError(f"sign must be a bool, got {sign!r}")
-
-    def fail(violated):
-        if mode is FailureMode.EAGER:
-            raise CastFault(f"mkRat {show_value(sign)} {top} {bottom}", violated)
-        return FailedCastRat(f"mkRat {show_value(sign)} {top} {bottom}", violated)
-
-    bottom_verdict = REF_BOTTOM_NONZERO.decide(bottom)
-    if isinstance(bottom_verdict, Refutes):
-        return fail(REF_BOTTOM_NONZERO.render(bottom))
-    irred_verdict = REF_IRRED_DECIDERS[strategy](top, bottom)
-    if isinstance(irred_verdict, Refutes):
-        return fail(ref_irreducibility_text(top, bottom))
-    return issued(AttestedRat, issued(Rat, sign, top, bottom), RAT_INVARIANTS, _RATIONAL_EVIDENCE)
-
-
-class PlainInt(int):
-    pass
+from spec import Small, ref_cast_rat, ref_gcd, ref_irreducible_gcd
 
 
 class ModLies(int):
@@ -143,7 +67,7 @@ def fields(naturals):
         st.booleans(),
         st.floats(allow_nan=True),
         st.text(max_size=3),
-        naturals.map(PlainInt),
+        naturals.map(Small),
     )
 
 
@@ -218,44 +142,6 @@ def test_int_subclass_overriding_mod_is_decided_by_its_value():
     assert refined.top is top
 
 
-# A reference ``cast_rat`` that validates each natural through ``check_nat``
-# (in ``gcd`` too), builds ``Rat`` through its record base's ``__init__`` and is
-# read through ``value``, not through the ``Rat``'s private slots.
-
-
-def old_gcd(a, b):
-    check_nat(a)
-    check_nat(b)
-    return math.gcd(a, b)
-
-
-OLD_IRRED_DECIDERS = {
-    IrredStrategy.BOUNDED: lambda t, b: isinstance(irreducible_bounded(t, b, PEANO_ARITH), Holds),
-    IrredStrategy.BINARY_BOUNDED: lambda t, b: isinstance(
-        irreducible_bounded(t, b, MACHINE_ARITH), Holds
-    ),
-    IrredStrategy.GCD: lambda t, b: old_gcd(t, b) == 1,
-}
-
-
-def old_cast_rat(sign, top, bottom, strategy, mode):
-    if type(strategy) is not IrredStrategy:
-        check_choice("strategy", strategy, IrredStrategy)
-    if type(mode) is not FailureMode:
-        check_choice("mode", mode, FailureMode)
-    check_nat(top)
-    check_nat(bottom)
-    if not isinstance(sign, bool):
-        raise TypeError(f"sign must be a bool, got {sign!r}")
-    if bottom != 0 and OLD_IRRED_DECIDERS[strategy](top, bottom):
-        return issued(AttestedRat, issued(Rat, sign, top, bottom), RAT_INVARIANTS, _RATIONAL_EVIDENCE)
-    value_text = f"mkRat {show_value(sign)} {top} {bottom}"
-    violated = f"0 <> {bottom}" if bottom == 0 else ref_irreducibility_text(top, bottom)
-    if mode is FailureMode.EAGER:
-        raise CastFault(value_text, violated)
-    return FailedCastRat(value_text, violated)
-
-
 def raised(fn, *args):
     try:
         fn(*args)
@@ -275,7 +161,7 @@ def rat_arguments(draw):
         st.just(0),
         st.booleans(),
         st.integers(-(10**18), -1),
-        naturals.map(PlainInt),
+        naturals.map(Small),
         st.floats(allow_nan=True),
         st.none(),
     )
@@ -287,7 +173,7 @@ def rat_arguments(draw):
 @given(rat_arguments())
 def test_cast_rat_is_the_cast_built_the_old_way(args):
     try:
-        want = old_cast_rat(*args)
+        want = ref_cast_rat(*args)
     except Exception as err:  # noqa: BLE001 - compared, not handled
         with pytest.raises(type(err)) as got:
             cast_rat(*args)
@@ -311,7 +197,7 @@ def test_cast_rat_is_the_cast_built_the_old_way(args):
         assert getattr(got.value, name) is getattr(want.value, name)
 
 
-@pytest.mark.parametrize("top, bottom", [(5, 6), (0, 1), (10**18, 10**18 - 1), (PlainInt(3), 4)])
+@pytest.mark.parametrize("top, bottom", [(5, 6), (0, 1), (10**18, 10**18 - 1), (Small(3), 4)])
 def test_rats_and_attested_rats_survive_copy_deepcopy_and_pickle(top, bottom):
     refined = cast_rat(False, top, bottom)
     assert isinstance(refined, AttestedRat)

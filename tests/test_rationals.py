@@ -16,29 +16,7 @@ from gradcast.rationals import (
 )
 import gradcast.rationals as rationals
 from gradcast.cli import bench_strategies
-from spec import issued
-
-
-def holds(decision):
-    return isinstance(decision, Holds)
-
-
-def divisor_scan_irreducible(top, bottom):
-    """Independent oracle: no x >= 2 divides both top and bottom."""
-    return not any(
-        top % x == 0 and bottom % x == 0 for x in range(2, max(top, bottom) + 1)
-    )
-
-
-def least_counterexample(top, bottom):
-    """Least (x, y, z) with y*x = top, z*x = bottom and x != 1, by triple scan."""
-    bound = max(top, bottom)
-    for x in range(bound + 1):
-        for y in range(bound + 1):
-            for z in range(bound + 1):
-                if y * x == top and z * x == bottom and x != 1:
-                    return (x, y, z)
-    return None
+from spec import divisor_scan_irreducible, holds, issued, least_counterexample
 
 
 def test_gcd_examples():

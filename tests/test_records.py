@@ -1,6 +1,6 @@
 """Record ``==``, ``!=``, ``hash`` and ``repr`` against recursive references.
 
-The references below do not use the record's own methods: ``==`` compares
+The references in ``spec`` do not use the record's own methods: ``==`` compares
 nested ``(type, field, ...)`` tuples, ``hash`` hashes nested field tuples
 (``hash(record) == hash(fields)``, so by induction a record hashes as its
 nested field tuples do), and ``repr`` is written out recursively.  The
@@ -15,31 +15,7 @@ import pytest
 from exprgen import recursion_fails_fast
 from gradcast.compiler import parse_exp
 from gradcast.records import record
-
-
-def is_record(x):
-    return hasattr(type(x), "_shown")
-
-
-def eq_key(x):
-    """``x`` with each record replaced by ``(type, *fields)``, recursively."""
-    if is_record(x):
-        return (type(x), *[eq_key(getattr(x, name)) for name in x._shown])
-    return x
-
-
-def hash_key(x):
-    """``x`` with each record replaced by the tuple of its fields, recursively."""
-    if is_record(x):
-        return tuple([hash_key(getattr(x, name)) for name in x._shown])
-    return x
-
-
-def ref_repr(x):
-    if is_record(x):
-        shown = ", ".join([f"{name}={ref_repr(getattr(x, name))}" for name in x._shown])
-        return f"{type(x).__qualname__}({shown})"
-    return repr(x)
+from spec import eq_key, hash_key, ref_repr
 
 
 class Cell(record("head", "tail")):
