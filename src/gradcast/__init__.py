@@ -33,7 +33,6 @@ from .instances import (
     Nat,
     check_nat,
     dec_le,
-    eq_bool,
     eq_list,
     eq_nat,
     eq_option,
@@ -50,13 +49,11 @@ from .predicates import (
     PredFamily,
     Refutes,
     p_and,
-    p_equivalent,
     p_false,
     p_forall_bounded,
     p_implies,
     p_not,
     p_or,
-    p_proven,
     p_relate,
     p_true,
 )

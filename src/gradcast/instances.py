@@ -1,5 +1,5 @@
-"""Concrete decidable predicates: order and equality over naturals and
-booleans, with structural equality derived for sequences and optionals.
+"""Concrete decidable predicates: order and equality over naturals, with
+structural equality derived for sequences and optionals.
 
 Naturals are plain Python ints restricted to be non-negative; since Python
 integers are unbounded there is no wraparound, so the only arithmetic faults
@@ -127,15 +127,6 @@ def _eq_nat_decide(a: Nat, b: Nat) -> Decision:
 
 def eq_nat() -> EqDec[Nat]:
     return EqDec(eq_decide=_eq_nat_decide, render_value=show_value)
-
-
-def eq_bool() -> EqDec[bool]:
-    def decide(a: bool, b: bool) -> Decision:
-        if a == b:
-            return _EQ_REFL
-        return _refutes("{} <> {}", _later(show_value, a), _later(show_value, b))
-
-    return EqDec(eq_decide=decide, render_value=show_value)
 
 
 def eq_list(elem: EqDec[A]) -> EqDec[Sequence[A]]:

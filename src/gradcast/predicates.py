@@ -5,9 +5,8 @@ that produces the instantiated proposition text ("16 <= 10", "2 = 3", ...).
 Complex procedures are composed from simple ones with the logical combinators
 below; every combinator computes the classical connective of the sub-decisions.
 
-Evidence is deliberately unforgeable: the only ways to obtain an
-:class:`Evidence` are the ``Holds``/``Refutes`` arm of a decision and
-:func:`p_proven`, which is an explicit, documented trust step.  Evidence is
+Evidence is deliberately unforgeable: the only way to obtain an
+:class:`Evidence` is the ``Holds``/``Refutes`` arm of a decision.  Evidence is
 immutable and may be shared: compare it with ``==``, not by identity.
 ``Holds``/``Refutes`` take only an ``Evidence``, and a child verdict that is no
 decision raises ``TypeError``.
@@ -58,8 +57,7 @@ class Evidence:
 
     def __init__(self, *args: object, **kwargs: object) -> None:
         raise TypeError(
-            "Evidence cannot be constructed directly; it is only issued by "
-            "decision procedures (or by p_proven, an explicit trust step)"
+            "Evidence cannot be constructed directly; it is only issued by decision procedures"
         )
 
     summary = property(_join, doc="Read-only justification text, joined on first read.")
@@ -213,43 +211,6 @@ def p_implies(p: Pred[A], q: Pred[A]) -> Pred[A]:
         return _refutes("antecedent holds but consequent refuted: {}", _later(q_render, a))
 
     return Pred(decide=decide, render=lambda a: f"{p_render(a)} -> {q_render(a)}")
-
-
-def p_proven(description: str) -> Pred[Any]:
-    """A property the caller asserts has been established elsewhere.
-
-    This is a trust boundary: the library takes the caller's word for it and
-    always decides ``Holds``, with the description as the evidence summary.
-    Keep the description auditable (point at the external argument).
-    """
-    text = _later(format, description)
-    return Pred(decide=lambda _a: _holds("{}", text), render=lambda _a: description)
-
-
-def p_equivalent(
-    substitute: Pred[A],
-    render_override: Callable[[A], str],
-    justification: str,
-) -> Pred[A]:
-    """Decide one property by running an equivalent one.
-
-    The caller asserts that the proposition described by ``render_override``
-    is logically equivalent to ``substitute``'s; that assertion is a trust
-    boundary, so ``justification`` is mandatory and is carried into the
-    evidence.  Failures render the original proposition, not the substitute,
-    which is what makes swapping in a faster decision procedure transparent
-    to cast reports.
-    """
-
-    why, inner_decide = _later(format, justification), substitute.decide
-
-    def decide(a: A) -> Decision:
-        inner = inner_decide(a)
-        if isinstance(inner, Holds) or not _refuted(inner):
-            return _holds("{} (via equivalence: {})", inner.evidence, why)
-        return _refutes("{} (via equivalence: {})", inner.refutation, why)
-
-    return Pred(decide=decide, render=render_override)
 
 
 def p_forall_bounded(k: int, family: Callable[[int], Pred[int]]) -> Pred[None]:

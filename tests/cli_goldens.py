@@ -128,6 +128,10 @@ ROWS = [
     *(Row(("rat", "+", top, bottom, "--strategy", "bounded"), 2,
           "LIMIT_ERROR strategy bounded takes top and bottom up to 90\n")
       for top, bottom in (("91", "1"), ("1", "91"), ("3000", "3001"), ("400", "0"))),
+    # a top at the ceiling is accepted, and then the zero bottom refused without enumerating
+    *(Row(("rat", "+", top, "0", "--strategy", strategy), 1,
+          f"FAILED_CAST value=mkRat true {top} 0 prop=0 <> 0\n")
+      for top, strategy in (("90", "bounded"), ("2000", "binary"))),
     Row(("rat", "+", "6", "90", "--strategy", "bounded"), 1,
         "FAILED_CAST value=mkRat true 6 90 prop=forall x y z, y * x = 6 /\\ z * x = 90 -> 1 = x\n"),
     *(Row(("rat", "+", top, bottom, "--strategy", "binary"), 2,

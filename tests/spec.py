@@ -19,8 +19,9 @@ test module imports it from here and imports no other test module.
   every operand through ``ref_eval_binop``.
 - Records: ``eq_key``, ``hash_key`` and ``ref_repr`` walk the shown fields
   recursively, without the record's own methods.
-- Rationals: Euclid's ``ref_gcd``, ``ref_irreducible_gcd`` through an
-  evidence-bearing ``p_equivalent``, ``ref_cast_rat``, and the scans
+- Rationals: Euclid's ``ref_gcd``, ``ref_irreducible_gcd`` through
+  ``p_equivalent``, an evidence-bearing equivalence step that only this
+  reference has, ``ref_cast_rat``, and the scans
   ``divisor_scan_irreducible`` and ``least_counterexample``.
 - Helpers: ``issued`` makes the records whose constructors refuse every call
   (evidence, rationals, refined values) as the library's builders make them,
@@ -151,15 +152,6 @@ def eq_nat():
     return EqDec(eq_decide=decide, render_value=ref_show_value)
 
 
-def eq_bool():
-    def decide(a, b):
-        if a == b:
-            return _EQ_REFL
-        return _refutes(f"{show_value(a)} <> {show_value(b)}")
-
-    return EqDec(eq_decide=decide, render_value=show_value)
-
-
 def eq_list(elem):
     def decide(xs, ys):
         if len(xs) != len(ys):
@@ -246,10 +238,6 @@ def p_implies(p, q):
         return _refutes(f"antecedent holds but consequent refuted: {q.render(a)}")
 
     return Pred(decide=decide, render=lambda a: f"{p.render(a)} -> {q.render(a)}")
-
-
-def p_proven(description):
-    return Pred(decide=lambda _a: _holds(description), render=lambda _a: description)
 
 
 def p_equivalent(substitute, render_override, justification):

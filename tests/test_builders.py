@@ -52,13 +52,11 @@ from gradcast.predicates import (
     _holds,
     _refutes,
     p_and,
-    p_equivalent,
     p_false,
     p_forall_bounded,
     p_implies,
     p_not,
     p_or,
-    p_proven,
     p_relate,
     p_true,
 )
@@ -207,9 +205,7 @@ SCENARIOS = {
     "combinators": lambda m: [
         cast(p_and(LT10, pred_gt_const(2)), 5, m),
         cast(p_or(pred_gt_const(20), p_not(LT10)), 12, m),
-        cast(p_equivalent(LT10, lambda n: f"{n} < 10", "successor form"), 3, m),
         cast(p_forall_bounded(3, pred_lt_const), None, m),
-        cast(p_proven("assumed"), 1, m),
         cast(p_relate(lambda n: n % 2 == 0, lambda n: f"{n} even"), 4, m),
     ],
     "combinator-fails": lambda m: cast(p_and(LT10, pred_gt_const(2)), 1, m),
@@ -256,8 +252,7 @@ def test_casts_return_the_same_without_any_record_constructor(name, mode, monkey
 # --- issued records refuse every constructor call ---------------------------
 
 EVIDENCE_REFUSED = (
-    r"^Evidence cannot be constructed directly; it is only issued by "
-    r"decision procedures \(or by p_proven, an explicit trust step\)$"
+    r"^Evidence cannot be constructed directly; it is only issued by decision procedures$"
 )
 RAT_REFUSED = r"^Rat cannot be constructed directly; use cast_rat$"
 _EVIDENCE_5 = cast(LT10, 5).evidence
@@ -335,8 +330,6 @@ CHILD_NOT_A_DECISION = {
     "or-left-before-right-holds": (lambda: p_or(NOTHING, p_true()), "NoneType"),
     "implies-antecedent": (lambda: p_implies(BOOLEAN, NOTHING), "bool"),
     "implies-consequent": (lambda: p_implies(p_true(), NOTHING), "NoneType"),
-    "equivalent-none": (lambda: p_equivalent(NOTHING, str, "same"), "NoneType"),
-    "equivalent-bool": (lambda: p_equivalent(BOOLEAN, str, "same"), "bool"),
     "forall": (lambda: p_forall_bounded(2, lambda n: BOOLEAN), "bool"),
     "forall-last": (
         lambda: p_forall_bounded(2, lambda n: NOTHING if n == 2 else p_true()),

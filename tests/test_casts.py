@@ -23,7 +23,7 @@ from gradcast.instances import (
     pred_gt_const,
     pred_lt_const,
 )
-from gradcast.predicates import Holds, Pred, p_false, p_proven, p_true
+from gradcast.predicates import Holds, Pred, p_false, p_true
 
 LT10 = pred_lt_const(10)
 
@@ -158,7 +158,6 @@ def test_eager_raises_exactly_when_lazy_projection_raises():
 def test_casts_from_trivially_holding_predicates_are_always_attested():
     for value in [0, 5, "x", [1, 2]]:
         assert isinstance(cast(p_true(), value), Attested)
-        assert isinstance(cast(p_proven("assumed elsewhere"), value), Attested)
 
 
 def test_attested_prints_and_compares_like_a_stored_prop_text():

@@ -24,12 +24,7 @@ from gradcast.casts import Attested, FailedCast, cast, proj1, proj2
 from gradcast.compiler import BinOp, Binop, Const, IBinop, IConst, parse_exp
 from gradcast.hocasts import IList
 from gradcast.instances import _EQ_REFL, EqDec
-from gradcast.predicates import (
-    Holds,
-    Pred,
-    PredFamily,
-    Refutes,
-)
+from gradcast.predicates import Evidence, Holds, Pred, PredFamily, Refutes, _holds
 
 LIB, REF = gradcast, spec
 
@@ -41,8 +36,6 @@ def build(desc, ns):
         return getattr(ns, f"pred_{kind}_const")(args[0])
     if kind == "eq":
         return ns.pred_equals(ns.eq_nat(), args[0])
-    if kind == "eqb":
-        return ns.pred_equals(ns.eq_bool(), args[0])
     if kind == "eql":
         return ns.pred_equals(ns.eq_list(ns.eq_nat()), list(args[0]))
     if kind == "eqll":
@@ -52,8 +45,6 @@ def build(desc, ns):
         return ns.p_true()
     if kind == "false":
         return ns.p_false()
-    if kind == "proven":
-        return ns.p_proven(args[0])
     if kind == "relate":
         k = args[0]
         return ns.p_relate(lambda n: n % (k + 1) == 0, lambda n: f"{n} mod {k + 1} = 0")
@@ -62,9 +53,6 @@ def build(desc, ns):
         return ns.p_forall_bounded(k, lambda n: build(body, ns))
     if kind == "not":
         return ns.p_not(build(args[0], ns))
-    if kind == "equiv":
-        inner = build(args[0], ns)
-        return ns.p_equivalent(inner, lambda a: f"[{inner.render(a)}]", args[1])
     left, right = build(args[0], ns), build(args[1], ns)
     return getattr(ns, f"p_{kind}")(left, right)
 
@@ -88,9 +76,6 @@ def outcome(p, a):
     return decided, rendered
 
 
-TEXTS = st.one_of(
-    st.sampled_from(["{}", "{0} {}", "{{x}}", "}{", "{0}{1}", "plain"]), st.text(max_size=4)
-)
 NATS = st.integers(0, 60)
 FLAT = st.lists(st.integers(0, 3), max_size=4)
 NESTED = st.lists(st.lists(st.integers(0, 2), max_size=2), max_size=3)
@@ -99,21 +84,18 @@ NAT_LEAVES = st.one_of(
     st.tuples(st.sampled_from(["lt", "gt", "ge", "eq", "relate"]), NATS),
     st.tuples(st.just("true")),
     st.tuples(st.just("false")),
-    st.tuples(st.just("proven"), TEXTS),
 )
+# Now and then a leaf that renders every value but cannot decide every
+# domain: deciding it raises on both sides.  A leaf whose render could raise
+# is kept to its own domain, since the library formats a refutation only
+# when it is read, and a discarded one never.  Booleans meet only these.
+ANY_LEAF = st.tuples(st.sampled_from(["eq", "relate"]), NATS)
 DOMAINS = {
     "nat": (NATS, NAT_LEAVES),
     "flat": (FLAT, st.tuples(st.just("eql"), FLAT)),
     "nested": (NESTED, st.tuples(st.just("eqll"), NESTED)),
-    "bool": (st.booleans(), st.tuples(st.just("eqb"), st.booleans())),
+    "bool": (st.booleans(), ANY_LEAF),
 }
-# Now and then a leaf that renders every value but cannot decide every
-# domain: deciding it raises on both sides.  A leaf whose render could raise
-# is kept to its own domain, since the library formats a refutation only
-# when it is read, and a discarded one never.
-ANY_LEAF = st.one_of(
-    st.tuples(st.sampled_from(["eq", "relate"]), NATS), st.tuples(st.just("eqb"), st.booleans())
-)
 
 
 FAMILIES = st.one_of(NAT_LEAVES, st.tuples(st.just("not"), NAT_LEAVES))
@@ -125,11 +107,9 @@ def trees(draw, leaf, depth):
     five is a leaf before the bottom."""
     if depth == 0 or draw(st.integers(0, 4)) == 0:
         return draw(leaf)
-    kind = draw(st.sampled_from(["and", "or", "implies", "not", "equiv", "forall"]))
+    kind = draw(st.sampled_from(["and", "or", "implies", "not", "forall"]))
     if kind == "not":
         return (kind, draw(trees(leaf, depth - 1)))
-    if kind == "equiv":
-        return (kind, draw(trees(leaf, depth - 1)), draw(TEXTS))
     if kind == "forall":
         return (kind, draw(st.integers(0, 4)), draw(FAMILIES))
     return (kind, draw(trees(leaf, depth - 1)), draw(trees(leaf, depth - 1)))
@@ -176,8 +156,6 @@ def spec_evidence(verdict):
          lambda v: v.append(7)),
         (lambda ns: ns.p_and(ns.p_true(), ns.pred_equals(ns.eq_list(ns.eq_nat()), [4])),
          [5], lambda v: v.append(6)),
-        (lambda ns: ns.p_implies(ns.p_true(), ns.pred_equals(ns.eq_bool(), [True])), [False],
-         lambda v: v.__setitem__(0, True)),
     ],
 )
 def test_mutating_a_value_after_a_refutation_leaves_its_summary_unchanged(make, value, mutate):
@@ -219,12 +197,6 @@ def test_an_int_subclass_is_shown_as_it_was_when_decided(make, monkeypatch):
 @pytest.mark.parametrize(
     "make, value, expected",
     [
-        (lambda ns: ns.p_proven("{0} {}"), 5, "{0} {}"),
-        (lambda ns: ns.p_and(ns.p_proven("{0} {}"), ns.p_proven("{}")), 5, "{0} {} and {}"),
-        (lambda ns: ns.p_equivalent(ns.p_true(), lambda _a: "x", "{}"), 5,
-         "trivially true (via equivalence: {})"),
-        (lambda ns: ns.p_equivalent(ns.p_false(), lambda _a: "x", "{0}"), 5,
-         "False never holds (via equivalence: {0})"),
         (lambda ns: ns.p_not(ns.p_relate(lambda _a: True, lambda _a: "{0}{1}")), 5,
          "negated proposition holds: {0}{1}"),
         (lambda ns: ns.p_and(ns.p_relate(lambda _a: False, lambda _a: "{0}{1}"), ns.p_true()), 5,
@@ -239,10 +211,13 @@ def test_brace_text_is_read_verbatim_twice(make, value, expected):
 
 
 def test_caller_values_that_look_like_pending_text_are_shown_as_text():
+    def make(ns):
+        return ns.p_not(ns.p_relate(lambda _a: True, str))
+
     for value in [("{}", ("x",)), (format, "x"), ["{}"]]:
-        assert gradcast.p_proven(value).decide(None).evidence.summary == str(value)
-        why = gradcast.p_equivalent(gradcast.p_true(), str, value).decide(None).evidence
-        assert why.summary == f"trivially true (via equivalence: {value})"
+        expected = f"negated proposition holds: {value}"
+        assert spec_evidence(make(REF).decide(value)).summary == expected
+        assert make(LIB).decide(value).refutation.summary == expected
 
 
 # -- depth and concurrency ---------------------------------------------------
@@ -260,7 +235,7 @@ def test_a_depth_900_conjunction_chain_decides_and_reads_its_summary():
     assert isinstance(verdict, Holds)
     expected = "6 <= 10 by arithmetic" + " and 3 <= 5 by arithmetic" * 900
     assert verdict.evidence.summary == expected
-    assert verdict.evidence == spec.p_proven(expected).decide(None).evidence
+    assert verdict.evidence == spec.issued(Evidence, expected)
 
 
 def test_a_depth_900_conjunction_chain_reads_its_summary_through_proj2_and_repr():
@@ -369,7 +344,7 @@ def test_the_shared_equality_verdict_cannot_be_re_pointed():
 
 
 def test_records_construct_match_print_compare_and_hash_like_dataclasses():
-    evidence = gradcast.p_proven("x").decide(None).evidence
+    evidence = _holds("x").evidence
     assert Holds(evidence) == Holds(evidence=evidence)
     assert Holds(evidence) != Refutes(evidence)
     assert hash(Holds(evidence)) == hash((evidence,))

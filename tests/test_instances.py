@@ -8,7 +8,6 @@ from gradcast.casts import FailureMode, cast
 from gradcast.instances import (
     check_nat,
     dec_le,
-    eq_bool,
     eq_list,
     eq_nat,
     eq_option,
@@ -151,13 +150,6 @@ def test_eq_nat_examples():
     assert holds(EQ_NAT.eq_decide(3, 3))
     assert not holds(EQ_NAT.eq_decide(2, 3))
     assert EQ_NAT.render_eq(2, 3) == "2 = 3"
-
-
-def test_eq_bool_examples():
-    eq = eq_bool()
-    assert holds(eq.eq_decide(True, True))
-    assert not holds(eq.eq_decide(True, False))
-    assert eq.render_eq(True, False) == "true = false"
 
 
 def test_eq_list_examples():

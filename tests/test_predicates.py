@@ -8,13 +8,11 @@ from gradcast.predicates import (
     Evidence,
     Refutes,
     p_and,
-    p_equivalent,
     p_false,
     p_forall_bounded,
     p_implies,
     p_not,
     p_or,
-    p_proven,
     p_relate,
     p_true,
 )
@@ -76,42 +74,6 @@ def test_p_and_render_grammar():
     assert p.render(5) == "6 <= 10 /\\ True"
     assert p_or(p_false(), p_true()).render(None) == "False \\/ True"
     assert p_implies(p_false(), p_false()).render(None) == "False -> False"
-
-
-def test_p_proven_always_holds_with_description():
-    p = p_proven("lemma 3 of design doc")
-    verdict = p.decide(object())
-    assert holds(verdict)
-    assert verdict.evidence.summary == "lemma 3 of design doc"
-
-
-def test_p_proven_in_conjunction_follows_other_conjunct():
-    le = pred_lt_const(10)
-    conj = p_and(p_proven("established elsewhere"), le)
-    for n in range(20):
-        assert holds(conj.decide(n)) == holds(le.decide(n))
-
-
-def test_p_equivalent_delegates_and_renders_original():
-    substitute = pred_lt_const(10)
-    p = p_equivalent(substitute, lambda n: f"small({n})", "bounded by design")
-    assert holds(p.decide(5))
-    assert not holds(p.decide(15))
-    assert p.render(15) == "small(15)"
-
-
-def test_p_equivalent_surfaces_justification():
-    p = p_equivalent(p_true(), lambda _a: "original", "the reason")
-    verdict = p.decide(None)
-    assert "the reason" in verdict.evidence.summary
-
-
-def test_p_equivalent_identity_behaves_like_substitute():
-    base = pred_lt_const(7)
-    same = p_equivalent(base, base.render, "identity")
-    for n in range(15):
-        assert holds(same.decide(n)) == holds(base.decide(n))
-        assert same.render(n) == base.render(n)
 
 
 def test_p_forall_bounded_all_true():

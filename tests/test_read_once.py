@@ -24,7 +24,7 @@ from gradcast.instances import (
     pred_gt_const,
     pred_lt_const,
 )
-from gradcast.predicates import Pred, PredFamily, p_and, p_equivalent, p_implies, p_not, p_or
+from gradcast.predicates import Pred, PredFamily, p_and, p_implies, p_not, p_or
 
 READS: Counter = Counter()
 
@@ -68,7 +68,6 @@ def _ops():
         (outside, lambda n: n),
         (p_not(lt), lambda n: n),
         (p_implies(ge, lt), lambda n: n),
-        (p_equivalent(gt, lambda n: f"{n} > 20", "n > k is k + 1 <= n"), lambda n: n),
         (pred_equals(nat, 7), lambda n: n % 9),
         (pred_equals(eq_option(nat), 3), lambda n: None if n % 4 == 0 else n % 5),
         (pred_equals(eq_list(nat), [1, 2]), lambda n: [n % 3, 2]),

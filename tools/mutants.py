@@ -160,6 +160,38 @@ MUTANTS = [
         "tests/test_fast_paths.py",
     ),
     Mutant(
+        "eq-list-inline-compare-ge",
+        "src/gradcast/instances.py",
+        "if x == y:",
+        "if x >= y:",
+        "eq_list's inline compare of two plain naturals takes a larger left element for equal",
+        "tests/test_fast_paths.py",
+    ),
+    Mutant(
+        "not-reads-child-decide-per-decision",
+        "src/gradcast/predicates.py",
+        "inner = p_decide(a)",
+        "inner = p.decide(a)",
+        "p_not reads its child's decide field at each decision, not once when built",
+        "tests/test_read_once.py",
+    ),
+    Mutant(
+        "cast-rat-gcd-skips-zero-bottom",
+        "src/gradcast/rationals.py",
+        "irreducible = bottom != 0 and gcd(top, bottom) == 1",
+        "irreducible = gcd(top, bottom) == 1",
+        "cast_rat's own gcd path attests n/0 when gcd(n, 0) = n is 1",
+        "tests/test_rationals.py",
+    ),
+    Mutant(
+        "bounded-ceiling-refuses-its-edge",
+        "src/gradcast/rationals.py",
+        "if top > ceiling or bottom > ceiling:",
+        "if top >= ceiling or bottom > ceiling:",
+        "a bounded strategy refuses a top equal to its ceiling",
+        "tests/test_cli.py",
+    ),
+    Mutant(
         "denote-untruncated-minus",
         "src/gradcast/compiler.py",
         "return x - y if x >= y else 0",
@@ -174,6 +206,15 @@ MUTANTS = [
         'print("LIMIT_ERROR result exceeds the integer digit limit")\n        return 1',
         "check exits 1 on a limit error, so it passes for a cast failure",
         "tests/test_cli.py",
+    ),
+    Mutant(
+        "tokeniser-admits-no-break-space",
+        "src/gradcast/compiler.py",
+        r'_FOREIGN = re.compile(r"[^0-9+*()\- \t\r\n\f\v]")',
+        r'_FOREIGN = re.compile(r"[^0-9+*()\- \t\r\n\f\v\xa0]")',
+        "the tokeniser's foreign-character class admits '\\xa0', which split() then drops, "
+        "so '1+2\\xa0' parses",
+        "tests/test_compiler_kernels.py",
     ),
     Mutant(
         "parse-error-offset-zero-based",
