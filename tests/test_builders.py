@@ -329,7 +329,9 @@ CHILD_NOT_A_DECISION = {
     "or-right": (lambda: p_or(p_false(), BOOLEAN), "bool"),
     "or-left-before-right-holds": (lambda: p_or(NOTHING, p_true()), "NoneType"),
     "implies-antecedent": (lambda: p_implies(BOOLEAN, NOTHING), "bool"),
+    "implies-antecedent-none": (lambda: p_implies(NOTHING, p_true()), "NoneType"),
     "implies-consequent": (lambda: p_implies(p_true(), NOTHING), "NoneType"),
+    "implies-consequent-bool": (lambda: p_implies(p_true(), BOOLEAN), "bool"),
     "forall": (lambda: p_forall_bounded(2, lambda n: BOOLEAN), "bool"),
     "forall-last": (
         lambda: p_forall_bounded(2, lambda n: NOTHING if n == 2 else p_true()),

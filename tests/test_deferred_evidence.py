@@ -156,6 +156,8 @@ def spec_evidence(verdict):
          lambda v: v.append(7)),
         (lambda ns: ns.p_and(ns.p_true(), ns.pred_equals(ns.eq_list(ns.eq_nat()), [4])),
          [5], lambda v: v.append(6)),
+        (lambda ns: ns.p_implies(ns.p_true(), ns.pred_equals(ns.eq_list(ns.eq_nat()), [1])),
+         [0], lambda v: v.__setitem__(0, 1)),
     ],
 )
 def test_mutating_a_value_after_a_refutation_leaves_its_summary_unchanged(make, value, mutate):
@@ -201,6 +203,14 @@ def test_an_int_subclass_is_shown_as_it_was_when_decided(make, monkeypatch):
          "negated proposition holds: {0}{1}"),
         (lambda ns: ns.p_and(ns.p_relate(lambda _a: False, lambda _a: "{0}{1}"), ns.p_true()), 5,
          "left conjunct refuted: {0}{1}"),
+        (lambda ns: ns.p_and(ns.p_true(), ns.p_relate(lambda _a: False, lambda _a: "{0} {}")), 5,
+         "right conjunct refuted: {0} {}"),
+        (lambda ns: ns.p_implies(ns.p_true(), ns.p_relate(lambda _a: False, lambda _a: "{}")), 5,
+         "antecedent holds but consequent refuted: {}"),
+        (lambda ns: ns.p_not(ns.p_not(ns.p_relate(lambda _a: False, lambda _a: "{{x}}"))), 5,
+         "negated proposition holds: ~ {{x}}"),
+        (lambda ns: ns.p_forall_bounded(2, lambda n: ns.p_relate(lambda _a: n < 1, lambda _a: "}{")),
+         None, "counterexample at n = 1: }{"),
     ],
 )
 def test_brace_text_is_read_verbatim_twice(make, value, expected):

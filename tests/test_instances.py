@@ -16,6 +16,8 @@ from gradcast.instances import (
     pred_gt_const,
     pred_lt_const,
 )
+from gradcast.predicates import p_relate
+from gradcast.render import show_value
 from spec import Small, holds
 
 EQ_NAT = eq_nat()
@@ -150,6 +152,15 @@ def test_eq_nat_examples():
     assert holds(EQ_NAT.eq_decide(3, 3))
     assert not holds(EQ_NAT.eq_decide(2, 3))
     assert EQ_NAT.render_eq(2, 3) == "2 = 3"
+
+
+def test_a_relation_over_a_pair_of_booleans_decides_their_equality():
+    # the README's replacement for the deleted eq_bool
+    eq = p_relate(lambda ab: ab[0] == ab[1], lambda ab: f"{show_value(ab[0])} = {show_value(ab[1])}")
+    assert holds(eq.decide((True, True)))
+    assert holds(eq.decide((False, False)))
+    assert not holds(eq.decide((True, False)))
+    assert eq.render((True, False)) == "true = false"
 
 
 def test_eq_list_examples():

@@ -3,9 +3,12 @@ import random
 
 import pytest
 
+import gradcast
 import spec
+from gradcast import instances, predicates
 from gradcast.predicates import (
     Evidence,
+    Pred,
     Refutes,
     p_and,
     p_false,
@@ -74,6 +77,56 @@ def test_p_and_render_grammar():
     assert p.render(5) == "6 <= 10 /\\ True"
     assert p_or(p_false(), p_true()).render(None) == "False \\/ True"
     assert p_implies(p_false(), p_false()).render(None) == "False -> False"
+
+
+# The README's replacements for the deleted trust steps: a property
+# established outside the program is a witness that is always true, and a
+# predicate decided through a substitute keeps the substitute's decide.
+
+def test_an_always_true_relation_holds_with_its_description():
+    p = p_relate(lambda _a: True, lambda _a: "lemma 3 of design doc")
+    verdict = p.decide(object())
+    assert holds(verdict)
+    assert verdict.evidence.summary == "witness = true"
+    assert p.render(None) == "lemma 3 of design doc"
+
+
+def test_an_always_true_conjunct_follows_the_other_conjunct():
+    le = pred_lt_const(10)
+    conj = p_and(p_relate(lambda _a: True, lambda _a: "established elsewhere"), le)
+    for n in range(20):
+        assert holds(conj.decide(n)) == holds(le.decide(n))
+
+
+def test_a_substitute_decide_with_a_render_override_delegates_and_renders_original():
+    substitute = pred_lt_const(10)
+    p = Pred(decide=substitute.decide, render=lambda n: f"small({n})")
+    assert holds(p.decide(5))
+    assert not holds(p.decide(15))
+    assert p.render(15) == "small(15)"
+
+
+def test_a_substitute_decide_issues_the_substitute_evidence():
+    substitute = pred_lt_const(10)
+    p = Pred(decide=substitute.decide, render=lambda _a: "original")
+    assert p.decide(5).evidence.summary == substitute.decide(5).evidence.summary == "6 <= 10 by arithmetic"
+    refuted = p.decide(15)
+    assert isinstance(refuted, Refutes)
+    assert refuted.refutation.summary == substitute.decide(15).refutation.summary
+
+
+def test_a_substitute_with_its_own_render_behaves_like_the_substitute():
+    base = pred_lt_const(7)
+    same = Pred(decide=base.decide, render=base.render)
+    for n in range(15):
+        assert holds(same.decide(n)) == holds(base.decide(n))
+        assert same.render(n) == base.render(n)
+
+
+@pytest.mark.parametrize("name", ["p_proven", "p_equivalent", "eq_bool"])
+def test_a_removed_name_is_gone_from_the_package(name):
+    for module in (gradcast, predicates, instances):
+        assert not hasattr(module, name)
 
 
 def test_p_forall_bounded_all_true():
